@@ -95,7 +95,6 @@ class RunConfig:
     output_path: str | None = None
     field: str | None = None
     k: int = 1
-    r: int = 1
     c: float = 4.0
     degree: int | None = None
     relaxed: bool = False
@@ -471,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refuse kernels with more members than this")
     p.add_argument("--level", type=int, default=None, help="expansion level (default d)")
     p.add_argument("--workers", type=int, default=_env_int("WORKERS", 1),
-                   help="shard the enumeration; the answer does not depend on it")
+                   help="accepted for compatibility (must be positive); the scan "
+                   "runs in one process")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_minrank)
 

@@ -43,14 +43,20 @@ _GF2 = make_field(2)
 # -- packed GF(2) engine -----------------------------------------------------
 
 
-def packed_rank(rows: Iterable[int]) -> int:
-    """Rank of a GF(2) matrix given as bit-packed rows (bit j = column j)."""
+def packed_rank(rows: Iterable[int], limit: int | None = None) -> int | None:
+    """Rank of a GF(2) matrix given as bit-packed rows (bit j = column j).
+
+    With a limit, elimination stops as soon as the rank would pass it and
+    the answer is None.
+    """
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
             low = row & -row
             other = pivots.get(low)
             if other is None:
+                if len(pivots) == limit:
+                    return None
                 pivots[low] = row
                 break
             row ^= other

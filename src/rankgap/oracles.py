@@ -6,6 +6,12 @@ an explicit budget, and point isolation / sum-of-points representations
 come from solving their defining linear systems directly.  The pipeline is
 validated against these routines, never the other way around.
 
+The minrank scan is still exhaustive.  It visits the members in reflected
+Gray-code order, so each one is the previous one plus a multiple of one
+kernel vector, and its rank test stops as soon as a member cannot beat the
+best so far.  The winning witness is re-ranked through its FFMatrix
+expansion before it is reported.
+
 Budgets are hard limits: when an enumeration would exceed one, the answer
 is a refusal, not a subsample.
 """
@@ -13,13 +19,13 @@ is a refusal, not a subsample.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
+from operator import xor
 
 from .boolalg import MonomialBasis, SquarefreePoly, basis_make, mask_of
 from .errors import BudgetExceededError, InternalConsistencyError, PreconditionError
-from .gfarith import make_field
+from .gfarith import _TABLE_LIMIT, make_field
 from .gflinalg import FFMatrix, packed_rank
 from .subspace import SubspaceSpec
 from .superposition import MonomialQuadSystem
@@ -105,67 +111,162 @@ class MinrankReport:
         }
 
 
-def _scan_packed(basis_y, basis_rows, side, coord_count, lo, hi):
-    # Gray-code walk over member indices [lo, hi); each step flips one
-    # kernel basis vector in the running vector and its expansion
-    y = 0
-    rows = [0] * side
-    start = lo ^ (lo >> 1)
-    b = 0
-    while start:
-        if start & 1:
-            y ^= basis_y[b]
-            for r, br in enumerate(basis_rows[b]):
-                rows[r] ^= br
-        start >>= 1
-        b += 1
-    best_rank = None
-    best_witness = None
-    for i in range(lo, hi):
-        if i != lo:
-            flip = (i ^ (i >> 1)) ^ ((i - 1) ^ ((i - 1) >> 1))
-            b = flip.bit_length() - 1
-            y ^= basis_y[b]
-            for r, br in enumerate(basis_rows[b]):
-                rows[r] ^= br
-        if y == 0:
-            continue
-        rank = packed_rank(rows)
-        if best_rank is not None and rank > best_rank:
-            continue
-        wit = tuple((y >> c) & 1 for c in range(coord_count))
-        if best_rank is None or rank < best_rank or wit < best_witness:
-            best_rank, best_witness = rank, wit
-    return best_rank, best_witness
+def _gray_walk(q: int, m: int):
+    """Reflected q-ary Gray code over m digits, starting at the zero vector.
+
+    Yields (b, old, new) for each of the q^m - 1 steps: digit b moves from
+    old to new = old +- 1 and every other digit stays.  At each step the
+    lowest digit that can still move in its direction moves; the digits
+    below it sit at the end of their range and reverse direction.  The
+    steps reach every nonzero digit vector exactly once.
+    """
+    digits = [0] * m
+    up = [True] * m
+    top = q - 1
+    for _ in range(q**m - 1):
+        b = 0
+        while True:
+            old = digits[b]
+            if up[b]:
+                if old < top:
+                    new = old + 1
+                    break
+            elif old:
+                new = old - 1
+                break
+            up[b] = not up[b]
+            b += 1
+        digits[b] = new
+        yield b, old, new
 
 
-def _scan_generic(field, kernel, positions, side, coord_count, lo, hi):
-    q = field.q
-    m = len(kernel)
-    best_rank = None
-    best_witness = None
-    for idx in range(lo, hi):
-        digits = []
-        t = idx
-        for _ in range(m):
-            digits.append(t % q)
-            t //= q
-        digits.reverse()
-        y = [0] * coord_count
-        for c, vec in zip(digits, kernel):
-            if c == 0:
-                continue
-            for pos, v in enumerate(vec):
+class _PackedMembers:
+    """The running GF(2) member as packed ints: y (bit c = coordinate c)
+    and the rows of its expansion (bit j = column j)."""
+
+    def __init__(self, field, kernel, positions, coord_count):
+        self.coord_count = coord_count
+        self.y = 0
+        self.rows = [0] * len(positions)
+        self._kernel_y = [sum(v << c for c, v in enumerate(vec)) for vec in kernel]
+        self._kernel_rows = [
+            [sum(vec[c] << j for j, c in enumerate(prow)) for prow in positions]
+            for vec in kernel
+        ]
+
+    def move(self, b, old, new):
+        self.y ^= self._kernel_y[b]
+        self.rows = list(map(xor, self.rows, self._kernel_rows[b]))
+
+    def precedes(self, other):
+        # lexicographic order on coordinates: the lowest differing bit decides
+        diff = self.y ^ other
+        return not self.y & diff & -diff
+
+    def rank(self, limit):
+        return packed_rank(self.rows, limit)
+
+    def snapshot(self):
+        return self.y
+
+    def witness(self, snapshot):
+        return tuple((snapshot >> c) & 1 for c in range(self.coord_count))
+
+
+class _OpRow:
+    """row[b] == op(a, b): a row of an operation table too large to build."""
+
+    __slots__ = ("op", "a")
+
+    def __init__(self, op, a):
+        self.op = op
+        self.a = a
+
+    def __getitem__(self, b):
+        return self.op(self.a, b)
+
+
+class _OpTable:
+    """table[a][b] == op(a, b) without storing q^2 entries."""
+
+    __slots__ = ("op",)
+
+    def __init__(self, op):
+        self.op = op
+
+    def __getitem__(self, a):
+        return _OpRow(self.op, a)
+
+
+def _op_tables(field):
+    """(add, sub, mul, inv) indexed by elements as t[a][b] and inv[a]:
+    lists for fields of at most _TABLE_LIMIT elements, calls into the
+    field above that."""
+    if field.q > _TABLE_LIMIT:
+        ops = (_OpTable(field.add), _OpTable(field.sub), _OpTable(field.mul))
+        return (*ops, _OpRow(field.div, 1))
+    elems = range(field.q)
+    add = [[field.add(a, b) for b in elems] for a in elems]
+    sub = [[field.sub(a, b) for b in elems] for a in elems]
+    mul = [[field.mul(a, b) for b in elems] for a in elems]
+    inv = [0] + [field.inv(a) for a in elems[1:]]
+    return add, sub, mul, inv
+
+
+class _TableMembers:
+    """The running member over any field as lists of ints.  Each expansion
+    entry copies one coordinate, so a move rewrites only the cells of the
+    coordinates it changes."""
+
+    def __init__(self, field, kernel, positions, coord_count):
+        self._add, self._sub, self._mul, self._inv = _op_tables(field)
+        self.y = [0] * coord_count
+        self.rows = [[0] * len(prow) for prow in positions]
+        self._support = [[(c, v) for c, v in enumerate(vec) if v] for vec in kernel]
+        self._cells = [[] for _ in range(coord_count)]
+        for row, prow in zip(self.rows, positions):
+            for j, c in enumerate(prow):
+                self._cells[c].append((row, j))
+
+    def move(self, b, old, new):
+        y, add, cells = self.y, self._add, self._cells
+        step = self._mul[self._sub[new][old]]
+        for c, v in self._support[b]:
+            value = y[c] = add[y[c]][step[v]]
+            for row, j in cells[c]:
+                row[j] = value
+
+    def precedes(self, other):
+        return self.y < other
+
+    def rank(self, limit):
+        """Rank of the expansion by inserting each row against normalized
+        pivot rows; None as soon as it would pass the limit."""
+        sub, mul, inv = self._sub, self._mul, self._inv
+        pivots = {}
+        for row in self.rows:
+            width = len(row)
+            col = 0
+            while col < width:
+                v = row[col]
                 if v:
-                    y[pos] = field.add(y[pos], field.mul(c, v))
-        h = FFMatrix(field, [[y[positions[i][j]] for j in range(side)] for i in range(side)])
-        rank = h.rank()
-        if best_rank is not None and rank > best_rank:
-            continue
-        wit = tuple(y)
-        if best_rank is None or rank < best_rank or wit < best_witness:
-            best_rank, best_witness = rank, wit
-    return best_rank, best_witness
+                    pivot = pivots.get(col)
+                    if pivot is None:
+                        if len(pivots) == limit:
+                            return None
+                        scale = mul[inv[v]]
+                        pivots[col] = [scale[x] for x in row]
+                        break
+                    scale = mul[v]
+                    row = [sub[x][scale[p]] for x, p in zip(row, pivot)]
+                col += 1
+        return len(pivots)
+
+    def snapshot(self):
+        return self.y[:]
+
+    def witness(self, snapshot):
+        return tuple(snapshot)
 
 
 def minrank_bruteforce(
@@ -176,10 +277,12 @@ def minrank_bruteforce(
 ) -> MinrankReport:
     """Minimum rank of the level-d expansion over every nonzero member.
 
-    Visits all q^m kernel combinations, m the kernel dimension; refuses
-    when q^m exceeds the budget.  The witness is the lexicographically
-    smallest coordinate vector among the rank minimizers, so the answer
-    does not depend on the worker count.
+    Visits all q^m - 1 nonzero kernel combinations, m the kernel dimension,
+    in reflected Gray-code order; refuses when q^m exceeds the budget.  The
+    witness is the lexicographically smallest coordinate vector among the
+    rank minimizers, so the answer does not depend on the visiting order.
+    The scan runs in one process: workers must be positive and changes no
+    work.
     """
     if level is None:
         level = space.d
@@ -194,50 +297,38 @@ def minrank_bruteforce(
     m = len(kernel)
     if m == 0:
         return MinrankReport("empty", digest, 0, 0)
-    total = space.field.q**m
+    q = space.field.q
+    total = q**m
     if total > budget:
         return MinrankReport("budget_exceeded", digest, m, 0, required=total)
 
     masks = basis_make(space.n, level, space.variant).masks
-    side = len(masks)
-    coords = space.coords
-    coord_count = space.coord_count
-    if space.field.q == 2:
-        basis_y = [sum(v << c for c, v in enumerate(vec)) for vec in kernel]
-        basis_rows = [
-            [
-                sum(vec[coords.rank(masks[i] | masks[j])] << j for j in range(side))
-                for i in range(side)
-            ]
-            for vec in kernel
-        ]
-        job = lambda lo, hi: _scan_packed(basis_y, basis_rows, side, coord_count, lo, hi)
-    else:
-        positions = [[coords.rank(masks[i] | masks[j]) for j in range(side)] for i in range(side)]
-        job = lambda lo, hi: _scan_generic(
-            space.field, kernel, positions, side, coord_count, lo, hi
+    rank_of = space.coords.rank
+    positions = [[rank_of(s | t) for t in masks] for s in masks]
+    members = (_PackedMembers if q == 2 else _TableMembers)(
+        space.field, kernel, positions, space.coord_count
+    )
+    # a member replaces the best one when (rank, coordinates) is smaller:
+    # one with larger coordinates must have a smaller rank.  The side + 1
+    # start is above every rank, so the first member is taken; limit is -1
+    # only when nothing can beat a rank-0 best.
+    best_rank = len(masks) + 1
+    best = None
+    for step in _gray_walk(q, m):
+        members.move(*step)
+        if best is None or members.precedes(best):
+            limit = best_rank
+        else:
+            limit = best_rank - 1
+        if limit >= 0 and (rank := members.rank(limit)) is not None:
+            best_rank, best = rank, members.snapshot()
+    witness = members.witness(best)
+    checked = space.expand(witness, level).rank()
+    if checked != best_rank:
+        raise InternalConsistencyError(
+            f"the scan ranked its witness {best_rank}, its expansion has rank {checked}"
         )
-
-    nmembers = total - 1
-    shards = min(workers, nmembers)
-    bounds = [1 + (nmembers * k) // shards for k in range(shards + 1)]
-    ranges = [(bounds[k], bounds[k + 1]) for k in range(shards)]
-    if workers == 1:
-        results = [job(lo, hi) for lo, hi in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda r: job(*r), ranges))
-
-    best_rank = None
-    best_witness = None
-    for rank, wit in results:
-        if rank is None:
-            continue
-        if best_rank is None or rank < best_rank or (rank == best_rank and wit < best_witness):
-            best_rank, best_witness = rank, wit
-    if best_rank is None:
-        raise InternalConsistencyError("a nonempty kernel produced no nonzero member")
-    return MinrankReport("ok", digest, m, nmembers, minrank=best_rank, witness=best_witness)
+    return MinrankReport("ok", digest, m, total - 1, minrank=best_rank, witness=witness)
 
 
 # -- superposition ------------------------------------------------------------

@@ -82,6 +82,9 @@ def test_packed_helpers_agree_with_generic():
     for _ in range(25):
         m = rand_matrix(rng, GF2, rng.randrange(1, 8), rng.randrange(1, 9))
         assert packed_rank(m.packed_rows()) == m.rank()
+        for limit in range(m.nrows + 1):
+            want = m.rank() if m.rank() <= limit else None
+            assert packed_rank(m.packed_rows(), limit) == want
         kb = packed_kernel_basis(m.packed_rows(), m.ncols)
         assert len(kb) == len(m.kernel_basis())
 

@@ -2,6 +2,7 @@
 sums, point isolators, sums of points."""
 
 import random
+import threading
 from itertools import product
 
 import pytest
@@ -14,6 +15,8 @@ from rankgap.moment import build_moment_subspace
 from rankgap.oracles import (
     MonomialAssignment,
     PointSet,
+    _gray_walk,
+    _TableMembers,
     check_membership,
     minrank_bruteforce,
     point_isolator,
@@ -107,46 +110,121 @@ def test_minrank_budget_refusal():
     assert report.enumerated == 0
 
 
-def test_minrank_worker_counts_agree():
+def test_minrank_worker_counts_agree(monkeypatch):
+    # the scan runs in one process: no worker count may start a thread
+    def no_threads(self):
+        raise AssertionError("minrank started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
     src = parse_quadeq("GF(2)\nx1*x2 + x3\n")
     space = build_moment_subspace(src, 1)
     alone = minrank_bruteforce(space)
     for w in (2, 3, 5):
         sharded = minrank_bruteforce(space, workers=w)
         assert sharded == alone
+    with pytest.raises(PreconditionError, match="worker"):
+        minrank_bruteforce(space, workers=0)
 
 
-def test_minrank_matches_naive_scan_over_gf3():
+def naive_minimizers(space, level=None):
+    """(minrank, every rank-minimizing nonzero member), straight from the
+    definition: each member rebuilt from its digits, ranked through its
+    FFMatrix expansion."""
+    field = space.field
+    kernel = space.kernel_basis()
+    found = []
+    for combo in product(range(field.q), repeat=len(kernel)):
+        if not any(combo):
+            continue
+        y = [0] * space.coord_count
+        for c, vec in zip(combo, kernel):
+            for i, v in enumerate(vec):
+                y[i] = field.add(y[i], field.mul(c, v))
+        found.append((space.expand(tuple(y), level).rank(), tuple(y)))
+    best = min(r for r, _ in found)
+    return best, sorted(y for r, y in found if r == best)
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_minrank_matches_naive_scan(p, e):
     from rankgap.frontends import QuadSystemSource
 
+    field = make_field(p, e)
     rng = random.Random(51)
     for _ in range(5):
         n = 2
         coeffs = {
-            mask: rng.randrange(3) for mask in basis_make(n, 2, "V").masks if mask
+            mask: rng.randrange(field.q) for mask in basis_make(n, 2, "V").masks if mask
         }
         src = QuadSystemSource(
-            field=GF3, n=n, equations=(SquarefreePoly(GF3, coeffs),)
+            field=field, n=n, equations=(SquarefreePoly(field, coeffs),)
         )
         space = build_moment_subspace(src, 1)
         report = minrank_bruteforce(space, budget=1 << 14)
         if report.status == "empty":
             assert space.dimension() == 0
             continue
-        kernel = space.kernel_basis()
-        best = None
-        for combo in product(range(3), repeat=len(kernel)):
-            if not any(combo):
-                continue
-            y = [0] * space.coord_count
-            for c, vec in zip(combo, kernel):
-                for i, v in enumerate(vec):
-                    y[i] = GF3.add(y[i], GF3.mul(c, v))
-            r = space.expand(tuple(y)).rank()
-            key = (r, tuple(y))
-            if best is None or key < best:
-                best = key
-        assert (report.minrank, report.witness) == best
+        best, minimizers = naive_minimizers(space)
+        assert (report.minrank, report.witness) == (best, minimizers[0])
+
+
+def test_minrank_untabulated_field():
+    # past 256 elements the scan calls the field instead of building tables
+    field = make_field(257)
+    src = parse_quadeq("GF(257)\nx1 + x2 + 3\nx1 + 2*x2 + 5\nx1*x2 + 9\n")
+    space = build_moment_subspace(src, 1)
+    report = minrank_bruteforce(space)
+    assert report.kernel_dimension == 1 and report.enumerated == field.q - 1
+    best, minimizers = naive_minimizers(space)
+    assert (report.minrank, report.witness) == (best, minimizers[0])
+
+
+@pytest.mark.parametrize(
+    "text, minrank, ties, witness",
+    [
+        ("GF(2)\nx1*x2 + x1*x3 + x2*x3 + 1\n", 1, 4, (1, 0, 1, 1, 0, 0, 1)),
+        ("GF(5)\nx1*x2 + 2\n", 2, 28, (0, 0, 1, 0)),
+    ],
+    ids=["gf2", "gf5"],
+)
+def test_minrank_witness_is_lex_min_among_ties(text, minrank, ties, witness):
+    # in both, the Gray walk reaches another minimizer before this one
+    space = build_moment_subspace(parse_quadeq(text), 1)
+    report = minrank_bruteforce(space)
+    best, minimizers = naive_minimizers(space)
+    assert (best, len(minimizers), minimizers[0]) == (minrank, ties, witness)
+    assert (report.minrank, report.witness) == (minrank, witness)
+
+
+@pytest.mark.parametrize(
+    "text", ["GF(2)\nx1*x2 + x3\n", "GF(2^2)\nx1*x2 + x1\n"], ids=["gf2", "gf4"]
+)
+def test_minrank_lower_levels_match_naive_scan(text):
+    # level 0 has rank-0 members, which nothing can beat
+    space = build_moment_subspace(parse_quadeq(text), 2)
+    for level in range(space.d + 1):
+        report = minrank_bruteforce(space, level=level)
+        best, minimizers = naive_minimizers(space, level)
+        assert (report.minrank, report.witness) == (best, minimizers[0])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_gray_walk_visits_every_nonzero_vector_once(q, m):
+    digits = [0] * m
+    seen = set()
+    for b, old, new in _gray_walk(q, m):
+        assert digits[b] == old and abs(new - old) == 1 and 0 <= new < q
+        digits[b] = new
+        seen.add(tuple(digits))
+    assert len(seen) == q**m - 1 and (0,) * m not in seen
+
+
+def test_minrank_rechecks_its_witness(monkeypatch):
+    space = build_moment_subspace(parse_quadeq("GF(3)\nx1 + x2\n"), 1)
+    monkeypatch.setattr(_TableMembers, "rank", lambda self, limit: 0)
+    with pytest.raises(InternalConsistencyError, match="witness"):
+        minrank_bruteforce(space)
 
 
 def test_minrank_dichotomy_on_tiny_corpus():
