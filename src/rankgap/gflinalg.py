@@ -1,11 +1,13 @@
 """Dense exact linear algebra over the fields from gfarith.
 
 FFMatrix is an immutable dense matrix of int-encoded entries.  Elimination
-always pivots on the lowest-index row and produces reduced echelon form, so
-ranks, kernels and solutions are deterministic functions of the input.
-GF(2) work is routed through bit-packed rows (one int per row, bit j =
-column j); the packed helpers are exposed because the brute-force oracles
-want to drive them directly in enumeration loops.
+produces the reduced row echelon form, which is unique for a row space, so
+ranks, kernels and solutions are deterministic functions of the input
+whatever order the elimination works in.  GF(2) work is routed through
+bit-packed rows (one int per row, bit j = column j) and eliminates by row
+insertion: each row is reduced against pivots keyed by their lowest set
+bit.  The packed helpers are exposed because the brute-force oracles and
+the sparse subspace rows want to drive them directly.
 
 Also here: the symmetric rank-one decomposition over GF(2) with its 3k/2
 length guarantee, and the entrywise-functional rank descent that carries a
@@ -64,26 +66,35 @@ def packed_rank(rows: Iterable[int], limit: int | None = None) -> int | None:
 
 
 def _packed_rref(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    work = list(rows)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        bit = 1 << col
-        sel = None
-        for i in range(r, len(work)):
-            if work[i] & bit:
-                sel = i
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Rows must have no bits at or above ncols.  Each row is inserted against
+    the pivot rows found so far, keyed by their lowest set bit, then the
+    pivot rows are back-substituted from the highest pivot down.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = row
                 break
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        for i in range(len(work)):
-            if i != r and work[i] & bit:
-                work[i] ^= work[r]
-        pivots.append(col)
-        r += 1
-    return work[:r], pivots
+            row ^= other
+    # a pivot row holds no pivot bit below its own, and every pivot row
+    # above it is already reduced: one XOR per pivot bit clears it.  The
+    # keys are distinct single bits, so their sum is their union.
+    pivot_bits = sum(pivots)
+    order = sorted(pivots)
+    for low in reversed(order):
+        row = pivots[low]
+        hits = (row & pivot_bits) ^ low
+        while hits:
+            bit = hits & -hits
+            row ^= pivots[bit]
+            hits ^= bit
+        pivots[low] = row
+    return [pivots[low] for low in order], [low.bit_length() - 1 for low in order]
 
 
 def packed_kernel_basis(rows: Sequence[int], ncols: int) -> list[int]:
@@ -155,7 +166,13 @@ class FFMatrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: FieldSpec, rows: Iterable[Iterable[int]], ncols: int | None = None):
-        mat = tuple(tuple(field.validate(v) for v in row) for row in rows)
+        # one pass per row for plain ints; validate names the first bad entry
+        q = field.q
+        mat = tuple(
+            row if all(type(v) is int and 0 <= v < q for v in row)
+            else tuple(field.validate(v) for v in row)
+            for row in map(tuple, rows)
+        )
         if mat:
             ncols = len(mat[0])
             if any(len(r) != ncols for r in mat):

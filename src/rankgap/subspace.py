@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from .boolalg import MonomialBasis, basis_make, format_monomial, indices_of
 from .errors import ParseError, PreconditionError
 from .gfarith import FieldSpec, format_field, parse_field_descriptor
-from .gflinalg import FFMatrix
+from .gflinalg import FFMatrix, _unpack_row, packed_kernel_basis
 
 __all__ = [
     "PseudoMomentVector",
@@ -44,6 +44,14 @@ def _expand_on(
         [values[rank(s | t)] for t in index.masks] for s in index.masks
     ]
     return FFMatrix(field, rows, len(index))
+
+
+def _json_int(value, what: str) -> int:
+    """value itself if it is a JSON integer; floats, strings and booleans
+    are refused rather than coerced."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _split_union(mask: int) -> tuple[int, int]:
@@ -280,6 +288,9 @@ class SubspaceSpec:
     # -- the space itself --
 
     def dense_rows(self) -> FFMatrix:
+        """The constraint rows as a dense matrix.  It serves the membership
+        oracle, which stays independent of the sparse rows, and kernels
+        over fields other than GF(2)."""
         ncols = len(self.coords)
         rows = []
         for row in self.rows:
@@ -290,11 +301,17 @@ class SubspaceSpec:
         return FFMatrix(self.field, rows, ncols)
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
-        """Coordinate vectors spanning the subspace."""
-        return self.dense_rows().kernel_basis()
+        """Coordinate vectors spanning the subspace, one per free column of
+        the reduced echelon form of the rows.  Over GF(2) every stored
+        coefficient is 1, so each sparse row packs straight into an int."""
+        if self.field.q != 2:
+            return self.dense_rows().kernel_basis()
+        ncols = len(self.coords)
+        packed = [sum(1 << pos for pos, _ in row) for row in self.rows]
+        return [_unpack_row(v, ncols) for v in packed_kernel_basis(packed, ncols)]
 
     def dimension(self) -> int:
-        return len(self.coords) - self.dense_rows().rank()
+        return len(self.kernel_basis())
 
     # -- instance files --
 
@@ -321,11 +338,20 @@ class SubspaceSpec:
                 raise ParseError(f"not a subspace document: format={doc.get('format')!r}")
             field = parse_field_descriptor(doc["field"])
             variant = doc["variant"]
-            n, d = int(doc["n"]), int(doc["d"])
+            n, d = _json_int(doc["n"], "n"), _json_int(doc["d"], "d")
             rows = tuple(
-                tuple((int(pos), int(coeff)) for pos, coeff in row)
-                for row in doc["rows"]
+                tuple((pos, coeff) for pos, coeff in row) for row in doc["rows"]
             )
+            for k, row in enumerate(rows):
+                for pos, coeff in row:
+                    if type(pos) is not int or type(coeff) is not int:
+                        _json_int(pos, f"row {k} position")
+                        _json_int(coeff, f"row {k} coefficient")
+            declared = {
+                key: _json_int(doc[key], key)
+                for key in ("coord_count", "matrix_side")
+                if key in doc
+            }
             provenance = dict(doc.get("provenance", {}))
         except ParseError:
             raise
@@ -338,10 +364,10 @@ class SubspaceSpec:
             rows=rows,
             provenance=provenance,
         )
-        for key in ("coord_count", "matrix_side"):
-            if key in doc and int(doc[key]) != getattr(spec, key):
+        for key, value in declared.items():
+            if value != getattr(spec, key):
                 raise ParseError(
-                    f"{key} says {doc[key]}, the ({variant}, n={n}, d={d}) "
+                    f"{key} says {value}, the ({variant}, n={n}, d={d}) "
                     f"families give {getattr(spec, key)}"
                 )
         return spec

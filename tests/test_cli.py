@@ -272,3 +272,29 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
         assert code == 0
         outs.append(stdout)
     assert outs[0] == outs[1]
+
+
+# -- corrupt instance files ---------------------------------------------------
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rows", [[[0.7, 1]]]),
+    ("rows", [[[1, "1"], [2, 1]]]),
+    ("rows", [[[True, 1], [2, 1]]]),
+    ("n", 2.0),
+    ("d", True),
+    ("coord_count", "4"),
+])
+@pytest.mark.parametrize("command", [
+    ("verify", "--assignment", "1,1"),
+    ("minrank",),
+])
+def test_non_integer_instance_values_are_parse_errors(tmp_path, capsys, field, value, command):
+    doc = json.loads(open(instance(tmp_path, capsys)).read())
+    doc[field] = value
+    bad = write(tmp_path, "bad.json", json.dumps(doc))
+    code, stdout, err = run(capsys, command[0], "--input", bad, *command[1:])
+    assert code == 2
+    assert stdout == ""
+    assert "must be a JSON integer" in err
+    assert "Traceback" not in err

@@ -266,3 +266,17 @@ def test_entry_access_and_submatrix():
     assert m.column(2) == (3, 1)
     assert m.submatrix([1], [0, 2]).rows == ((4, 1),)
     assert m.transpose().shape == (3, 2)
+
+
+def test_entries_checked_per_row_keep_validate_semantics():
+    class Small(int):
+        pass
+
+    m = FFMatrix(GF3, [[0, Small(2)], [1, 1]])
+    assert type(m.entry(0, 1)) is Small and m.rows == ((0, 2), (1, 1))
+    for bad in (True, 3, -1, 1.0, "1"):
+        with pytest.raises(PreconditionError) as got:
+            FFMatrix(GF3, [[0, 1], [1, bad]])
+        with pytest.raises(PreconditionError) as want:
+            GF3.validate(bad)
+        assert str(got.value) == str(want.value)

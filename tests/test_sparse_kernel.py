@@ -1,0 +1,166 @@
+"""Kernel extraction from the sparse rows against the dense path, and the
+row-insertion GF(2) echelon form against a column sweep."""
+
+import random
+
+import pytest
+
+from rankgap.boolalg import basis_make
+from rankgap.frontends import parse_dimacs
+from rankgap.gfarith import make_field
+from rankgap.gflinalg import FFMatrix, _packed_rref
+from rankgap.subspace import SubspaceSpec
+from rankgap.superposition import (
+    build_constant_free_system,
+    build_matrix_subspace,
+    build_monomial_quad_system,
+)
+
+GF2 = make_field(2)
+GF4 = make_field(2, 2)
+
+SHAPES = [(v, n, d) for v in "UV" for n in (2, 3, 4) for d in (1, 2)]
+
+
+def column_sweep_rref(rows, ncols):
+    """Reference echelon form: for each column in turn, pivot on the first
+    remaining row with that bit and clear it from every other row."""
+    work = list(rows)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        bit = 1 << col
+        sel = next((i for i in range(r, len(work)) if work[i] & bit), None)
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        for i in range(len(work)):
+            if i != r and work[i] & bit:
+                work[i] ^= work[r]
+        pivots.append(col)
+        r += 1
+    return work[:r], pivots
+
+
+def spec_with_rows(variant, n, d, rows, field=GF2):
+    return SubspaceSpec(
+        field=field,
+        coords=basis_make(n, 2 * d, variant),
+        index=basis_make(n, d, variant),
+        rows=tuple(tuple(row) for row in rows),
+    )
+
+
+def random_rows(rng, ncoords, count, density):
+    rows = []
+    for _ in range(count):
+        picked = sorted(p for p in range(ncoords) if rng.random() < density)
+        rows.append([(p, 1) for p in picked])
+    return rows
+
+
+def assert_matches_dense(spec):
+    dense = spec.dense_rows()
+    assert spec.kernel_basis() == dense.kernel_basis()
+    assert spec.dimension() == spec.coord_count - dense.rank()
+
+
+def superposition_instance(field=GF2):
+    cnf = parse_dimacs("p cnf 4 3\n1 -2 3 0\n-1 2 4 0\n2 3 -4 0\n")
+    quad = build_monomial_quad_system(build_constant_free_system(cnf, 4))
+    return build_matrix_subspace(quad, field)
+
+
+# -- SubspaceSpec.kernel_basis over GF(2) -------------------------------------
+
+
+def test_sparse_kernel_matches_dense_on_random_specs():
+    rng = random.Random(31)
+    for _ in range(120):
+        variant, n, d = rng.choice(SHAPES)
+        ncoords = len(basis_make(n, 2 * d, variant))
+        count = rng.randint(0, 2 * ncoords)
+        rows = random_rows(rng, ncoords, count, rng.choice((0.1, 0.3, 0.6)))
+        assert_matches_dense(spec_with_rows(variant, n, d, rows))
+
+
+def test_sparse_kernel_edge_cases():
+    ncoords = len(basis_make(3, 4, "U"))
+    rng = random.Random(5)
+    some = random_rows(rng, ncoords, 4, 0.4)
+    cases = {
+        "no rows": [],
+        "cancelled rows": [[], [], []],
+        "cancelled among live": [[]] + some + [[]],
+        "duplicates": some + some + some[:1],
+        "full rank": [[(p, 1)] for p in reversed(range(ncoords))],
+        "full rank, dense": [
+            [(q, 1) for q in range(p, ncoords)] for p in range(ncoords)
+        ],
+    }
+    for rows in cases.values():
+        assert_matches_dense(spec_with_rows("U", 3, 2, rows))
+    assert spec_with_rows("U", 3, 2, []).dimension() == ncoords
+    assert spec_with_rows("U", 3, 2, cases["full rank"]).kernel_basis() == []
+
+
+def test_sparse_kernel_matches_dense_on_superposition_instance():
+    space = superposition_instance()
+    assert len(space.rows) > space.coord_count
+    assert_matches_dense(space)
+    kernel = space.kernel_basis()
+    assert kernel
+    assert all(space.contains(v) for v in kernel)
+
+
+def test_other_fields_keep_the_dense_kernel():
+    over4 = superposition_instance(GF4)
+    over2 = superposition_instance(GF2)
+    assert over4.kernel_basis() == over2.kernel_basis()
+    assert over4.dimension() == over2.dimension()
+
+
+def test_gf2_kernel_builds_no_dense_matrix(monkeypatch):
+    # the GF(2) kernel reads the sparse rows: no FFMatrix may be built
+    specs = [
+        superposition_instance(),
+        spec_with_rows("V", 4, 2, random_rows(random.Random(8), 16, 9, 0.3)),
+        spec_with_rows("U", 2, 1, []),
+    ]
+    want = [(s.kernel_basis(), s.dimension()) for s in specs]
+
+    def no_dense(self, *args, **kwargs):
+        raise AssertionError("kernel extraction built an FFMatrix")
+
+    monkeypatch.setattr(FFMatrix, "__init__", no_dense)
+    assert [(s.kernel_basis(), s.dimension()) for s in specs] == want
+    with pytest.raises(AssertionError, match="built an FFMatrix"):
+        specs[0].dense_rows()
+
+
+# -- _packed_rref --------------------------------------------------------------
+
+
+def test_packed_rref_matches_column_sweep():
+    rng = random.Random(17)
+    for _ in range(600):
+        ncols = rng.randint(0, 24)
+        nrows = rng.randint(0, 3 * ncols + 2)
+        density = rng.choice((0.05, 0.2, 0.5, 0.9))
+        rows = [
+            sum(1 << j for j in range(ncols) if rng.random() < density)
+            for _ in range(nrows)
+        ]
+        if rows and rng.random() < 0.3:
+            rows += rng.choices(rows, k=rng.randint(1, 4))
+        assert _packed_rref(rows, ncols) == column_sweep_rref(rows, ncols)
+
+
+def test_packed_rref_edge_shapes():
+    assert _packed_rref([], 0) == ([], [])
+    assert _packed_rref([0, 0, 0], 0) == ([], [])
+    assert _packed_rref([0, 0], 5) == ([], [])
+    tall = [0b111, 0b011, 0b110, 0b101, 0b001, 0b111]
+    assert _packed_rref(tall, 3) == column_sweep_rref(tall, 3) == ([1, 2, 4], [0, 1, 2])
+    wide = [0b1010_0000, 0b1000_0110]
+    assert _packed_rref(wide, 8) == column_sweep_rref(wide, 8)
