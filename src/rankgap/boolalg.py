@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
@@ -29,6 +30,7 @@ __all__ = [
     "MonomialBasis",
     "SquarefreePoly",
     "basis_make",
+    "basis_size",
     "poly_mul",
     "poly_eval",
     "mask_of",
@@ -94,10 +96,6 @@ class MonomialBasis:
     def unrank(self, index: int) -> int:
         return self.masks[index]
 
-    @property
-    def symbols(self) -> range:
-        return range(0, self.n + 1) if self.variant == "U" else range(1, self.n + 1)
-
     def prefix(self, degree: int) -> "MonomialBasis":
         """The same family truncated to a smaller degree; a prefix of this
         basis thanks to the graded order."""
@@ -105,6 +103,28 @@ class MonomialBasis:
 
     def __repr__(self) -> str:
         return f"MonomialBasis({self.variant}, n={self.n}, d={self.degree}, size={len(self)})"
+
+
+def _basis_family(n: int, d: int, variant: str) -> tuple[range, range]:
+    """The symbols and subset sizes of one family, after the argument checks
+    that basis_make and basis_size share."""
+    if variant not in ("U", "V"):
+        raise PreconditionError(f"unknown basis variant {variant!r}")
+    if n < 1:
+        raise PreconditionError(f"need at least one variable, got n={n}")
+    if n + 1 > MAX_VARS:
+        raise PreconditionError(f"n={n} exceeds the packed-mask cap of {MAX_VARS - 1}")
+    if d < 0:
+        raise PreconditionError(f"degree must be nonnegative, got {d}")
+    symbols = range(0, n + 1) if variant == "U" else range(1, n + 1)
+    return symbols, range(1 if variant == "U" else 0, min(d, len(symbols)) + 1)
+
+
+def basis_size(n: int, d: int, variant: str) -> int:
+    """len(basis_make(n, d, variant)) without building the basis: a sum of
+    binomials over the achievable subset sizes."""
+    symbols, sizes = _basis_family(n, d, variant)
+    return sum(comb(len(symbols), size) for size in sizes)
 
 
 @lru_cache(maxsize=None)
@@ -116,18 +136,9 @@ def basis_make(n: int, d: int, variant: str) -> MonomialBasis:
     Sizes beyond the universe contribute nothing, so d may exceed it; the
     family is just all achievable sizes up to d.
     """
-    if variant not in ("U", "V"):
-        raise PreconditionError(f"unknown basis variant {variant!r}")
-    if n < 1:
-        raise PreconditionError(f"need at least one variable, got n={n}")
-    if n + 1 > MAX_VARS:
-        raise PreconditionError(f"n={n} exceeds the packed-mask cap of {MAX_VARS - 1}")
-    if d < 0:
-        raise PreconditionError(f"degree must be nonnegative, got {d}")
-    symbols = range(0, n + 1) if variant == "U" else range(1, n + 1)
-    lo = 1 if variant == "U" else 0
+    symbols, sizes = _basis_family(n, d, variant)
     masks = []
-    for size in range(lo, min(d, len(symbols)) + 1):
+    for size in sizes:
         for combo in combinations(symbols, size):
             masks.append(mask_of(combo))
     return MonomialBasis(variant, n, d, tuple(masks))

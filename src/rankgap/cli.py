@@ -25,10 +25,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from math import comb
 from pathlib import Path
 
-from .boolalg import basis_make, format_poly, indices_of
+from .boolalg import basis_make, basis_size, format_poly, indices_of
 from .decoder import decode_assignment
 from .errors import (
     BudgetExceededError,
@@ -175,8 +174,7 @@ def _reduce_superposition(config: RunConfig, text: str) -> tuple[SubspaceSpec, i
             "pass --relaxed to build anyway"
         )
     n = cnf.n
-    coords = sum(comb(n + 1, j) for j in range(1, min(2 * d, n + 1) + 1))
-    estimate = max(coords, expected_equation_count(n, cnf.m, d))
+    estimate = max(expected_equation_count(n, cnf.m, d), basis_size(n, 2 * d, "U"))
     if estimate > config.budget:
         raise BudgetExceededError(
             f"instance needs about {estimate} coordinates or constraints, "
@@ -208,8 +206,7 @@ def _reduce_direct(config: RunConfig, text: str) -> tuple[SubspaceSpec, int]:
     d = config.k if config.degree is None else config.degree
     if d < 1:
         raise PreconditionError("matrix degree must be at least 1")
-    coords = sum(comb(src.n, j) for j in range(0, min(2 * d, src.n) + 1))
-    estimate = max(coords, localizing_row_count(src.n, len(src.equations), d))
+    estimate = max(basis_size(src.n, 2 * d, "V"), localizing_row_count(src.n, src.m, d))
     if estimate > config.budget:
         raise BudgetExceededError(
             f"instance needs about {estimate} coordinates or constraints, "
@@ -307,15 +304,9 @@ def cmd_minrank(args: argparse.Namespace) -> int:
 
 
 def _infer_matrix_degree(n: int, count: int) -> int:
-    d = 0
-    size = 0
-    while size < count:
-        d += 1
-        size = sum(comb(n, j) for j in range(0, min(2 * d, n) + 1))
-        if size == count:
+    for d in range(1, (n + 1) // 2 + 1):
+        if basis_size(n, 2 * d, "V") == count:
             return d
-        if 2 * d >= n:
-            break
     raise PreconditionError(
         f"no matrix degree gives {count} coordinates over {n} variables"
     )

@@ -15,10 +15,8 @@ m * |V_{n,2d-2}| stays exact.
 
 from __future__ import annotations
 
-import math
-
-from .boolalg import basis_make
-from .errors import PreconditionError
+from .boolalg import basis_make, basis_size
+from .errors import InternalConsistencyError, PreconditionError
 from .frontends import QuadSystemSource
 from .subspace import SubspaceSpec
 
@@ -29,7 +27,7 @@ __all__ = [
 
 
 def localizing_row_count(n: int, m: int, d: int) -> int:
-    return m * sum(math.comb(n, j) for j in range(0, min(2 * d - 2, n) + 1))
+    return m * basis_size(n, 2 * d - 2, "V")
 
 
 def build_moment_subspace(
@@ -65,7 +63,7 @@ def build_moment_subspace(
                     acc.pop(pos, None)
             rows.append(tuple(sorted(acc.items())))
     if len(rows) != localizing_row_count(n, src.m, d):
-        raise AssertionError("localizing row enumeration drifted from the formula")
+        raise InternalConsistencyError("localizing row enumeration drifted from the formula")
     base = {
         "construction": "direct",
         "n": n,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 from operator import xor
 
-from .boolalg import MonomialBasis, SquarefreePoly, basis_make, mask_of
+from .boolalg import MonomialBasis, SquarefreePoly, basis_make, basis_size, mask_of
 from .errors import BudgetExceededError, InternalConsistencyError, PreconditionError
 from .gfarith import _TABLE_LIMIT, make_field
 from .gflinalg import FFMatrix, packed_rank
@@ -427,7 +427,7 @@ class MonomialAssignment:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        want = len(self.basis)
+        want = basis_size(self.n, self.d, "U")
         if len(self.values) != want:
             raise PreconditionError(
                 f"degree-{self.d} assignment over {self.n + 1} variables needs "

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .boolalg import MonomialBasis, basis_make, format_monomial, indices_of
+from .boolalg import MonomialBasis, basis_make, basis_size, format_monomial, indices_of
 from .errors import ParseError, PreconditionError
 from .gfarith import FieldSpec, format_field, parse_field_descriptor
 from .gflinalg import FFMatrix, _unpack_row, packed_kernel_basis
@@ -357,20 +357,21 @@ class SubspaceSpec:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed subspace document: {exc}") from exc
-        spec = cls(
+        degrees = {"coord_count": 2 * d, "matrix_side": d}
+        for key, value in declared.items():
+            size = basis_size(n, degrees[key], variant)
+            if value != size:
+                raise ParseError(
+                    f"{key} says {value}, the ({variant}, n={n}, d={d}) "
+                    f"families give {size}"
+                )
+        return cls(
             field=field,
             coords=basis_make(n, 2 * d, variant),
             index=basis_make(n, d, variant),
             rows=rows,
             provenance=provenance,
         )
-        for key, value in declared.items():
-            if value != getattr(spec, key):
-                raise ParseError(
-                    f"{key} says {value}, the ({variant}, n={n}, d={d}) "
-                    f"families give {getattr(spec, key)}"
-                )
-        return spec
 
     @classmethod
     def from_text(cls, text: str) -> "SubspaceSpec":

@@ -7,9 +7,10 @@ within degree d.  That system linearizes into a quadratic system over one
 variable per monomial index set, with multiplicativity equations tying
 products of monomial variables to the variable of the union set.  Finally
 the quadratic system becomes a linear subspace of symmetric matrices in
-quotient coordinates; the multiplicativity equations cancel identically
-there (the quotient ties the two sides together entry by entry), which is
-asserted and then dropped.
+quotient coordinates.  The multiplicativity equations cancel identically
+there: both sides of u_S*u_T = u_{S union T} land on the coordinate of
+the union with coefficient 1 + 1 = 0.  So they are counted and produced
+only on iteration, never turned into rows.
 
 Two soundness-facing utilities live here as well: the decomposition of a
 low-rank member into a family of assignments that satisfies every
@@ -21,9 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain
+from typing import Iterator
 
-from .boolalg import MonomialBasis, SquarefreePoly, basis_make
+from .boolalg import MonomialBasis, SquarefreePoly, basis_make, basis_size
 from .errors import InternalConsistencyError, PreconditionError
 from .frontends import CnfFormula, booleanity_polynomial, clause_polynomial
 from .gfarith import FieldSpec, make_field
@@ -33,6 +35,7 @@ from .subspace import PseudoMomentVector, SubspaceSpec
 __all__ = [
     "ConstantFreeSystem",
     "QuadEquation",
+    "MultiplicativityEquations",
     "MonomialQuadSystem",
     "DegreeChoice",
     "SuperpositionWitness",
@@ -129,24 +132,12 @@ class ConstantFreeSystem:
                     )
 
 
-def _low_degree_masks(n: int, limit: int) -> list[int]:
-    """All subsets of {0..n} of size <= limit, smallest first, lex within a
-    size.  The empty set is included: multiplying by it keeps the original
-    equation."""
-    out = []
-    for size in range(0, min(limit, n + 1) + 1):
-        for combo in combinations(range(n + 1), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            out.append(mask)
-    return out
-
-
 def expected_equation_count(n: int, m: int, d: int) -> int:
-    clause_multipliers = sum(math.comb(n + 1, j) for j in range(0, d - 2))
-    bool_multipliers = sum(math.comb(n + 1, j) for j in range(0, d - 1))
-    return m * clause_multipliers + n * bool_multipliers
+    """m clauses times the shifts of degree <= d-3 plus n booleanity
+    polynomials times those of degree <= d-2, the empty shift included."""
+    if d < 3:
+        raise PreconditionError(f"degree {d} leaves no room for clause polynomials")
+    return m * (1 + basis_size(n, d - 3, "U")) + n * (1 + basis_size(n, d - 2, "U"))
 
 
 def build_constant_free_system(cnf: CnfFormula, d: int) -> ConstantFreeSystem:
@@ -157,24 +148,22 @@ def build_constant_free_system(cnf: CnfFormula, d: int) -> ConstantFreeSystem:
     d >= 3 is accepted; instances with d < 8 or d not a multiple of 4 only
     carry the completeness direction (see degree_regime).
     """
-    if d < 3:
-        raise PreconditionError(f"degree {d} leaves no room for clause polynomials")
     n = cnf.n
+    expected = expected_equation_count(n, cnf.m, d)
     equations: list[SquarefreePoly] = []
-    clause_shifts = _low_degree_masks(n, d - 3)
+    clause_shifts = (0,) + basis_make(n, d - 3, "U").masks
     for clause in cnf.clauses:
         p = clause_polynomial(clause, n)
         for mask in clause_shifts:
             equations.append(p.shift(mask))
-    bool_shifts = _low_degree_masks(n, d - 2)
+    bool_shifts = (0,) + basis_make(n, d - 2, "U").masks
     for i in range(1, n + 1):
         b = booleanity_polynomial(i, n)
         for mask in bool_shifts:
             equations.append(b.shift(mask))
-    if len(equations) != expected_equation_count(n, cnf.m, d):
+    if len(equations) != expected:
         raise InternalConsistencyError(
-            f"built {len(equations)} equations, the count formula says "
-            f"{expected_equation_count(n, cnf.m, d)}"
+            f"built {len(equations)} equations, the count formula says {expected}"
         )
     return ConstantFreeSystem(n=n, d=d, equations=tuple(equations))
 
@@ -203,24 +192,51 @@ class QuadEquation:
 
 
 @dataclass(frozen=True)
+class MultiplicativityEquations:
+    """u_S*u_T = u_{S union T} for every unordered pair of sets in a U
+    basis, diagonal included, whose union stays within its degree.
+
+    Produced on iteration, S before T in basis order.  len counts without
+    enumerating: a union of size r comes from (3^r - 1)/2 such pairs.
+    """
+
+    basis: MonomialBasis
+
+    def __len__(self) -> int:
+        width = self.basis.n + 1
+        return sum(
+            math.comb(width, r) * (3**r - 1) // 2
+            for r in range(1, min(self.basis.degree, width) + 1)
+        )
+
+    def __iter__(self) -> Iterator[QuadEquation]:
+        basis, masks = self.basis, self.basis.masks
+        for a, s in enumerate(masks):
+            for t in masks[a:]:
+                union = s | t
+                if union in basis:
+                    yield QuadEquation(quad=((s, t, 1),), linear=((union, 1),))
+
+
+@dataclass(frozen=True)
 class MonomialQuadSystem:
     """The linearized system: one variable per index set in U_{n,d}.
 
     linearized holds the images of the constant-free equations (monomials
-    replaced by their variables); multiplicativity holds u_S*u_T = u_{S
-    union T} for every unordered pair, diagonal included, whose union stays
-    within degree d.
+    replaced by their variables); multiplicativity the product equations
+    over the basis, produced only on iteration.
     """
 
     n: int
     d: int
     basis: MonomialBasis
     linearized: tuple[QuadEquation, ...]
-    multiplicativity: tuple[QuadEquation, ...]
+    multiplicativity: MultiplicativityEquations
 
     @property
-    def equations(self) -> tuple[QuadEquation, ...]:
-        return self.linearized + self.multiplicativity
+    def equations(self) -> Iterator[QuadEquation]:
+        """Every equation, linearized first, produced on iteration."""
+        return chain(self.linearized, self.multiplicativity)
 
     def superposition_value(self, eq: QuadEquation, vectors) -> int:
         acc = 0
@@ -241,24 +257,12 @@ def build_monomial_quad_system(system: ConstantFreeSystem) -> MonomialQuadSystem
             )
         )
         linearized.append(QuadEquation(quad=(), linear=linear))
-    multiplicativity = []
-    masks = basis.masks
-    for a in range(len(masks)):
-        for b in range(a, len(masks)):
-            union = masks[a] | masks[b]
-            if union in basis:
-                multiplicativity.append(
-                    QuadEquation(
-                        quad=((masks[a], masks[b], 1),),
-                        linear=((union, 1),),
-                    )
-                )
     return MonomialQuadSystem(
         n=n,
         d=d,
         basis=basis,
         linearized=tuple(linearized),
-        multiplicativity=tuple(multiplicativity),
+        multiplicativity=MultiplicativityEquations(basis),
     )
 
 
@@ -275,10 +279,10 @@ def build_matrix_subspace(
 
     In quotient coordinates an entry at (S, T) is the coordinate of the
     union, so each multiplicativity equation lands on a single coordinate
-    with coefficient 1 + 1 = 0: those rows are asserted identically zero
-    and dropped.  The constraint rows are 0/1-valued and define the same
-    subspace over any field of characteristic two, which is the only kind
-    accepted here.
+    with coefficient 1 + 1 = 0 and gives no row; only their number goes
+    into the provenance.  The constraint rows are 0/1-valued and define the
+    same subspace over any field of characteristic two, which is the only
+    kind accepted here.
     """
     field = field or _GF2
     if field.p != 2:
@@ -298,18 +302,6 @@ def build_matrix_subspace(
             else:
                 acc.pop(pos, None)
         rows.append(tuple(sorted(acc.items())))
-    for k, eq in enumerate(quad.multiplicativity):
-        acc = {}
-        for mask_s, mask_t, coeff in eq.quad:
-            pos = coords.rank(mask_s | mask_t)
-            acc[pos] = (acc.get(pos, 0) + _GF2.validate(coeff)) % 2
-        for mask, coeff in eq.linear:
-            pos = coords.rank(mask)
-            acc[pos] = (acc.get(pos, 0) + _GF2.validate(coeff)) % 2
-        if any(acc.values()):
-            raise InternalConsistencyError(
-                f"multiplicativity equation {k} survived the quotient"
-            )
     base = {
         "construction": "superposition",
         "n": n,

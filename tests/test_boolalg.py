@@ -8,6 +8,7 @@ import pytest
 from rankgap.boolalg import (
     SquarefreePoly,
     basis_make,
+    basis_size,
     format_monomial,
     format_poly,
     indices_of,
@@ -36,8 +37,12 @@ def v_size(n, d):
 def test_basis_sizes_match_binomial_sums():
     for n in range(1, 9):
         for d in range(0, 2 * n + 3):
-            assert len(basis_make(n, d, "U")) == u_size(n, d)
-            assert len(basis_make(n, d, "V")) == v_size(n, d)
+            assert len(basis_make(n, d, "U")) == u_size(n, d) == basis_size(n, d, "U")
+            assert len(basis_make(n, d, "V")) == v_size(n, d) == basis_size(n, d, "V")
+    # d = 0 and d beyond the universe
+    assert basis_size(3, 0, "U") == 0 and basis_size(3, 0, "V") == 1
+    assert basis_size(3, 50, "U") == 15 and basis_size(3, 50, "V") == 8
+    assert basis_size(61, 61, "V") == 1 << 61
 
 
 def test_basis_graded_lex_order():
@@ -85,6 +90,15 @@ def test_basis_validation():
         basis_make(2, 2, "W")
     with pytest.raises(PreconditionError):
         basis_make(70, 1, "V")
+
+
+@pytest.mark.parametrize("args", [(0, 1, "U"), (2, -1, "V"), (2, 2, "W"), (62, 1, "U")])
+def test_basis_size_validates_like_basis_make(args):
+    with pytest.raises(PreconditionError) as made:
+        basis_make(*args)
+    with pytest.raises(PreconditionError) as sized:
+        basis_size(*args)
+    assert str(sized.value) == str(made.value)
 
 
 def test_squarefree_product_collapses_repeats():

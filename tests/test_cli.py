@@ -1,9 +1,11 @@
 """Command-line surface: subcommand behavior, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
+import rankgap.moment
 from rankgap.cli import main
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import FFMatrix
@@ -274,7 +276,36 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_direct_row_count_drift_is_internal_error(tmp_path, capsys, monkeypatch):
+    real = rankgap.moment.localizing_row_count
+    monkeypatch.setattr(rankgap.moment, "localizing_row_count",
+                        lambda n, m, d: real(n, m, d) + 1)
+    src = write(tmp_path, "line.qe", LINE_SRC)
+    code, stdout, err = run(capsys, "reduce", "--mode", "direct", "--input", src,
+                            "--output", str(tmp_path / "out.json"))
+    assert code == 4
+    assert "drifted from the formula" in err
+    assert "Traceback" not in err
+
+
 # -- corrupt instance files ---------------------------------------------------
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--assignment", ",".join(["1"] * 40)),
+    ("minrank", "--budget", "1"),
+])
+def test_declared_size_checked_before_any_basis_is_built(tmp_path, capsys, command):
+    doc = {"format": "subspace", "field": "GF(2)", "variant": "U", "n": 40, "d": 20,
+           "coord_count": 1, "rows": [], "provenance": {}}
+    bad = write(tmp_path, "big.json", json.dumps(doc))
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, command[0], "--input", bad, *command[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert stdout == ""
+    assert "coord_count says 1, the (U, n=40, d=20) families give" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value", [

@@ -3,6 +3,7 @@ subspace construction, decomposition-to-superposition, rank certificates."""
 
 import math
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -172,6 +173,42 @@ def test_multiplicativity_enumeration_frozen():
     for eq in quad.multiplicativity:
         ((s, t, c),) = eq.quad
         assert eq.linear == ((s | t, 1),)
+
+
+def reference_multiplicativity(basis):
+    """The eager nested loop the lazy sequence replaced."""
+    masks = basis.masks
+    out = []
+    for a in range(len(masks)):
+        for b in range(a, len(masks)):
+            union = masks[a] | masks[b]
+            if union in basis:
+                out.append(QuadEquation(quad=((masks[a], masks[b], 1),), linear=((union, 1),)))
+    return out
+
+
+def test_multiplicativity_count_and_order_match_the_nested_loop():
+    for n in range(1, 7):
+        for d in range(0, 10):
+            quad = build_monomial_quad_system(ConstantFreeSystem(n=n, d=d, equations=()))
+            reference = reference_multiplicativity(quad.basis)
+            assert len(quad.multiplicativity) == len(reference)
+            assert list(quad.multiplicativity) == reference
+            assert list(quad.equations) == reference
+
+
+def test_multiplicativity_is_counted_not_built():
+    tracemalloc.start()
+    try:
+        quad = build_monomial_quad_system(ConstantFreeSystem(n=10, d=8, equations=()))
+        count = len(quad.multiplicativity)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 1_141_536
+    assert peak < 10 * 2**20
+    small = build_monomial_quad_system(ConstantFreeSystem(n=7, d=8, equations=()))
+    assert len(small.multiplicativity) == 32_640
 
 
 def test_multiplicativity_respects_degree_cap():
