@@ -24,7 +24,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .boolalg import basis_make, basis_size, format_poly, indices_of
@@ -85,37 +84,6 @@ def _env_float(name: str, fallback: float) -> float:
         ) from exc
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on; echoed into provenance."""
-
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    field: str | None = None
-    k: int = 1
-    c: float = 4.0
-    degree: int | None = None
-    relaxed: bool = False
-    budget: int = 1 << 20
-    workers: int = 1
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            command=args.command,
-            input_path=getattr(args, "input", None),
-            output_path=getattr(args, "output", None),
-            field=getattr(args, "field", None),
-            k=getattr(args, "k", 1),
-            c=getattr(args, "c", 4.0),
-            degree=getattr(args, "degree", None),
-            relaxed=getattr(args, "relaxed", False),
-            budget=getattr(args, "budget", 1 << 20),
-            workers=getattr(args, "workers", 1),
-        )
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -154,80 +122,79 @@ def _emit(args: argparse.Namespace, summary: list[str], doc: dict) -> None:
 # -- reduce -------------------------------------------------------------------
 
 
-def _reduce_superposition(config: RunConfig, text: str) -> tuple[SubspaceSpec, int]:
+def _reduce_superposition(args: argparse.Namespace, text: str) -> tuple[SubspaceSpec, int]:
     cnf = parse_dimacs(text)
-    field = parse_field_descriptor(config.field) if config.field else make_field(2)
+    field = parse_field_descriptor(args.field) if args.field else make_field(2)
     if field.p != 2:
         raise PreconditionError(
             f"the CNF construction needs characteristic two, not {format_field(field)}"
         )
     r = field.e
-    if config.degree is None:
-        choice = choose_degree(config.k, r, config.c)
+    if args.degree is None:
+        choice = choose_degree(args.k, r, args.c)
         d, regime = choice.d, choice.regime
     else:
-        d = config.degree
-        regime = degree_regime(d, r * config.k)
-    if regime == "relaxed" and not config.relaxed:
+        d = args.degree
+        regime = degree_regime(d, r * args.k)
+    if regime == "relaxed" and not args.relaxed:
         raise PreconditionError(
-            f"degree {d} lands in the relaxed regime for k={config.k}, r={r}; "
+            f"degree {d} lands in the relaxed regime for k={args.k}, r={r}; "
             "pass --relaxed to build anyway"
         )
     n = cnf.n
     estimate = max(expected_equation_count(n, cnf.m, d), basis_size(n, 2 * d, "U"))
-    if estimate > config.budget:
+    if estimate > args.budget:
         raise BudgetExceededError(
             f"instance needs about {estimate} coordinates or constraints, "
-            f"budget allows {config.budget}"
+            f"budget allows {args.budget}"
         )
     quad = build_monomial_quad_system(build_constant_free_system(cnf, d))
     provenance = {
         "source_sha256": cnf.source_hash(),
         "field": format_field(field),
-        "k": config.k,
+        "k": args.k,
         "r": r,
-        "c": config.c,
+        "c": args.c,
         "regime": regime,
     }
     return build_matrix_subspace(quad, field=field, provenance=provenance), d
 
 
-def _reduce_direct(config: RunConfig, text: str) -> tuple[SubspaceSpec, int]:
+def _reduce_direct(args: argparse.Namespace, text: str) -> tuple[SubspaceSpec, int]:
     src = parse_quadeq(text)
-    if config.field is not None:
-        asked = parse_field_descriptor(config.field)
+    if args.field is not None:
+        asked = parse_field_descriptor(args.field)
         if asked != src.field:
             raise PreconditionError(
                 f"--field {format_field(asked)} disagrees with the source "
                 f"field {format_field(src.field)}"
             )
-    if config.k < 1:
+    if args.k < 1:
         raise PreconditionError("rank gap target must be at least 1")
-    d = config.k if config.degree is None else config.degree
+    d = args.k if args.degree is None else args.degree
     if d < 1:
         raise PreconditionError("matrix degree must be at least 1")
     estimate = max(basis_size(src.n, 2 * d, "V"), localizing_row_count(src.n, src.m, d))
-    if estimate > config.budget:
+    if estimate > args.budget:
         raise BudgetExceededError(
             f"instance needs about {estimate} coordinates or constraints, "
-            f"budget allows {config.budget}"
+            f"budget allows {args.budget}"
         )
     provenance = {
         "source_sha256": src.source_hash(),
         "field": format_field(src.field),
-        "k": config.k,
+        "k": args.k,
     }
-    space = build_moment_subspace(src, config.k, degree=config.degree, provenance=provenance)
+    space = build_moment_subspace(src, args.k, degree=args.degree, provenance=provenance)
     return space, d
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
     text = _read(args.input)
     if args.mode == "superposition":
-        space, d = _reduce_superposition(config, text)
+        space, d = _reduce_superposition(args, text)
     else:
-        space, d = _reduce_direct(config, text)
+        space, d = _reduce_direct(args, text)
     Path(args.output).write_text(space.to_text(), encoding="utf-8")
     print(f"coordinates: {space.coord_count}")
     print(f"constraints: {len(space.rows)}")

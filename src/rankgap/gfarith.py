@@ -5,7 +5,9 @@ digits are the coefficients of the residue polynomial: digit i is the
 coefficient of alpha^i, where alpha is the class of x modulo the field's
 irreducible modulus.  For e == 1 this degenerates to ordinary mod-p ints.
 Coefficient vectors, never discrete logs, so there is no table-size ceiling;
-small extension fields still get lazy multiplication tables for speed.
+small fields still get lazy operation tables (add, sub, mul, inv), built once
+per field: extension-field mul and inv read them, and gflinalg's elimination
+indexes them directly.
 
 The modulus may be supplied explicitly (low-to-high coefficient order) or
 omitted, in which case the lexicographically smallest irreducible monic
@@ -32,7 +34,7 @@ __all__ = [
     "parse_field_descriptor",
 ]
 
-# Lazy result tables are only built for extension fields this small.
+# Operation tables are only built for fields this small.
 _TABLE_LIMIT = 256
 
 
@@ -102,6 +104,20 @@ def _undigits(digs: Sequence[int], p: int) -> int:
     return v
 
 
+class _OpRow:
+    """row[b] == op(a, b) without storing the row.  A whole table too large
+    to build is a row of rows: _OpRow(_OpRow, op)[a][b] == op(a, b)."""
+
+    __slots__ = ("op", "a")
+
+    def __init__(self, op, a):
+        self.op = op
+        self.a = a
+
+    def __getitem__(self, b):
+        return self.op(self.a, b)
+
+
 class FieldSpec:
     """A concrete finite field GF(p^e) with a fixed monic irreducible modulus.
 
@@ -109,15 +125,14 @@ class FieldSpec:
     immutable and compare equal when (p, e, modulus) agree.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_mul_table", "_inv_table")
+    __slots__ = ("p", "e", "q", "modulus", "_tables")
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         self.p = p
         self.e = e
         self.q = p**e
         self.modulus = modulus  # low-to-high, length e+1, monic
-        self._mul_table: list[list[int]] | None = None
-        self._inv_table: list[int] | None = None
+        self._tables: tuple | None = None
 
     # -- identity --
 
@@ -194,13 +209,10 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
-        table = self._mul_table
-        if table is not None:
-            return table[a][b]
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
-            return self._mul_table[a][b]  # type: ignore[index]
-        return self._mul_poly(a, b)
+        if self.q > _TABLE_LIMIT:
+            return self._mul_poly(a, b)
+        _, _, mul, _ = self._tables or self._build_tables()
+        return mul[a][b]
 
     def _mul_poly(self, a: int, b: int) -> int:
         p, e = self.p, self.e
@@ -227,28 +239,38 @@ class FieldSpec:
         rem += [0] * (e - len(rem))
         return _undigits(rem, p)
 
-    def _build_tables(self) -> None:
-        q = self.q
-        table = [[self._mul_poly(a, b) for b in range(q)] for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if table[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
-        self._mul_table = table
+    def tables(self) -> tuple:
+        """The operation tables (add, sub, mul, inv), built on first use:
+        add[a][b] == a + b and so on, inv[a] == 1 / a.  Lists for fields of
+        at most _TABLE_LIMIT elements (inv[0] is 0), calls into the field
+        above that.  A plain tuple, because the elimination loops unpack it
+        on every call."""
+        return self._tables or self._build_tables()
+
+    def _build_tables(self) -> tuple:
+        if self.q > _TABLE_LIMIT:
+            ops = (_OpRow(_OpRow, op) for op in (self.add, self.sub, self.mul))
+            self._tables = (*ops, _OpRow(self.div, 1))
+            return self._tables
+        elems = range(self.q)
+        mul = [[self._mul_poly(a, b) for b in elems] for a in elems]
+        self._tables = (
+            [[self.add(a, b) for b in elems] for a in elems],
+            [[self.sub(a, b) for b in elems] for a in elems],
+            mul,
+            [0] + [row.index(1) for row in mul[1:]],
+        )
+        return self._tables
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {format_field(self)}")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is None and self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow(a, self.q - 2)
+        if self.q > _TABLE_LIMIT:
+            return self.pow(a, self.q - 2)
+        _, _, _, inv = self._tables or self._build_tables()
+        return inv[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

@@ -1,13 +1,18 @@
-"""Dense exact linear algebra over the fields from gfarith.
+"""Exact linear algebra over the fields from gfarith: the one module that
+eliminates.
 
-FFMatrix is an immutable dense matrix of int-encoded entries.  Elimination
-produces the reduced row echelon form, which is unique for a row space, so
-ranks, kernels and solutions are deterministic functions of the input
-whatever order the elimination works in.  GF(2) work is routed through
-bit-packed rows (one int per row, bit j = column j) and eliminates by row
-insertion: each row is reduced against pivots keyed by their lowest set
-bit.  The packed helpers are exposed because the brute-force oracles and
-the sparse subspace rows want to drive them directly.
+Each field kind has one elimination by row insertion: a row is reduced
+against the pivot rows found so far, keyed by leading column, and what is
+left becomes a pivot row.  GF(2) rows are bit-packed ints (bit j = column
+j) reduced by XOR; every other field reduces int lists through its
+operation tables (FieldSpec.tables()) and scales pivot rows to a leading 1.
+Each has a rank that stops once it would pass a limit (packed_rank,
+table_rank) and a reduced echelon form that back-substitutes the pivot rows
+from the highest pivot down.  That form is unique for a row space, so
+ranks, kernels and solutions do not depend on the order rows arrive in.
+
+FFMatrix is an immutable dense matrix of validated int-encoded entries;
+sparse_kernel_basis takes trusted sparse rows to a kernel without one.
 
 Also here: the symmetric rank-one decomposition over GF(2) with its 3k/2
 length guarantee, and the entrywise-functional rank descent that carries a
@@ -37,6 +42,8 @@ __all__ = [
     "rank_descent",
     "packed_rank",
     "packed_kernel_basis",
+    "sparse_kernel_basis",
+    "table_rank",
 ]
 
 _GF2 = make_field(2)
@@ -127,37 +134,108 @@ def _unpack_row(mask: int, ncols: int) -> tuple[int, ...]:
     return tuple((mask >> j) & 1 for j in range(ncols))
 
 
-# -- generic elimination -----------------------------------------------------
+# -- table-driven elimination over any field ---------------------------------
 
 
-def _generic_rref(
-    field: FieldSpec, rows: Sequence[Sequence[int]], ncols: int
+def table_rank(
+    tables: Sequence,
+    rows: Iterable[Sequence[int]],
+    limit: int | None = None,
+    pivots: dict[int, list[int]] | None = None,
+) -> int | None:
+    """Rank of a matrix given as int-list rows over the field whose
+    FieldSpec.tables() these are.  Each row is inserted against the pivot
+    rows so far, keyed by leading column and scaled to a leading 1.  With
+    a limit, elimination stops as soon as the rank would pass it and the
+    answer is None.  pivots, when given, is an empty dict that receives
+    the pivot rows."""
+    _, sub, mul, inv = tables
+    if pivots is None:
+        pivots = {}
+    for row in rows:
+        width = len(row)
+        col = 0
+        while col < width:
+            v = row[col]
+            if v:
+                pivot = pivots.get(col)
+                if pivot is None:
+                    if len(pivots) == limit:
+                        return None
+                    scale = mul[inv[v]]
+                    pivots[col] = [scale[x] for x in row]
+                    break
+                scale = mul[v]
+                row = [sub[x][scale[p]] for x, p in zip(row, pivot)]
+            col += 1
+    return len(pivots)
+
+
+def _table_rref(
+    tables: Sequence, rows: Iterable[Sequence[int]]
 ) -> tuple[list[list[int]], list[int]]:
-    work = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, len(work)):
-            if work[i][col]:
-                sel = i
-                break
-        if sel is None:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    The inserted pivot rows are back-substituted from the highest pivot
+    down: every pivot row above the current one is already reduced, so
+    one subtraction per pivot column clears it.
+    """
+    pivots: dict[int, list[int]] = {}
+    table_rank(tables, rows, pivots=pivots)
+    _, sub, mul, _ = tables
+    order = sorted(pivots)
+    for k, col in reversed(list(enumerate(order))):
+        row = pivots[col]
+        for other in order[k + 1:]:
+            v = row[other]
+            if v:
+                scale = mul[v]
+                row = [sub[x][scale[p]] for x, p in zip(row, pivots[other])]
+        pivots[col] = row
+    return [pivots[col] for col in order], order
+
+
+def _table_kernel(
+    tables: Sequence, rows: Iterable[Sequence[int]], ncols: int
+) -> list[tuple[int, ...]]:
+    """Right kernel, one basis vector per free column of the reduced
+    echelon form, ordered by free column index."""
+    rref, pivots = _table_rref(tables, rows)
+    _, sub, _, _ = tables
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
             continue
-        work[r], work[sel] = work[sel], work[r]
-        inv = field.inv(work[r][col])
-        if inv != 1:
-            work[r] = [field.mul(inv, v) for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                c = work[i][col]
-                row_i, row_r = work[i], work[r]
-                for j in range(ncols):
-                    if row_r[j]:
-                        row_i[j] = field.sub(row_i[j], field.mul(c, row_r[j]))
-        pivots.append(col)
-        r += 1
-    return work[:r], pivots
+        vec = [0] * ncols
+        vec[free] = 1
+        for prow, pcol in zip(rref, pivots):
+            if prow[free]:
+                vec[pcol] = sub[0][prow[free]]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _unpacked_kernel(rows: Sequence[int], ncols: int) -> list[tuple[int, ...]]:
+    return [_unpack_row(v, ncols) for v in packed_kernel_basis(rows, ncols)]
+
+
+def sparse_kernel_basis(
+    field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]], ncols: int
+) -> list[tuple[int, ...]]:
+    """Right kernel of sparse rows, each a sequence of (column, nonzero
+    coefficient) pairs the caller has already validated.  Over GF(2) every
+    coefficient is 1 and a row packs straight into an int; other fields
+    eliminate plain int lists.  Same basis as FFMatrix.kernel_basis."""
+    if field.q == 2:
+        return _unpacked_kernel([sum(1 << pos for pos, _ in row) for row in rows], ncols)
+    dense = []
+    for row in rows:
+        entries = [0] * ncols
+        for pos, coeff in row:
+            entries[pos] = coeff
+        dense.append(entries)
+    return _table_kernel(field.tables(), dense, ncols)
 
 
 class FFMatrix:
@@ -349,38 +427,22 @@ class FFMatrix:
     def rank(self) -> int:
         if self.field.q == 2:
             return packed_rank(self.packed_rows())
-        return len(_generic_rref(self.field, self.rows, self.ncols)[0])
+        return table_rank(self.field.tables(), self.rows)
 
     def rref(self) -> tuple["FFMatrix", tuple[int, ...]]:
         if self.field.q == 2:
             rows, pivots = _packed_rref(self.packed_rows(), self.ncols)
-            mat = FFMatrix(self.field, [_unpack_row(r, self.ncols) for r in rows], self.ncols)
-            return mat, tuple(pivots)
-        rows, pivots = _generic_rref(self.field, self.rows, self.ncols)
+            rows = [_unpack_row(r, self.ncols) for r in rows]
+        else:
+            rows, pivots = _table_rref(self.field.tables(), self.rows)
         return FFMatrix(self.field, rows, self.ncols), tuple(pivots)
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Right kernel, one basis vector per free column of the reduced
         echelon form, ordered by free column index."""
         if self.field.q == 2:
-            return [
-                _unpack_row(v, self.ncols)
-                for v in packed_kernel_basis(self.packed_rows(), self.ncols)
-            ]
-        rref, pivots = _generic_rref(self.field, self.rows, self.ncols)
-        pivot_set = set(pivots)
-        f = self.field
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            vec = [0] * self.ncols
-            vec[free] = 1
-            for prow, pcol in zip(rref, pivots):
-                if prow[free]:
-                    vec[pcol] = f.neg(prow[free])
-            basis.append(tuple(vec))
-        return basis
+            return _unpacked_kernel(self.packed_rows(), self.ncols)
+        return _table_kernel(self.field.tables(), self.rows, self.ncols)
 
     def solve(self, rhs: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of self @ x = rhs (free variables set to zero), or
@@ -403,18 +465,14 @@ class FFMatrix:
             packed = [_pack_row(r) for r in aug_rows]
             rref, pivots = _packed_rref(packed, self.ncols + k)
         else:
-            rref, pivots = _generic_rref(self.field, aug_rows, self.ncols + k)
+            rref, pivots = _table_rref(self.field.tables(), aug_rows)
         if any(p >= self.ncols for p in pivots):
             return None
         out = []
-        for t in range(k):
+        for tcol in range(self.ncols, self.ncols + k):
             x = [0] * self.ncols
-            tcol = self.ncols + t
             for prow, pcol in zip(rref, pivots):
-                if self.field.q == 2:
-                    x[pcol] = (prow >> tcol) & 1
-                else:
-                    x[pcol] = prow[tcol]
+                x[pcol] = (prow >> tcol) & 1 if self.field.q == 2 else prow[tcol]
             out.append(tuple(x))
         return out
 

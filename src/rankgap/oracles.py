@@ -1,10 +1,11 @@
 """Brute-force ground truth for the reduction pipeline.
 
-Nothing in this module is clever on purpose.  Membership is rechecked from
-the dense constraint matrix, minrank enumerates every kernel member within
-an explicit budget, and point isolation / sum-of-points representations
-come from solving their defining linear systems directly.  The pipeline is
-validated against these routines, never the other way around.
+Nothing in this module is clever on purpose.  Membership is rechecked row
+by row from dense copies of the constraint rows, minrank enumerates every
+kernel member within an explicit budget, and point isolation /
+sum-of-points representations come from solving their defining linear
+systems directly.  The pipeline is validated against these routines, never
+the other way around.  Every rank and echelon form comes from gflinalg.
 
 The minrank scan is still exhaustive.  It visits the members in reflected
 Gray-code order, so each one is the previous one plus a multiple of one
@@ -25,8 +26,8 @@ from operator import xor
 
 from .boolalg import MonomialBasis, SquarefreePoly, basis_make, basis_size, mask_of
 from .errors import BudgetExceededError, InternalConsistencyError, PreconditionError
-from .gfarith import _TABLE_LIMIT, make_field
-from .gflinalg import FFMatrix, packed_rank
+from .gfarith import make_field
+from .gflinalg import FFMatrix, _packed_rref, packed_kernel_basis, packed_rank, table_rank
 from .subspace import SubspaceSpec
 from .superposition import MonomialQuadSystem
 
@@ -66,16 +67,25 @@ class MembershipReport:
 
 
 def check_membership(values, space: SubspaceSpec) -> MembershipReport:
-    """Re-derive membership through the dense constraint matrix rather than
-    the sparse row evaluations the builders use."""
-    vec = tuple(space.field.validate(v) for v in values)
-    if len(vec) != space.coord_count:
+    """Re-derive membership through dense constraint rows rather than the
+    sparse row evaluations the builders use.  Each row is expanded on its
+    own and dotted with the whole vector, so no dense matrix is held."""
+    f = space.field
+    vec = tuple(f.validate(v) for v in values)
+    ncols = space.coord_count
+    if len(vec) != ncols:
         raise PreconditionError(
-            f"vector has {len(vec)} coordinates, the subspace has {space.coord_count}"
+            f"vector has {len(vec)} coordinates, the subspace has {ncols}"
         )
-    image = space.dense_rows().mat_vec(vec)
-    for k, entry in enumerate(image):
-        if entry:
+    for k, row in enumerate(space.rows):
+        dense = [0] * ncols
+        for pos, coeff in row:
+            dense[pos] = coeff
+        acc = 0
+        for a, v in zip(dense, vec):
+            if a and v:
+                acc = f.add(acc, f.mul(a, v))
+        if acc:
             return MembershipReport(False, k)
     return MembershipReport(True, None)
 
@@ -173,53 +183,14 @@ class _PackedMembers:
         return tuple((snapshot >> c) & 1 for c in range(self.coord_count))
 
 
-class _OpRow:
-    """row[b] == op(a, b): a row of an operation table too large to build."""
-
-    __slots__ = ("op", "a")
-
-    def __init__(self, op, a):
-        self.op = op
-        self.a = a
-
-    def __getitem__(self, b):
-        return self.op(self.a, b)
-
-
-class _OpTable:
-    """table[a][b] == op(a, b) without storing q^2 entries."""
-
-    __slots__ = ("op",)
-
-    def __init__(self, op):
-        self.op = op
-
-    def __getitem__(self, a):
-        return _OpRow(self.op, a)
-
-
-def _op_tables(field):
-    """(add, sub, mul, inv) indexed by elements as t[a][b] and inv[a]:
-    lists for fields of at most _TABLE_LIMIT elements, calls into the
-    field above that."""
-    if field.q > _TABLE_LIMIT:
-        ops = (_OpTable(field.add), _OpTable(field.sub), _OpTable(field.mul))
-        return (*ops, _OpRow(field.div, 1))
-    elems = range(field.q)
-    add = [[field.add(a, b) for b in elems] for a in elems]
-    sub = [[field.sub(a, b) for b in elems] for a in elems]
-    mul = [[field.mul(a, b) for b in elems] for a in elems]
-    inv = [0] + [field.inv(a) for a in elems[1:]]
-    return add, sub, mul, inv
-
-
 class _TableMembers:
     """The running member over any field as lists of ints.  Each expansion
     entry copies one coordinate, so a move rewrites only the cells of the
     coordinates it changes."""
 
     def __init__(self, field, kernel, positions, coord_count):
-        self._add, self._sub, self._mul, self._inv = _op_tables(field)
+        self._tables = field.tables()
+        self._add, self._sub, self._mul, _ = self._tables
         self.y = [0] * coord_count
         self.rows = [[0] * len(prow) for prow in positions]
         self._support = [[(c, v) for c, v in enumerate(vec) if v] for vec in kernel]
@@ -240,27 +211,7 @@ class _TableMembers:
         return self.y < other
 
     def rank(self, limit):
-        """Rank of the expansion by inserting each row against normalized
-        pivot rows; None as soon as it would pass the limit."""
-        sub, mul, inv = self._sub, self._mul, self._inv
-        pivots = {}
-        for row in self.rows:
-            width = len(row)
-            col = 0
-            while col < width:
-                v = row[col]
-                if v:
-                    pivot = pivots.get(col)
-                    if pivot is None:
-                        if len(pivots) == limit:
-                            return None
-                        scale = mul[inv[v]]
-                        pivots[col] = [scale[x] for x in row]
-                        break
-                    scale = mul[v]
-                    row = [sub[x][scale[p]] for x, p in zip(row, pivot)]
-                col += 1
-        return len(pivots)
+        return table_rank(self._tables, self.rows, limit)
 
     def snapshot(self):
         return self.y[:]
@@ -314,13 +265,15 @@ def minrank_bruteforce(
     # only when nothing can beat a rank-0 best.
     best_rank = len(masks) + 1
     best = None
+    # bound once, outside the q^m - 1 steps
+    move, precedes, rank_within = members.move, members.precedes, members.rank
     for step in _gray_walk(q, m):
-        members.move(*step)
-        if best is None or members.precedes(best):
+        move(*step)
+        if best is None or precedes(best):
             limit = best_rank
         else:
             limit = best_rank - 1
-        if limit >= 0 and (rank := members.rank(limit)) is not None:
+        if limit >= 0 and (rank := rank_within(limit)) is not None:
             best_rank, best = rank, members.snapshot()
     witness = members.witness(best)
     checked = space.expand(witness, level).rank()
@@ -474,28 +427,6 @@ def _pack_bits(bits) -> int:
     return sum(b << i for i, b in enumerate(bits))
 
 
-def _echelon_insert(echelon: dict[int, int], vec: int) -> int:
-    """Reduce vec against the echelon rows (keyed by top bit); residue is
-    inserted when nonzero.  Returns the residue."""
-    while vec:
-        top = vec.bit_length() - 1
-        row = echelon.get(top)
-        if row is None:
-            echelon[top] = vec
-            return vec
-        vec ^= row
-    return 0
-
-
-def _in_span(vec: int, echelon: dict[int, int]) -> bool:
-    while vec:
-        row = echelon.get(vec.bit_length() - 1)
-        if row is None:
-            return False
-        vec ^= row
-    return True
-
-
 def _support_lex_min(particular: int, kernel: list[int], width: int) -> int:
     """Pick, from the affine solution set particular + span(kernel), the
     vector whose support sequence (sorted list of nonzero positions) is
@@ -504,16 +435,17 @@ def _support_lex_min(particular: int, kernel: list[int], width: int) -> int:
     Scans positions left to right keeping the kernel reduced so that all
     its vectors live in the unscanned suffix.  At each position: stop if
     the rest of the suffix can be cancelled entirely, otherwise take a
-    nonzero entry whenever one is available.
+    nonzero entry whenever one is available.  Any basis of the kernel
+    gives the same answer; one in echelon form (distinct lowest bits)
+    keeps each span test linear in the kernel dimension.
     """
     ks = [k for k in kernel if k]
     p = particular
     for j in range(width):
-        echelon: dict[int, int] = {}
-        for k in ks:
-            _echelon_insert(echelon, k)
+        # the kernel vectors stay independent, so the rank passes len(ks)
+        # exactly when the tail is outside their span
         tail = (p >> j) << j
-        if _in_span(tail, echelon):
+        if packed_rank([*ks, tail], len(ks)) is not None:
             return p & ((1 << j) - 1)
         bit = 1 << j
         pivot = None
@@ -560,8 +492,11 @@ def point_isolator(points: PointSet, target, rho: int) -> SquarefreePoly:
         raise InternalConsistencyError(
             "the isolation system is infeasible, which the size bound rules out"
         )
-    kernel = [_pack_bits(v) for v in system.kernel_basis()]
-    chosen = _support_lex_min(_pack_bits(particular), kernel, len(monomials))
+    # echelon rows have distinct lowest bits, so each span test in
+    # _support_lex_min inserts them without a single reduction step
+    width = len(monomials)
+    kernel = _packed_rref(packed_kernel_basis(system.packed_rows(), width), width)[0]
+    chosen = _support_lex_min(_pack_bits(particular), kernel, width)
     coeffs = {mask: 1 for i, mask in enumerate(monomials) if chosen >> i & 1}
     q = SquarefreePoly(_GF2, coeffs)
     if q.degree > rho:

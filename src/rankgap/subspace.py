@@ -11,6 +11,8 @@ the subspace is a homogeneous linear condition on y alone.
 
 SubspaceSpec carries the coordinate basis (degree 2d), the matrix-side
 index basis (degree d), and sparse constraint rows over the coordinates.
+Its kernel comes from those sparse rows through gflinalg, over every
+field, without a dense matrix; dense_rows() is only a reference form.
 PseudoMomentVector is one coordinate vector with expansion and
 truncated-column access; honest_moment_vector builds the rank-one point
 y_R = prod_{i in R} a_i from a Boolean assignment.
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from .boolalg import MonomialBasis, basis_make, basis_size, format_monomial, indices_of
 from .errors import ParseError, PreconditionError
 from .gfarith import FieldSpec, format_field, parse_field_descriptor
-from .gflinalg import FFMatrix, _unpack_row, packed_kernel_basis
+from .gflinalg import FFMatrix, sparse_kernel_basis
 
 __all__ = [
     "PseudoMomentVector",
@@ -288,9 +290,8 @@ class SubspaceSpec:
     # -- the space itself --
 
     def dense_rows(self) -> FFMatrix:
-        """The constraint rows as a dense matrix.  It serves the membership
-        oracle, which stays independent of the sparse rows, and kernels
-        over fields other than GF(2)."""
+        """The constraint rows as a dense validated matrix: a reference
+        form.  The kernel and the membership oracle never build it."""
         ncols = len(self.coords)
         rows = []
         for row in self.rows:
@@ -302,13 +303,9 @@ class SubspaceSpec:
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Coordinate vectors spanning the subspace, one per free column of
-        the reduced echelon form of the rows.  Over GF(2) every stored
-        coefficient is 1, so each sparse row packs straight into an int."""
-        if self.field.q != 2:
-            return self.dense_rows().kernel_basis()
-        ncols = len(self.coords)
-        packed = [sum(1 << pos for pos, _ in row) for row in self.rows]
-        return [_unpack_row(v, ncols) for v in packed_kernel_basis(packed, ncols)]
+        the reduced echelon form of the rows, which __post_init__ has
+        already validated."""
+        return sparse_kernel_basis(self.field, self.rows, len(self.coords))
 
     def dimension(self) -> int:
         return len(self.kernel_basis())
@@ -338,6 +335,8 @@ class SubspaceSpec:
                 raise ParseError(f"not a subspace document: format={doc.get('format')!r}")
             field = parse_field_descriptor(doc["field"])
             variant = doc["variant"]
+            if variant not in ("U", "V"):
+                raise ParseError(f'variant must be "U" or "V", got {variant!r}')
             n, d = _json_int(doc["n"], "n"), _json_int(doc["d"], "d")
             rows = tuple(
                 tuple((pos, coeff) for pos, coeff in row) for row in doc["rows"]

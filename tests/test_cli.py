@@ -308,6 +308,23 @@ def test_declared_size_checked_before_any_basis_is_built(tmp_path, capsys, comma
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("variant", [["U"], {"U": 1}], ids=["list", "object"])
+@pytest.mark.parametrize("command", [
+    ("verify", "--assignment", "1,1"),
+    ("minrank",),
+])
+def test_variant_checked_before_any_basis_is_built(tmp_path, capsys, variant, command):
+    doc = json.loads(open(instance(tmp_path, capsys)).read())
+    doc["variant"] = variant
+    del doc["coord_count"], doc["matrix_side"]
+    bad = write(tmp_path, "bad.json", json.dumps(doc))
+    code, stdout, err = run(capsys, command[0], "--input", bad, *command[1:])
+    assert code == 2
+    assert stdout == ""
+    assert 'variant must be "U" or "V"' in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, value", [
     ("rows", [[[0.7, 1]]]),
     ("rows", [[[1, "1"], [2, 1]]]),

@@ -1,5 +1,6 @@
 """Kernel extraction from the sparse rows against the dense path, and the
-row-insertion GF(2) echelon form against a column sweep."""
+row-insertion echelon forms (packed over GF(2), table-driven over every
+other field) against a column sweep."""
 
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from rankgap.boolalg import basis_make
 from rankgap.frontends import parse_dimacs
 from rankgap.gfarith import make_field
-from rankgap.gflinalg import FFMatrix, _packed_rref
+from rankgap.gflinalg import FFMatrix, _packed_rref, _table_rref, sparse_kernel_basis, table_rank
 from rankgap.subspace import SubspaceSpec
 from rankgap.superposition import (
     build_constant_free_system,
@@ -17,7 +18,11 @@ from rankgap.superposition import (
 )
 
 GF2 = make_field(2)
+GF3 = make_field(3)
 GF4 = make_field(2, 2)
+GF5 = make_field(5)
+GF9 = make_field(3, 2)
+GF257 = make_field(257)
 
 SHAPES = [(v, n, d) for v in "UV" for n in (2, 3, 4) for d in (1, 2)]
 
@@ -42,6 +47,51 @@ def column_sweep_rref(rows, ncols):
     return work[:r], pivots
 
 
+def field_column_sweep_rref(field, rows, ncols):
+    """Reference echelon form over any field: for each column in turn, pivot
+    on the first remaining row with a nonzero entry there, scale it to a
+    leading 1 and clear the column from every other row."""
+    work = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(r, len(work)):
+            if work[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        inv = field.inv(work[r][col])
+        if inv != 1:
+            work[r] = [field.mul(inv, v) for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                c = work[i][col]
+                row_i, row_r = work[i], work[r]
+                for j in range(ncols):
+                    if row_r[j]:
+                        row_i[j] = field.sub(row_i[j], field.mul(c, row_r[j]))
+        pivots.append(col)
+        r += 1
+    return work[:r], pivots
+
+
+def reference_kernel(field, rows, ncols):
+    rref, pivots = field_column_sweep_rref(field, rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for prow, pcol in zip(rref, pivots):
+            vec[pcol] = field.neg(prow[free])
+        basis.append(tuple(vec))
+    return basis
+
+
 def spec_with_rows(variant, n, d, rows, field=GF2):
     return SubspaceSpec(
         field=field,
@@ -51,11 +101,11 @@ def spec_with_rows(variant, n, d, rows, field=GF2):
     )
 
 
-def random_rows(rng, ncoords, count, density):
+def random_rows(rng, ncoords, count, density, field=GF2):
     rows = []
     for _ in range(count):
         picked = sorted(p for p in range(ncoords) if rng.random() < density)
-        rows.append([(p, 1) for p in picked])
+        rows.append([(p, rng.randrange(1, field.q)) for p in picked])
     return rows
 
 
@@ -113,7 +163,8 @@ def test_sparse_kernel_matches_dense_on_superposition_instance():
     assert all(space.contains(v) for v in kernel)
 
 
-def test_other_fields_keep_the_dense_kernel():
+def test_gf4_kernel_matches_gf2_kernel():
+    # the superposition rows are 0/1, so extending the field keeps the kernel
     over4 = superposition_instance(GF4)
     over2 = superposition_instance(GF2)
     assert over4.kernel_basis() == over2.kernel_basis()
@@ -136,6 +187,89 @@ def test_gf2_kernel_builds_no_dense_matrix(monkeypatch):
     assert [(s.kernel_basis(), s.dimension()) for s in specs] == want
     with pytest.raises(AssertionError, match="built an FFMatrix"):
         specs[0].dense_rows()
+
+
+def test_kernel_builds_no_dense_matrix_over_any_field(monkeypatch):
+    # every field's kernel reads the sparse rows: no FFMatrix may be built
+    specs = [
+        superposition_instance(GF4),
+        spec_with_rows("V", 4, 2, random_rows(random.Random(9), 16, 9, 0.3, GF3), GF3),
+        spec_with_rows("U", 3, 2, random_rows(random.Random(10), 15, 8, 0.3, GF4), GF4),
+        spec_with_rows("U", 2, 1, [], GF3),
+    ]
+    want = [(s.kernel_basis(), s.dimension()) for s in specs]
+    assert want == [(s.dense_rows().kernel_basis(), len(k)) for s, (k, _) in zip(specs, want)]
+
+    def no_dense(self, *args, **kwargs):
+        raise AssertionError("kernel extraction built an FFMatrix")
+
+    monkeypatch.setattr(FFMatrix, "__init__", no_dense)
+    assert [(s.kernel_basis(), s.dimension()) for s in specs] == want
+
+
+# -- table-driven elimination over fields other than GF(2) ---------------------
+
+
+def random_field_matrix(rng, field):
+    """Random int-list rows; tall shapes, zero rows and columns, duplicate
+    rows and rank-deficient products all turn up."""
+    ncols = rng.randint(0, 6 if field.q > 256 else 9)
+    nrows = rng.randint(0, 3 * ncols + 2)
+    density = rng.choice((0.1, 0.4, 0.8, 1.0))
+    rows = [
+        [rng.randrange(1, field.q) if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    if ncols and rng.random() < 0.3:
+        dead = rng.randrange(ncols)
+        for row in rows:
+            row[dead] = 0
+    if rows and rng.random() < 0.3:
+        rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+    if rows and rng.random() < 0.3:
+        rows += [list(r) for r in rng.choices(rows, k=rng.randint(1, 4))]
+    if rows and rng.random() < 0.2:
+        c = rng.randrange(1, field.q)
+        rows.append([field.mul(c, v) for v in rng.choice(rows)])
+    return rows, ncols
+
+
+@pytest.mark.parametrize(
+    "field", [GF3, GF4, GF5, GF9, GF257], ids=["gf3", "gf4", "gf5", "gf9", "gf257"]
+)
+def test_table_elimination_matches_column_sweep(field):
+    rng = random.Random(f"table/{field.p}/{field.e}")
+    tables = field.tables()
+    for _ in range(120):
+        rows, ncols = random_field_matrix(rng, field)
+        before = [list(r) for r in rows]
+        want = field_column_sweep_rref(field, rows, ncols)
+        assert _table_rref(tables, rows) == want
+        rank = len(want[0])
+        assert table_rank(tables, rows) == rank
+        for limit in range(ncols + 2):
+            assert table_rank(tables, rows, limit) == (rank if rank <= limit else None)
+        assert rows == before
+        matrix = FFMatrix(field, rows, ncols)
+        assert matrix.rank() == rank
+        assert matrix.rref() == (FFMatrix(field, want[0], ncols), tuple(want[1]))
+        kernel = reference_kernel(field, rows, ncols)
+        assert matrix.kernel_basis() == kernel
+        sparse = [[(j, v) for j, v in enumerate(r) if v] for r in rows]
+        assert sparse_kernel_basis(field, sparse, ncols) == kernel
+
+
+def test_table_elimination_edge_shapes():
+    tables = GF3.tables()
+    assert _table_rref(tables, []) == ([], [])
+    assert _table_rref(tables, [[], []]) == ([], [])
+    assert _table_rref(tables, [[0, 0, 0]] * 3) == ([], [])
+    assert table_rank(tables, [[0, 0, 0]] * 3, 0) == 0
+    tall = [[2, 1], [1, 2], [0, 1], [2, 2], [1, 1]]
+    assert _table_rref(tables, tall) == field_column_sweep_rref(GF3, tall, 2) == ([[1, 0], [0, 1]], [0, 1])
+    assert table_rank(tables, tall, 1) is None
+    assert table_rank(tables, tall, 2) == 2
+    assert sparse_kernel_basis(GF3, [], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 # -- _packed_rref --------------------------------------------------------------
