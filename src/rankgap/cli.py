@@ -38,7 +38,7 @@ from .gfarith import format_field, make_field, parse_field_descriptor
 from .gflinalg import FFMatrix, rank_descent, symmetric_rank_one_decomposition
 from .moment import build_moment_subspace, localizing_row_count
 from .oracles import PointSet, check_membership, minrank_bruteforce, point_isolator
-from .subspace import PseudoMomentVector, SubspaceSpec, honest_moment_vector
+from .subspace import PseudoMomentVector, SubspaceSpec, honest_moment_vector, kernel_refusal
 from .superposition import (
     build_constant_free_system,
     build_matrix_subspace,
@@ -247,14 +247,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_minrank(args: argparse.Namespace) -> int:
     text = _read(args.input)
-    space = SubspaceSpec.from_text(text)
+    # a budget below one is refused by minrank_bruteforce, as a bad argument
+    space = SubspaceSpec.from_text(text, kernel_budget=args.budget if args.budget > 0 else None)
     report = minrank_bruteforce(
         space, level=args.level, budget=args.budget, workers=args.workers
     )
     if report.status == "budget_exceeded":
         raise BudgetExceededError(
-            f"kernel dimension {report.kernel_dimension} means {report.required} "
-            f"members, budget allows {args.budget}"
+            kernel_refusal(space.field.q, report.kernel_dimension, args.budget)
         )
     doc = report.to_json()
     doc["provenance"] = {

@@ -43,6 +43,7 @@ __all__ = [
     "packed_rank",
     "packed_kernel_basis",
     "sparse_kernel_basis",
+    "sparse_rank",
     "table_rank",
 ]
 
@@ -52,13 +53,18 @@ _GF2 = make_field(2)
 # -- packed GF(2) engine -----------------------------------------------------
 
 
-def packed_rank(rows: Iterable[int], limit: int | None = None) -> int | None:
+def packed_rank(
+    rows: Iterable[int], limit: int | None = None, pivots: dict[int, int] | None = None
+) -> int | None:
     """Rank of a GF(2) matrix given as bit-packed rows (bit j = column j).
 
     With a limit, elimination stops as soon as the rank would pass it and
-    the answer is None.
+    the answer is None.  pivots, when given, holds the pivot rows of rows
+    inserted earlier, keyed by lowest set bit, and receives the new ones;
+    the rank then counts them all.
     """
-    pivots: dict[int, int] = {}
+    if pivots is None:
+        pivots = {}
     for row in rows:
         while row:
             low = row & -row
@@ -147,8 +153,9 @@ def table_rank(
     FieldSpec.tables() these are.  Each row is inserted against the pivot
     rows so far, keyed by leading column and scaled to a leading 1.  With
     a limit, elimination stops as soon as the rank would pass it and the
-    answer is None.  pivots, when given, is an empty dict that receives
-    the pivot rows."""
+    answer is None.  pivots, when given, holds the pivot rows of rows
+    inserted earlier, keyed by leading column, and receives the new ones;
+    the rank then counts them all."""
     _, sub, mul, inv = tables
     if pivots is None:
         pivots = {}
@@ -220,6 +227,16 @@ def _unpacked_kernel(rows: Sequence[int], ncols: int) -> list[tuple[int, ...]]:
     return [_unpack_row(v, ncols) for v in packed_kernel_basis(rows, ncols)]
 
 
+def _dense_rows(rows: Iterable[Sequence[tuple[int, int]]], ncols: int) -> list[list[int]]:
+    dense = []
+    for row in rows:
+        entries = [0] * ncols
+        for pos, coeff in row:
+            entries[pos] = coeff
+        dense.append(entries)
+    return dense
+
+
 def sparse_kernel_basis(
     field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]], ncols: int
 ) -> list[tuple[int, ...]]:
@@ -229,13 +246,19 @@ def sparse_kernel_basis(
     eliminate plain int lists.  Same basis as FFMatrix.kernel_basis."""
     if field.q == 2:
         return _unpacked_kernel([sum(1 << pos for pos, _ in row) for row in rows], ncols)
-    dense = []
-    for row in rows:
-        entries = [0] * ncols
-        for pos, coeff in row:
-            entries[pos] = coeff
-        dense.append(entries)
-    return _table_kernel(field.tables(), dense, ncols)
+    return _table_kernel(field.tables(), _dense_rows(rows, ncols), ncols)
+
+
+def sparse_rank(field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]]) -> int:
+    """Rank of validated sparse rows.  Only the columns the rows use are
+    kept, renumbered in order, so the cost does not grow with the width of
+    the space."""
+    rows = list(rows)
+    column = {pos: j for j, pos in enumerate(sorted({pos for row in rows for pos, _ in row}))}
+    rows = [[(column[pos], coeff) for pos, coeff in row] for row in rows]
+    if field.q == 2:
+        return packed_rank(sum(1 << pos for pos, _ in row) for row in rows)
+    return table_rank(field.tables(), _dense_rows(rows, len(column)))
 
 
 class FFMatrix:

@@ -1,17 +1,21 @@
 """Brute-force ground truth for the reduction pipeline.
 
-Nothing in this module is clever on purpose.  Membership is rechecked row
-by row from dense copies of the constraint rows, minrank enumerates every
-kernel member within an explicit budget, and point isolation /
-sum-of-points representations come from solving their defining linear
-systems directly.  The pipeline is validated against these routines, never
-the other way around.  Every rank and echelon form comes from gflinalg.
+Membership is rechecked row by row from dense copies of the constraint
+rows, minrank decides every kernel member within an explicit budget, and
+point isolation / sum-of-points representations come from solving their
+defining linear systems directly.  The pipeline is validated against these
+routines, never the other way around.  Every rank and echelon form comes
+from gflinalg.
 
-The minrank scan is still exhaustive.  It visits the members in reflected
-Gray-code order, so each one is the previous one plus a multiple of one
-kernel vector, and its rank test stops as soon as a member cannot beat the
-best so far.  The winning witness is re-ranked through its FFMatrix
-expansion before it is reported.
+Minrank goes level by level.  A low level is decided by a candidate pass:
+a member has rank at most r exactly when some space of dimension N - r
+annihilates it, which is linear in the kernel coefficients once the space
+is fixed, so each candidate space costs one small elimination.  The first
+level with more candidates than members goes to a scan that visits the
+members in reflected Gray-code order, so each one is the previous one plus
+a multiple of one kernel vector, and whose rank test stops as soon as a
+member cannot beat the best so far.  The winning witness is re-ranked
+through its FFMatrix expansion before it is reported.
 
 Budgets are hard limits: when an enumeration would exceed one, the answer
 is a refusal, not a subsample.
@@ -95,10 +99,12 @@ def check_membership(values, space: SubspaceSpec) -> MembershipReport:
 
 @dataclass(frozen=True)
 class MinrankReport:
-    """Outcome of a full kernel scan.
+    """Outcome of a minrank search over every nonzero kernel member.
 
     status is "ok", "empty" (the subspace is {0}), or "budget_exceeded"
-    (the scan was refused; required says how many members it would visit).
+    (the search was refused; required is the q^m members it would decide).
+    enumerated counts the q^m - 1 nonzero members decided, whether one by
+    one or a level at a time.
     """
 
     status: str
@@ -220,6 +226,203 @@ class _TableMembers:
         return tuple(snapshot)
 
 
+# What one candidate annihilator costs the pass, in member rank tests of
+# the scan.  A level goes to the pass while its [N, r]_q candidates, so
+# weighted, are fewer than the q^m - 1 members.  Measured per candidate,
+# pruning included (Python 3.11, 2 cores), on direct instances with
+# N = 5 to 7 over GF(2), GF(3) and GF(4): 0.04 to 0.7 at levels 2 and 3,
+# where the choice falls, and 0.4 to 10 at level 1, which has a few
+# hundred candidates at most.  An integer, so the products stay exact.
+_CANDIDATE_WEIGHT = 1
+
+
+def _subspace_count(n: int, r: int, q: int) -> int:
+    """The Gaussian binomial [n, r]_q: how many r-dimensional subspaces
+    F_q^n has."""
+    num = den = 1
+    for i in range(r):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+class _PackedSystem:
+    """The candidate systems over GF(2).  An equation on the kernel
+    coefficients is a packed int, bit j the coefficient of kernel[j], and
+    so is the column of each matrix cell: cell (i, j) of the member is the
+    dot product of the coefficients with cells[i][j].  The caller orders
+    the kernel so that packed coefficients compare as their members do."""
+
+    def __init__(self, field, kernel, positions):
+        self.m = len(kernel)
+        columns = [sum(v << b for b, v in enumerate(col)) for col in zip(*kernel)]
+        self._cells = [[columns[c] for c in prow] for prow in positions]
+        self._kernel_y = [sum(v << c for c, v in enumerate(vec)) for vec in kernel]
+        self._products = {}
+
+    def products(self, p):
+        """The equations p . M(coefficients) = 0, one per column, built once
+        per vector p."""
+        rows = self._products.get(p)
+        if rows is None:
+            rows = [0] * len(self._cells)
+            for i, v in enumerate(p):
+                if v:
+                    rows = list(map(xor, rows, self._cells[i]))
+            self._products[p] = rows
+        return rows
+
+    def extend(self, pivots, p):
+        """The elimination state with p's equations added, or None once only
+        the zero coefficient vector solves them."""
+        pivots = dict(pivots)
+        if packed_rank(self.products(p), self.m - 1, pivots) is None:
+            return None
+        return pivots
+
+    def least(self, pivots):
+        """The least nonzero solution: the one whose highest bit is the
+        lowest free column, which back-substitution from the highest pivot
+        down completes."""
+        taken = sum(pivots)
+        x = free = ~taken & (taken + 1)
+        for low in sorted(pivots, reverse=True):
+            if low < free and (pivots[low] & x).bit_count() & 1:
+                x |= low
+        return x
+
+    def member(self, coefficients, coord_count):
+        y = 0
+        for j, vec in enumerate(self._kernel_y):
+            if coefficients >> j & 1:
+                y ^= vec
+        return tuple((y >> c) & 1 for c in range(coord_count))
+
+
+class _TableSystem:
+    """The candidate systems over any field, as int lists eliminated
+    through the field's tables; cells[i][j] lists the kernel vectors'
+    values at cell (i, j).  Solutions are handed out reversed, last
+    coefficient first, so that they compare as their members do."""
+
+    def __init__(self, field, kernel, positions):
+        self.m = len(kernel)
+        self._tables = field.tables()
+        columns = list(zip(*kernel))
+        self._cells = [[columns[c] for c in prow] for prow in positions]
+        self._kernel = kernel
+        self._products = {}
+
+    def products(self, p):
+        rows = self._products.get(p)
+        if rows is None:
+            add, _, mul, _ = self._tables
+            rows = [[0] * self.m for _ in self._cells]
+            for i, v in enumerate(p):
+                if v:
+                    scale = mul[v]
+                    rows = [
+                        [add[a][scale[c]] for a, c in zip(row, cell)]
+                        for row, cell in zip(rows, self._cells[i])
+                    ]
+            self._products[p] = rows
+        return rows
+
+    def extend(self, pivots, p):
+        pivots = dict(pivots)
+        if table_rank(self._tables, self.products(p), self.m - 1, pivots) is None:
+            return None
+        return pivots
+
+    def least(self, pivots):
+        """As _PackedSystem.least, the lowest free column set to 1."""
+        add, sub, mul, _ = self._tables
+        free = next(c for c in range(self.m) if c not in pivots)
+        x = [0] * self.m
+        x[free] = 1
+        for col in sorted((col for col in pivots if col < free), reverse=True):
+            acc = 0
+            for a, v in zip(pivots[col][col + 1:free + 1], x[col + 1:free + 1]):
+                acc = add[acc][mul[a][v]]
+            x[col] = sub[0][acc]
+        return tuple(reversed(x))
+
+    def member(self, coefficients, coord_count):
+        add, _, mul, _ = self._tables
+        y = [0] * coord_count
+        for v, vec in zip(reversed(coefficients), self._kernel):
+            if v:
+                scale = mul[v]
+                y = [add[a][scale[c]] for a, c in zip(y, vec)]
+        return tuple(y)
+
+
+def _candidate_pass(system, q: int, side: int, r: int):
+    """The least nonzero solution, in the system's form, whose member has
+    rank at most r, or None when no member does.
+
+    A symmetric side x side member has rank at most r exactly when some
+    (side - r)-dimensional P has P . M = 0, which is linear in the kernel
+    coefficients.  Each P is visited once, as its reduced echelon rows,
+    grown from the last row up: a new row's pivot lies left of every
+    pivot so far, and the row is zero there and at those pivots.  Rows
+    only add equations, so a partial P is pruned with everything grown
+    from it once they force the zero vector, or once its least solution
+    is no less than the best found.
+    """
+    k = side - r
+    best = None
+
+    def grow(pivots, taken, first):
+        nonlocal best
+        least = system.least(pivots)
+        if best is not None and not least < best:
+            return
+        if len(taken) == k:
+            best = least
+            return
+        for j in range(k - len(taken) - 1, first):
+            free = [c for c in range(j + 1, side) if c not in taken]
+            for values in product(range(q), repeat=len(free)):
+                p = [0] * side
+                p[j] = 1
+                for c, v in zip(free, values):
+                    p[c] = v
+                child = system.extend(pivots, tuple(p))
+                if child is not None:
+                    grow(child, taken | {j}, j)
+
+    grow({}, frozenset(), side)
+    return best
+
+
+def _scan(field, kernel, positions, coord_count: int, lo: int = 0):
+    """(minimum rank, lexicographically least minimizer) over every nonzero
+    member, by the Gray-code walk; lo is a rank no member goes below.
+
+    A member replaces the best one when (rank, coordinates) is smaller:
+    one with larger coordinates must have a smaller rank, so once the best
+    rank is lo, such a member is not ranked at all.  The side + 1 start is
+    above every rank, so the first member is taken.
+    """
+    members = (_PackedMembers if field.q == 2 else _TableMembers)(
+        field, kernel, positions, coord_count
+    )
+    best_rank = len(positions) + 1
+    best = None
+    # bound once, outside the q^m - 1 steps
+    move, precedes, rank_within = members.move, members.precedes, members.rank
+    for step in _gray_walk(field.q, len(kernel)):
+        move(*step)
+        if best is None or precedes(best):
+            limit = best_rank
+        else:
+            limit = best_rank - 1
+        if limit >= lo and (rank := rank_within(limit)) is not None:
+            best_rank, best = rank, members.snapshot()
+    return best_rank, members.witness(best)
+
+
 def minrank_bruteforce(
     space: SubspaceSpec,
     level: int | None = None,
@@ -228,12 +431,16 @@ def minrank_bruteforce(
 ) -> MinrankReport:
     """Minimum rank of the level-d expansion over every nonzero member.
 
-    Visits all q^m - 1 nonzero kernel combinations, m the kernel dimension,
-    in reflected Gray-code order; refuses when q^m exceeds the budget.  The
-    witness is the lexicographically smallest coordinate vector among the
-    rank minimizers, so the answer does not depend on the visiting order.
-    The scan runs in one process: workers must be positive and changes no
-    work.
+    Refuses when q^m exceeds the budget, m the kernel dimension; otherwise
+    every one of the q^m - 1 nonzero members is decided, and enumerated
+    counts them.  Levels r = 0, 1, ... are decided in turn.  A level whose
+    [N, r]_q candidate annihilators, weighted, are fewer than the members
+    goes to _candidate_pass; the first level that does not is handed,
+    with every level above it, to the Gray-code scan, which knows no
+    member ranks lower.  The witness is the lexicographically smallest
+    coordinate vector among the rank minimizers, so the answer does not
+    depend on the method.  The search runs in one process: workers must
+    be positive and changes no work.
     """
     if level is None:
         level = space.d
@@ -248,40 +455,43 @@ def minrank_bruteforce(
     m = len(kernel)
     if m == 0:
         return MinrankReport("empty", digest, 0, 0)
-    q = space.field.q
+    field = space.field
+    q = field.q
     total = q**m
     if total > budget:
         return MinrankReport("budget_exceeded", digest, m, 0, required=total)
 
-    masks = basis_make(space.n, level, space.variant).masks
-    rank_of = space.coords.rank
-    positions = [[rank_of(s | t) for t in masks] for s in masks]
-    members = (_PackedMembers if q == 2 else _TableMembers)(
-        space.field, kernel, positions, space.coord_count
-    )
-    # a member replaces the best one when (rank, coordinates) is smaller:
-    # one with larger coordinates must have a smaller rank.  The side + 1
-    # start is above every rank, so the first member is taken; limit is -1
-    # only when nothing can beat a rank-0 best.
-    best_rank = len(masks) + 1
-    best = None
-    # bound once, outside the q^m - 1 steps
-    move, precedes, rank_within = members.move, members.precedes, members.rank
-    for step in _gray_walk(q, m):
-        move(*step)
-        if best is None or precedes(best):
-            limit = best_rank
-        else:
-            limit = best_rank - 1
-        if limit >= 0 and (rank := rank_within(limit)) is not None:
-            best_rank, best = rank, members.snapshot()
-    witness = members.witness(best)
+    # in reduced echelon form, the kernel coefficients order the members
+    # the way their coordinates do, the first coefficient deciding first;
+    # the systems eliminate from column 0, so they take the rows reversed
+    kernel = FFMatrix(field, kernel, space.coord_count).rref()[0].rows
+    positions = _expansion_positions(space, level)
+    side = len(positions)
+    system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel[::-1], positions)
+    lo, least = 0, None
+    while _CANDIDATE_WEIGHT * _subspace_count(side, lo, q) < total - 1:
+        least = _candidate_pass(system, q, side, lo)
+        if least is not None:
+            break
+        lo += 1
+    if least is None:
+        best_rank, witness = _scan(field, kernel, positions, space.coord_count, lo)
+    else:
+        best_rank, witness = lo, system.member(least, space.coord_count)
     checked = space.expand(witness, level).rank()
     if checked != best_rank:
         raise InternalConsistencyError(
-            f"the scan ranked its witness {best_rank}, its expansion has rank {checked}"
+            f"the search ranked its witness {best_rank}, its expansion has rank {checked}"
         )
     return MinrankReport("ok", digest, m, total - 1, minrank=best_rank, witness=witness)
+
+
+def _expansion_positions(space: SubspaceSpec, level: int) -> list[list[int]]:
+    """positions[i][j] is the coordinate at cell (i, j) of the level
+    expansion."""
+    masks = basis_make(space.n, level, space.variant).masks
+    rank_of = space.coords.rank
+    return [[rank_of(s | t) for t in masks] for s in masks]
 
 
 # -- superposition ------------------------------------------------------------

@@ -24,14 +24,15 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .boolalg import MonomialBasis, basis_make, basis_size, format_monomial, indices_of
-from .errors import ParseError, PreconditionError
+from .errors import BudgetExceededError, ParseError, PreconditionError
 from .gfarith import FieldSpec, format_field, parse_field_descriptor
-from .gflinalg import FFMatrix, sparse_kernel_basis
+from .gflinalg import FFMatrix, sparse_kernel_basis, sparse_rank
 
 __all__ = [
     "PseudoMomentVector",
     "SubspaceSpec",
     "honest_moment_vector",
+    "kernel_refusal",
 ]
 
 
@@ -71,6 +72,27 @@ def _split_union(mask: int) -> tuple[int, int]:
         s |= 1 << i
     # the complement is nonempty since half < len(idx), so U stays legal
     return s, mask ^ s
+
+
+def _check_rows(field: FieldSpec, rows, ncoords: int) -> None:
+    for k, row in enumerate(rows):
+        prev = -1
+        for pos, coeff in row:
+            if not prev < pos < ncoords:
+                raise PreconditionError(
+                    f"row {k}: positions must be strictly increasing and in range"
+                )
+            if field.validate(coeff) == 0:
+                raise PreconditionError(f"row {k}: zero coefficient stored")
+            prev = pos
+
+
+def kernel_refusal(q: int, m: int, budget: int) -> str:
+    """Why a kernel of dimension m over GF(q) is refused: its q^m members
+    are more than the budget allows.  q^m is written out while str() can
+    print it (CPython stops at 4,300 digits; 2^14000 has 4,215)."""
+    members = q**m if m * (q - 1).bit_length() <= 14000 else f"{q}^{m}"
+    return f"kernel dimension {m} means {members} members, budget allows {budget}"
 
 
 @dataclass(frozen=True)
@@ -170,17 +192,7 @@ class SubspaceSpec:
                 f"coordinate degree {self.coords.degree} must be twice the "
                 f"matrix degree {self.index.degree}"
             )
-        ncoords = len(self.coords)
-        for k, row in enumerate(self.rows):
-            prev = -1
-            for pos, coeff in row:
-                if not prev < pos < ncoords:
-                    raise PreconditionError(
-                        f"row {k}: positions must be strictly increasing and in range"
-                    )
-                if self.field.validate(coeff) == 0:
-                    raise PreconditionError(f"row {k}: zero coefficient stored")
-                prev = pos
+        _check_rows(self.field, self.rows, len(self.coords))
 
     # -- shape --
 
@@ -329,7 +341,12 @@ class SubspaceSpec:
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, doc: dict) -> "SubspaceSpec":
+    def from_json(cls, doc: dict, kernel_budget: int | None = None) -> "SubspaceSpec":
+        """The space a subspace document describes.  With a kernel budget,
+        a document whose coordinates outnumber its rows by more than the
+        budget's q-ary digits is refused (BudgetExceededError) before any
+        basis is built: its kernel alone has more members than the budget
+        allows."""
         try:
             if doc.get("format") != "subspace":
                 raise ParseError(f"not a subspace document: format={doc.get('format')!r}")
@@ -364,6 +381,16 @@ class SubspaceSpec:
                     f"{key} says {value}, the ({variant}, n={n}, d={d}) "
                     f"families give {size}"
                 )
+        # a degree below one is refused by __post_init__, as malformed
+        if kernel_budget is not None and d >= 1:
+            ncoords = basis_size(n, 2 * d, variant)
+            digits, power = 0, field.q
+            while power <= kernel_budget:
+                digits, power = digits + 1, power * field.q
+            if ncoords - len(rows) > digits:
+                _check_rows(field, rows, ncoords)
+                m = ncoords - sparse_rank(field, rows)
+                raise BudgetExceededError(kernel_refusal(field.q, m, kernel_budget))
         return cls(
             field=field,
             coords=basis_make(n, 2 * d, variant),
@@ -373,14 +400,14 @@ class SubspaceSpec:
         )
 
     @classmethod
-    def from_text(cls, text: str) -> "SubspaceSpec":
+    def from_text(cls, text: str, kernel_budget: int | None = None) -> "SubspaceSpec":
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError("subspace document must be a JSON object")
-        return cls.from_json(doc)
+        return cls.from_json(doc, kernel_budget)
 
 
 def honest_moment_vector(

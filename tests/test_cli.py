@@ -158,6 +158,35 @@ def test_minrank_budget_exit_code(tmp_path, capsys):
     assert "8 members" in err
 
 
+def test_minrank_refuses_a_huge_kernel_before_building_it(tmp_path, capsys):
+    # 2^40 coordinates and no rows: the kernel alone is past any budget
+    doc = {"format": "subspace", "field": "GF(2)", "variant": "V", "n": 40, "d": 20,
+           "coord_count": 1 << 40, "rows": []}
+    huge = write(tmp_path, "huge.json", json.dumps(doc))
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "minrank", "--input", huge, "--budget", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert stdout == ""
+    assert err == (f"error: kernel dimension {1 << 40} means 2^{1 << 40} members, "
+                   "budget allows 1\n")
+
+
+def test_minrank_early_refusal_reads_like_the_late_one(tmp_path, capsys):
+    # refused before its basis is built, a space still names its exact
+    # kernel dimension: a repeated row does not lower the rank
+    doc = json.loads(open(instance(tmp_path, capsys)).read())
+    doc["rows"] *= 2
+    twice = write(tmp_path, "twice.json", json.dumps(doc))
+    code, _, err = run(capsys, "minrank", "--input", twice, "--budget", "2")
+    assert code == 3
+    assert err == "error: kernel dimension 3 means 8 members, budget allows 2\n"
+    # a budget of exactly q^m is enough, even where the rows are independent
+    code, stdout, _ = run(capsys, "minrank", "--input", instance(tmp_path, capsys), "--budget", "8")
+    assert code == 0
+    assert stdout.startswith("minrank 1 over 7 members\n")
+
+
 def test_minrank_empty_subspace(tmp_path, capsys):
     src = write(tmp_path, "unsat.qe", "field: GF(2)\nx1\nx1 + 1\n")
     out = str(tmp_path / "unsat.subspace.json")

@@ -11,11 +11,13 @@ from rankgap.boolalg import SquarefreePoly, basis_make, mask_of
 from rankgap.errors import BudgetExceededError, InternalConsistencyError, PreconditionError
 from rankgap.frontends import parse_quadeq
 from rankgap.gfarith import make_field
+from rankgap.gflinalg import FFMatrix
 from rankgap.moment import build_moment_subspace
 from rankgap.oracles import (
     MonomialAssignment,
     PointSet,
     _gray_walk,
+    _PackedSystem,
     _TableMembers,
     check_membership,
     minrank_bruteforce,
@@ -221,10 +223,37 @@ def test_gray_walk_visits_every_nonzero_vector_once(q, m):
 
 
 def test_minrank_rechecks_its_witness(monkeypatch):
-    space = build_moment_subspace(parse_quadeq("GF(3)\nx1 + x2\n"), 1)
-    monkeypatch.setattr(_TableMembers, "rank", lambda self, limit: 0)
-    with pytest.raises(InternalConsistencyError, match="witness"):
-        minrank_bruteforce(space)
+    # both routes end in the re-check.  The scan decides this GF(3) space
+    # from level 1 on: its 13 candidate lines outnumber the 8 members.
+    space = build_moment_subspace(parse_quadeq("GF(3)\nx1 + x2\nx1*x2 + 1\n"), 1)
+    assert space.dimension() == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(_TableMembers, "rank", lambda self, limit: 0)
+        with pytest.raises(InternalConsistencyError, match="witness"):
+            minrank_bruteforce(space)
+    # the candidate pass decides level 0 of every space with more than one
+    # nonzero member; a solver that never rules a candidate out finds a
+    # rank-0 member there
+    space = build_moment_subspace(parse_quadeq("GF(2)\nx1 + x2\n"), 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(_PackedSystem, "extend", lambda self, pivots, p: pivots)
+        with pytest.raises(InternalConsistencyError, match="witness"):
+            minrank_bruteforce(space)
+
+
+def test_minrank_least_witness_across_candidates():
+    # the rank-1 minimizers have four different annihilators, each with its
+    # own least member; the witness is the least of those four
+    space = build_moment_subspace(parse_quadeq("GF(3)\nx1*x3 + x2 + 2\n"), 1)
+    best, minimizers = naive_minimizers(space)
+    least_by_annihilator = {}
+    for y in minimizers:
+        annihilator = FFMatrix(GF3, space.expand(y).kernel_basis()).rref()[0]
+        least_by_annihilator.setdefault(annihilator, y)
+    leasts = sorted(least_by_annihilator.values())
+    assert (best, len(leasts)) == (1, 4)
+    report = minrank_bruteforce(space)
+    assert (report.minrank, report.witness) == (1, leasts[0]) == (1, (1, 0, 1, 0, 0, 0, 0))
 
 
 def test_minrank_dichotomy_on_tiny_corpus():
