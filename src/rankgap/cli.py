@@ -284,11 +284,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
     src = parse_quadeq(source_text)
     values = _parse_csv_ints(_read(args.vector), "vector")
     d = args.degree if args.degree is not None else _infer_matrix_degree(src.n, len(values))
+    want = basis_size(src.n, 2 * d, "V")
+    if len(values) != want:
+        raise PreconditionError(f"vector has {len(values)} coordinates, degree {d} needs {want}")
     basis = basis_make(src.n, 2 * d, "V")
-    if len(values) != len(basis):
-        raise PreconditionError(
-            f"vector has {len(values)} coordinates, degree {d} needs {len(basis)}"
-        )
     vector = PseudoMomentVector(src.field, basis, tuple(src.field.validate(v) for v in values))
     report = decode_assignment(vector, src, d)
     doc = report.to_json()

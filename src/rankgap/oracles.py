@@ -11,11 +11,11 @@ Minrank goes level by level.  A low level is decided by a candidate pass:
 a member has rank at most r exactly when some space of dimension N - r
 annihilates it, which is linear in the kernel coefficients once the space
 is fixed, so each candidate space costs one small elimination.  The first
-level with more candidates than members goes to a scan that visits the
-members in reflected Gray-code order, so each one is the previous one plus
-a multiple of one kernel vector, and whose rank test stops as soon as a
-member cannot beat the best so far.  The winning witness is re-ranked
-through its FFMatrix expansion before it is reported.
+level with more candidates than members goes to a scan that counts up
+through the kernel coefficients, which visits the members in increasing
+order, and stops at the first member of the lowest rank the pass did not
+rule out.  The winning witness is re-ranked through its FFMatrix expansion
+before it is reported.
 
 Budgets are hard limits: when an enumeration would exceed one, the answer
 is a refusal, not a subsample.
@@ -127,105 +127,6 @@ class MinrankReport:
         }
 
 
-def _gray_walk(q: int, m: int):
-    """Reflected q-ary Gray code over m digits, starting at the zero vector.
-
-    Yields (b, old, new) for each of the q^m - 1 steps: digit b moves from
-    old to new = old +- 1 and every other digit stays.  At each step the
-    lowest digit that can still move in its direction moves; the digits
-    below it sit at the end of their range and reverse direction.  The
-    steps reach every nonzero digit vector exactly once.
-    """
-    digits = [0] * m
-    up = [True] * m
-    top = q - 1
-    for _ in range(q**m - 1):
-        b = 0
-        while True:
-            old = digits[b]
-            if up[b]:
-                if old < top:
-                    new = old + 1
-                    break
-            elif old:
-                new = old - 1
-                break
-            up[b] = not up[b]
-            b += 1
-        digits[b] = new
-        yield b, old, new
-
-
-class _PackedMembers:
-    """The running GF(2) member as packed ints: y (bit c = coordinate c)
-    and the rows of its expansion (bit j = column j)."""
-
-    def __init__(self, field, kernel, positions, coord_count):
-        self.coord_count = coord_count
-        self.y = 0
-        self.rows = [0] * len(positions)
-        self._kernel_y = [sum(v << c for c, v in enumerate(vec)) for vec in kernel]
-        self._kernel_rows = [
-            [sum(vec[c] << j for j, c in enumerate(prow)) for prow in positions]
-            for vec in kernel
-        ]
-
-    def move(self, b, old, new):
-        self.y ^= self._kernel_y[b]
-        self.rows = list(map(xor, self.rows, self._kernel_rows[b]))
-
-    def precedes(self, other):
-        # lexicographic order on coordinates: the lowest differing bit decides
-        diff = self.y ^ other
-        return not self.y & diff & -diff
-
-    def rank(self, limit):
-        return packed_rank(self.rows, limit)
-
-    def snapshot(self):
-        return self.y
-
-    def witness(self, snapshot):
-        return tuple((snapshot >> c) & 1 for c in range(self.coord_count))
-
-
-class _TableMembers:
-    """The running member over any field as lists of ints.  Each expansion
-    entry copies one coordinate, so a move rewrites only the cells of the
-    coordinates it changes."""
-
-    def __init__(self, field, kernel, positions, coord_count):
-        self._tables = field.tables()
-        self._add, self._sub, self._mul, _ = self._tables
-        self.y = [0] * coord_count
-        self.rows = [[0] * len(prow) for prow in positions]
-        self._support = [[(c, v) for c, v in enumerate(vec) if v] for vec in kernel]
-        self._cells = [[] for _ in range(coord_count)]
-        for row, prow in zip(self.rows, positions):
-            for j, c in enumerate(prow):
-                self._cells[c].append((row, j))
-
-    def move(self, b, old, new):
-        y, add, cells = self.y, self._add, self._cells
-        step = self._mul[self._sub[new][old]]
-        for c, v in self._support[b]:
-            value = y[c] = add[y[c]][step[v]]
-            for row, j in cells[c]:
-                row[j] = value
-
-    def precedes(self, other):
-        return self.y < other
-
-    def rank(self, limit):
-        return table_rank(self._tables, self.rows, limit)
-
-    def snapshot(self):
-        return self.y[:]
-
-    def witness(self, snapshot):
-        return tuple(snapshot)
-
-
 # What one candidate annihilator costs the pass, in member rank tests of
 # the scan.  A level goes to the pass while its [N, r]_q candidates, so
 # weighted, are fewer than the q^m - 1 members.  Measured per candidate,
@@ -247,17 +148,19 @@ def _subspace_count(n: int, r: int, q: int) -> int:
 
 
 class _PackedSystem:
-    """The candidate systems over GF(2).  An equation on the kernel
-    coefficients is a packed int, bit j the coefficient of kernel[j], and
-    so is the column of each matrix cell: cell (i, j) of the member is the
-    dot product of the coefficients with cells[i][j].  The caller orders
-    the kernel so that packed coefficients compare as their members do."""
+    """The members over GF(2), named by their kernel coefficients.  An
+    equation on the coefficients is a packed int, bit j the coefficient of
+    kernel[j], and so is the column of each matrix cell: cell (i, j) of the
+    member is the dot product of the coefficients with cells[i][j].  The
+    caller orders the kernel so that packed coefficients compare as their
+    members do."""
 
     def __init__(self, field, kernel, positions):
         self.m = len(kernel)
         columns = [sum(v << b for b, v in enumerate(col)) for col in zip(*kernel)]
         self._cells = [[columns[c] for c in prow] for prow in positions]
         self._kernel_y = [sum(v << c for c, v in enumerate(vec)) for vec in kernel]
+        self._coord_count = len(kernel[0])
         self._products = {}
 
     def products(self, p):
@@ -291,25 +194,53 @@ class _PackedSystem:
                 x |= low
         return x
 
-    def member(self, coefficients, coord_count):
+    def scan(self, lo):
+        """(rank, coefficients) of the least member of least rank, lo a rank
+        no member goes below.  Counting c up walks the members in order.
+        The step c - 1 -> c flips bits 0..t, t the trailing zeros of c, so
+        the member's rows change by the XOR of the expansions of kernel
+        vectors 0..t.  The first member found at a rank is the least of
+        that rank, so each test asks for a lower one, and a member of rank
+        lo ends the walk."""
+        flips, rows = [], [0] * len(self._cells)
+        for b in range(self.m):
+            rows = [
+                row ^ sum((cell >> b & 1) << j for j, cell in enumerate(cells))
+                for row, cells in zip(rows, self._cells)
+            ]
+            flips.append(rows)
+        best_rank, best = len(rows) + 1, None
+        rows = [0] * len(rows)
+        for c in range(1, 1 << self.m):
+            rows = list(map(xor, rows, flips[(c & -c).bit_length() - 1]))
+            rank = packed_rank(rows, best_rank - 1)
+            if rank is not None:
+                best_rank, best = rank, c
+                if rank == lo:
+                    break
+        return best_rank, best
+
+    def member(self, coefficients):
         y = 0
         for j, vec in enumerate(self._kernel_y):
             if coefficients >> j & 1:
                 y ^= vec
-        return tuple((y >> c) & 1 for c in range(coord_count))
+        return tuple((y >> c) & 1 for c in range(self._coord_count))
 
 
 class _TableSystem:
-    """The candidate systems over any field, as int lists eliminated
-    through the field's tables; cells[i][j] lists the kernel vectors'
-    values at cell (i, j).  Solutions are handed out reversed, last
-    coefficient first, so that they compare as their members do."""
+    """The members over any field, as int lists eliminated through the
+    field's tables; cells[i][j] lists the kernel vectors' values at cell
+    (i, j).  Coefficients are handed out reversed, last one first, so that
+    they compare as their members do."""
 
     def __init__(self, field, kernel, positions):
         self.m = len(kernel)
+        self._q = field.q
         self._tables = field.tables()
         columns = list(zip(*kernel))
         self._cells = [[columns[c] for c in prow] for prow in positions]
+        self._positions = positions
         self._kernel = kernel
         self._products = {}
 
@@ -347,9 +278,51 @@ class _TableSystem:
             x[col] = sub[0][acc]
         return tuple(reversed(x))
 
-    def member(self, coefficients, coord_count):
+    def scan(self, lo):
+        """As _PackedSystem.scan, counting up the coefficients as base-q
+        digits, first coefficient fastest.  Each expansion cell copies one
+        coordinate, so a digit change rewrites only the cells of the
+        coordinates its kernel vector touches."""
+        tables = self._tables
+        add, sub, mul, _ = tables
+        top = self._q - 1
+        # the scale that moves a digit up from each value, and back from the top
+        up = [mul[sub[v + 1][v]] for v in range(top)]
+        wrap = mul[sub[0][top]]
+        y = [0] * len(self._kernel[0])
+        rows = [[0] * len(prow) for prow in self._positions]
+        cells = [[] for _ in y]
+        for row, prow in zip(rows, self._positions):
+            for j, c in enumerate(prow):
+                cells[c].append((row, j))
+        support = [[(c, v) for c, v in enumerate(vec) if v] for vec in self._kernel]
+
+        def move(b, scale):
+            for c, v in support[b]:
+                value = y[c] = add[y[c]][scale[v]]
+                for row, j in cells[c]:
+                    row[j] = value
+
+        digits = [0] * self.m
+        best_rank, best = len(rows) + 1, None
+        for _ in range(self._q**self.m - 1):
+            b = 0
+            while digits[b] == top:
+                digits[b] = 0
+                move(b, wrap)
+                b += 1
+            move(b, up[digits[b]])
+            digits[b] += 1
+            rank = table_rank(tables, rows, best_rank - 1)
+            if rank is not None:
+                best_rank, best = rank, tuple(reversed(digits))
+                if rank == lo:
+                    break
+        return best_rank, best
+
+    def member(self, coefficients):
         add, _, mul, _ = self._tables
-        y = [0] * coord_count
+        y = [0] * len(self._kernel[0])
         for v, vec in zip(reversed(coefficients), self._kernel):
             if v:
                 scale = mul[v]
@@ -396,33 +369,6 @@ def _candidate_pass(system, q: int, side: int, r: int):
     return best
 
 
-def _scan(field, kernel, positions, coord_count: int, lo: int = 0):
-    """(minimum rank, lexicographically least minimizer) over every nonzero
-    member, by the Gray-code walk; lo is a rank no member goes below.
-
-    A member replaces the best one when (rank, coordinates) is smaller:
-    one with larger coordinates must have a smaller rank, so once the best
-    rank is lo, such a member is not ranked at all.  The side + 1 start is
-    above every rank, so the first member is taken.
-    """
-    members = (_PackedMembers if field.q == 2 else _TableMembers)(
-        field, kernel, positions, coord_count
-    )
-    best_rank = len(positions) + 1
-    best = None
-    # bound once, outside the q^m - 1 steps
-    move, precedes, rank_within = members.move, members.precedes, members.rank
-    for step in _gray_walk(field.q, len(kernel)):
-        move(*step)
-        if best is None or precedes(best):
-            limit = best_rank
-        else:
-            limit = best_rank - 1
-        if limit >= lo and (rank := rank_within(limit)) is not None:
-            best_rank, best = rank, members.snapshot()
-    return best_rank, members.witness(best)
-
-
 def minrank_bruteforce(
     space: SubspaceSpec,
     level: int | None = None,
@@ -436,11 +382,12 @@ def minrank_bruteforce(
     counts them.  Levels r = 0, 1, ... are decided in turn.  A level whose
     [N, r]_q candidate annihilators, weighted, are fewer than the members
     goes to _candidate_pass; the first level that does not is handed,
-    with every level above it, to the Gray-code scan, which knows no
-    member ranks lower.  The witness is the lexicographically smallest
-    coordinate vector among the rank minimizers, so the answer does not
-    depend on the method.  The search runs in one process: workers must
-    be positive and changes no work.
+    with every level above it, to the system's scan, which knows no
+    member ranks lower.  Both name members by their coefficients, which
+    compare as the members' coordinates do, so the witness is the
+    lexicographically smallest coordinate vector among the rank
+    minimizers whichever decides.  The search runs in one process:
+    workers must be positive and changes no work.
     """
     if level is None:
         level = space.d
@@ -464,20 +411,19 @@ def minrank_bruteforce(
     # in reduced echelon form, the kernel coefficients order the members
     # the way their coordinates do, the first coefficient deciding first;
     # the systems eliminate from column 0, so they take the rows reversed
-    kernel = FFMatrix(field, kernel, space.coord_count).rref()[0].rows
+    kernel = FFMatrix(field, kernel, space.coord_count).rref()[0].rows[::-1]
     positions = _expansion_positions(space, level)
     side = len(positions)
-    system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel[::-1], positions)
-    lo, least = 0, None
-    while _CANDIDATE_WEIGHT * _subspace_count(side, lo, q) < total - 1:
-        least = _candidate_pass(system, q, side, lo)
+    system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel, positions)
+    best_rank, least = 0, None
+    while _CANDIDATE_WEIGHT * _subspace_count(side, best_rank, q) < total - 1:
+        least = _candidate_pass(system, q, side, best_rank)
         if least is not None:
             break
-        lo += 1
+        best_rank += 1
     if least is None:
-        best_rank, witness = _scan(field, kernel, positions, space.coord_count, lo)
-    else:
-        best_rank, witness = lo, system.member(least, space.coord_count)
+        best_rank, least = system.scan(best_rank)
+    witness = system.member(least)
     checked = space.expand(witness, level).rank()
     if checked != best_rank:
         raise InternalConsistencyError(
@@ -684,7 +630,7 @@ def point_isolator(points: PointSet, target, rho: int) -> SquarefreePoly:
         raise PreconditionError("the target point is not in the point set")
     if rho < 0:
         raise PreconditionError("need rho >= 0")
-    if len(points) >= 1 << rho:
+    if len(points).bit_length() > rho:
         raise PreconditionError(
             f"isolation needs |T| < 2^rho: got {len(points)} points at rho={rho}"
         )

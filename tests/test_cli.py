@@ -1,7 +1,12 @@
 """Command-line surface: subcommand behavior, exit codes, determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +28,22 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_capped(tmp_path, *argv, seconds=10, memory=1 << 30):
+    """(exit code, stdout, stderr, wall seconds) of the CLI in a child
+    process limited to `memory` bytes of address space and killed after
+    `seconds`, for inputs that a regression would let run away."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RANKGAP_")}
+    env["PYTHONPATH"] = str(Path(rankgap.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "rankgap", *argv], capture_output=True,
+                          text=True, timeout=seconds, preexec_fn=cap, env=env, cwd=tmp_path)
+    return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
 
 
 LINE_SRC = "field: GF(2)\nx1 + x2\n"
@@ -220,6 +241,17 @@ def test_decode_rejects_non_member(tmp_path, capsys):
     assert "not a subspace member" in err
 
 
+def test_decode_checks_the_vector_length_before_building_a_basis(tmp_path):
+    # degree 20 over 40 variables means 2^40 coordinates: counted, not built
+    src = write(tmp_path, "wide.qe", "field: GF(2)\nx1*x40 + 1\n")
+    vec = write(tmp_path, "short.vec", "1,0,1\n")
+    code, stdout, err, seconds = run_capped(tmp_path, "decode", "--source", src,
+                                            "--vector", vec, "--degree", "20")
+    assert (code, stdout) == (2, "")
+    assert err == f"error: vector has 3 coordinates, degree 20 needs {1 << 40}\n"
+    assert seconds < 1.0
+
+
 # -- decompose / descend / isolate --------------------------------------------
 
 
@@ -265,6 +297,18 @@ def test_isolate_command(tmp_path, capsys):
     doc = json.loads("\n".join(lines[1:]))
     assert doc["support"] == [[0]]
     assert doc["degree"] == 1
+
+
+def test_isolate_takes_a_huge_degree_bound(tmp_path, capsys):
+    # the size test never forms 2^rho; past n + 1 the bound changes nothing
+    pts = write(tmp_path, "pts.txt", "0,0,1\n1,1,0\n1,0,1\n")
+    code, stdout, _ = run(capsys, "isolate", "--points", pts, "--target", "1,0,1",
+                          "--rho", "3")
+    assert code == 0
+    code, huge, err, _ = run_capped(tmp_path, "isolate", "--points", pts, "--target",
+                                    "1,0,1", "--rho", "100000000000")
+    assert (code, err) == (0, "")
+    assert huge.splitlines()[0] == stdout.splitlines()[0]
 
 
 # -- determinism and environment ----------------------------------------------

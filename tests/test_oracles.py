@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+import rankgap.oracles as oracles
 from rankgap.boolalg import SquarefreePoly, basis_make, mask_of
 from rankgap.errors import BudgetExceededError, InternalConsistencyError, PreconditionError
 from rankgap.frontends import parse_quadeq
@@ -16,9 +17,9 @@ from rankgap.moment import build_moment_subspace
 from rankgap.oracles import (
     MonomialAssignment,
     PointSet,
-    _gray_walk,
+    _expansion_positions,
     _PackedSystem,
-    _TableMembers,
+    _TableSystem,
     check_membership,
     minrank_bruteforce,
     point_isolator,
@@ -128,8 +129,8 @@ def test_minrank_worker_counts_agree(monkeypatch):
         minrank_bruteforce(space, workers=0)
 
 
-def naive_minimizers(space, level=None):
-    """(minrank, every rank-minimizing nonzero member), straight from the
+def naive_members(space, level=None):
+    """(rank, member) for every nonzero member, straight from the
     definition: each member rebuilt from its digits, ranked through its
     FFMatrix expansion."""
     field = space.field
@@ -143,6 +144,12 @@ def naive_minimizers(space, level=None):
             for i, v in enumerate(vec):
                 y[i] = field.add(y[i], field.mul(c, v))
         found.append((space.expand(tuple(y), level).rank(), tuple(y)))
+    return found
+
+
+def naive_minimizers(space, level=None):
+    """(minrank, every rank-minimizing nonzero member, sorted)."""
+    found = naive_members(space, level)
     best = min(r for r, _ in found)
     return best, sorted(y for r, y in found if r == best)
 
@@ -190,7 +197,8 @@ def test_minrank_untabulated_field():
     ids=["gf2", "gf5"],
 )
 def test_minrank_witness_is_lex_min_among_ties(text, minrank, ties, witness):
-    # in both, the Gray walk reaches another minimizer before this one
+    # in both, several minimizers tie, and the report names the least of
+    # them whichever route (candidate pass or scan) decides
     space = build_moment_subspace(parse_quadeq(text), 1)
     report = minrank_bruteforce(space)
     best, minimizers = naive_minimizers(space)
@@ -210,25 +218,57 @@ def test_minrank_lower_levels_match_naive_scan(text):
         assert (report.minrank, report.witness) == (best, minimizers[0])
 
 
+SCAN_SPACES = {
+    2: "GF(2)\nx1*x2 + x1*x3 + x2*x3 + 1\n",
+    3: "GF(3)\nx1*x3 + x2 + 2\n",
+    4: "GF(2^2)\nx1*x2 + x1\n",
+    5: "GF(5)\nx1*x2 + 2\n",
+}
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
-@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
-def test_gray_walk_visits_every_nonzero_vector_once(q, m):
-    digits = [0] * m
-    seen = set()
-    for b, old, new in _gray_walk(q, m):
-        assert digits[b] == old and abs(new - old) == 1 and 0 <= new < q
-        digits[b] = new
-        seen.add(tuple(digits))
-    assert len(seen) == q**m - 1 and (0,) * m not in seen
+def test_scan_ranks_members_in_increasing_order(q, monkeypatch):
+    # a recording rank reads each ranked member back off its expansion
+    space = build_moment_subspace(parse_quadeq(SCAN_SPACES[q]), 1)
+    field = space.field
+    kernel = FFMatrix(field, space.kernel_basis(), space.coord_count).rref()[0].rows[::-1]
+    positions = _expansion_positions(space, space.d)
+    system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel, positions)
+    real_rank = oracles.packed_rank if q == 2 else oracles.table_rank
+    ranked = []
+
+    def recording_rank(*args):
+        y = [None] * space.coord_count
+        for row, prow in zip(args[-2], positions):
+            for j, c in enumerate(prow):
+                y[c] = row >> j & 1 if q == 2 else row[j]
+        ranked.append(tuple(y))
+        return real_rank(*args)
+
+    monkeypatch.setattr(oracles, real_rank.__name__, recording_rank)
+    members = sorted(y for _, y in naive_members(space))
+    best, minimizers = naive_minimizers(space)
+    assert len(members) == q ** len(kernel) - 1 and best > 0
+    # below the minimum rank, every member is ranked once, in order
+    rank, least = system.scan(best - 1)
+    assert ranked == members
+    assert (rank, system.member(least)) == (best, minimizers[0])
+    # from the minimum rank, the walk ends at the least minimizer
+    ranked.clear()
+    rank, least = system.scan(best)
+    assert ranked == members[:members.index(minimizers[0]) + 1]
+    assert (rank, system.member(least)) == (best, minimizers[0])
 
 
 def test_minrank_rechecks_its_witness(monkeypatch):
     # both routes end in the re-check.  The scan decides this GF(3) space
-    # from level 1 on: its 13 candidate lines outnumber the 8 members.
+    # from level 1 on: its 13 candidate lines outnumber the 8 members.  A
+    # scan that calls its member rank 0 is caught.
     space = build_moment_subspace(parse_quadeq("GF(3)\nx1 + x2\nx1*x2 + 1\n"), 1)
     assert space.dimension() == 2
+    real_scan = _TableSystem.scan
     with monkeypatch.context() as patch:
-        patch.setattr(_TableMembers, "rank", lambda self, limit: 0)
+        patch.setattr(_TableSystem, "scan", lambda self, lo: (0, real_scan(self, lo)[1]))
         with pytest.raises(InternalConsistencyError, match="witness"):
             minrank_bruteforce(space)
     # the candidate pass decides level 0 of every space with more than one
