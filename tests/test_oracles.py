@@ -218,6 +218,40 @@ def test_minrank_lower_levels_match_naive_scan(text):
         assert (report.minrank, report.witness) == (best, minimizers[0])
 
 
+FIELD_NAMES = {2: "GF(2)", 3: "GF(3)", 4: "GF(2^2)", 5: "GF(5)"}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_gray_walk_visits_every_nonzero_vector_once(q, m, monkeypatch):
+    # the name is the Gray walk's, which the ascending walk replaced.  Over
+    # m unit kernel vectors, handed over reversed as minrank does, each
+    # member is its own coefficient vector; one 1 x m row ranks every
+    # member 1, so lo = 0 is never reached and the walk must rank each of
+    # the q^m - 1 nonzero vectors once, in increasing order
+    field = make_field(*{4: (2, 2)}.get(q, (q,)))
+    if m == 0:
+        # no nonzero vector: minrank reports the empty space, walking nothing
+        text = f"{FIELD_NAMES[q]}\nx1\nx1 + 1\n"
+        report = minrank_bruteforce(build_moment_subspace(parse_quadeq(text), 1))
+        assert (report.status, report.kernel_dimension, report.enumerated) == ("empty", 0, 0)
+        return
+    kernel = [[int(c == b) for c in range(m)] for b in reversed(range(m))]
+    system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel, [list(range(m))])
+    real_rank = oracles.packed_rank if q == 2 else oracles.table_rank
+    ranked = []
+
+    def recording_rank(*args):
+        (row,) = args[-2]
+        ranked.append(tuple(row >> j & 1 for j in range(m)) if q == 2 else tuple(row))
+        return real_rank(*args)
+
+    monkeypatch.setattr(oracles, real_rank.__name__, recording_rank)
+    rank, least = system.scan(0)
+    assert ranked == sorted(product(range(q), repeat=m))[1:]
+    assert (rank, system.member(least)) == (1, (0,) * (m - 1) + (1,))
+
+
 SCAN_SPACES = {
     2: "GF(2)\nx1*x2 + x1*x3 + x2*x3 + 1\n",
     3: "GF(3)\nx1*x3 + x2 + 2\n",
