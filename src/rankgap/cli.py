@@ -8,10 +8,8 @@ isolate (point-isolating polynomial).
 
 Reports are JSON with sorted keys and no timestamps, so a rerun on the
 same inputs is byte-identical; a short plain-text summary goes to
-standard output first.  Environment variables with the RANKGAP_ prefix
-(RANKGAP_FIELD, RANKGAP_K, RANKGAP_C, RANKGAP_DEGREE, RANKGAP_BUDGET,
-RANKGAP_WORKERS) supply defaults for the flags of the same name; an
-explicit flag always wins.
+standard output first.  Flags have fixed defaults; the environment
+changes nothing.
 
 Exit codes: 0 success, 2 bad input or violated precondition, 3 refused
 budget, 4 internal consistency violation (always a bug).
@@ -22,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -38,7 +35,7 @@ from .gfarith import format_field, make_field, parse_field_descriptor
 from .gflinalg import FFMatrix, rank_descent, symmetric_rank_one_decomposition
 from .moment import build_moment_subspace, localizing_row_count
 from .oracles import PointSet, check_membership, minrank_bruteforce, point_isolator
-from .subspace import PseudoMomentVector, SubspaceSpec, honest_moment_vector, kernel_refusal
+from .subspace import PseudoMomentVector, SubspaceSpec, honest_moment_vector
 from .superposition import (
     build_constant_free_system,
     build_matrix_subspace,
@@ -47,41 +44,6 @@ from .superposition import (
     degree_regime,
     expected_equation_count,
 )
-
-_ENV_PREFIX = "RANKGAP_"
-
-
-def _env_raw(name: str) -> str | None:
-    return os.environ.get(_ENV_PREFIX + name)
-
-
-def _env_str(name: str, fallback: str | None) -> str | None:
-    raw = _env_raw(name)
-    return fallback if raw is None else raw
-
-
-def _env_int(name: str, fallback: int | None) -> int | None:
-    raw = _env_raw(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise PreconditionError(
-            f"{_ENV_PREFIX}{name} must be an integer, got {raw!r}"
-        ) from exc
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = _env_raw(name)
-    if raw is None:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise PreconditionError(
-            f"{_ENV_PREFIX}{name} must be a number, got {raw!r}"
-        ) from exc
 
 
 def _read(path: str) -> str:
@@ -249,13 +211,9 @@ def cmd_minrank(args: argparse.Namespace) -> int:
     text = _read(args.input)
     # a budget below one is refused by minrank_bruteforce, as a bad argument
     space = SubspaceSpec.from_text(text, kernel_budget=args.budget if args.budget > 0 else None)
-    report = minrank_bruteforce(
-        space, level=args.level, budget=args.budget, workers=args.workers
-    )
-    if report.status == "budget_exceeded":
-        raise BudgetExceededError(
-            kernel_refusal(space.field.q, report.kernel_dimension, args.budget)
-        )
+    if args.workers < 1:
+        raise PreconditionError("worker count must be positive")
+    report = minrank_bruteforce(space, level=args.level, budget=args.budget)
     doc = report.to_json()
     doc["provenance"] = {
         "command": "minrank",
@@ -390,9 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rankgap",
         description="Compile Boolean source systems into rank-gap matrix "
         "subspaces and verify them with brute-force oracles.",
-        epilog=f"Flags read defaults from {_ENV_PREFIX}FIELD, {_ENV_PREFIX}K, "
-        f"{_ENV_PREFIX}C, {_ENV_PREFIX}DEGREE, {_ENV_PREFIX}BUDGET and "
-        f"{_ENV_PREFIX}WORKERS; an explicit flag wins.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -401,16 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="superposition reads DIMACS CNF, direct reads quadratic systems")
     p.add_argument("--input", required=True, help="source file")
     p.add_argument("--output", required=True, help="instance file to write")
-    p.add_argument("--field", default=_env_str("FIELD", None),
-                   help="field descriptor such as GF(2) or GF(2^3)")
-    p.add_argument("--k", type=int, default=_env_int("K", 1), help="rank gap target")
-    p.add_argument("--c", type=float, default=_env_float("C", 4.0),
+    p.add_argument("--field", help="field descriptor such as GF(2) or GF(2^3)")
+    p.add_argument("--k", type=int, default=1, help="rank gap target")
+    p.add_argument("--c", type=float, default=4.0,
                    help="soundness constant in the degree rule (superposition)")
-    p.add_argument("--degree", type=int, default=_env_int("DEGREE", None),
-                   help="override the chosen degree d")
+    p.add_argument("--degree", type=int, help="override the chosen degree d")
     p.add_argument("--relaxed", action="store_true",
                    help="permit degrees below the faithful floor")
-    p.add_argument("--budget", type=int, default=_env_int("BUDGET", 1 << 20),
+    p.add_argument("--budget", type=int, default=1 << 20,
                    help="refuse instances whose size estimate exceeds this")
     p.set_defaults(func=cmd_reduce)
 
@@ -423,10 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minrank", help="exhaustive minimum rank over the subspace")
     p.add_argument("--input", required=True, help="instance file")
-    p.add_argument("--budget", type=int, default=_env_int("BUDGET", 1 << 20),
+    p.add_argument("--budget", type=int, default=1 << 20,
                    help="refuse kernels with more members than this")
     p.add_argument("--level", type=int, default=None, help="expansion level (default d)")
-    p.add_argument("--workers", type=int, default=_env_int("WORKERS", 1),
+    p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility (must be positive); the scan "
                    "runs in one process")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
@@ -435,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="round a low-rank member to a satisfying assignment")
     p.add_argument("--source", required=True, help="quadratic system file")
     p.add_argument("--vector", required=True, help="file of member coordinates")
-    p.add_argument("--degree", type=int, default=_env_int("DEGREE", None),
+    p.add_argument("--degree", type=int,
                    help="matrix degree (default: inferred from the vector length)")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_decode)
@@ -447,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("descend", help="map an extension-field member to GF(2)")
     p.add_argument("--input", required=True, help="matrix file")
-    p.add_argument("--field", default=_env_str("FIELD", None),
+    p.add_argument("--field",
                    help="extension field, e.g. GF(2^2); lifts a GF(2) matrix file")
     p.add_argument("--instance", help="instance file whose constraints the matrix satisfies")
     p.add_argument("--output", help="write the JSON report here instead of stdout")

@@ -81,19 +81,12 @@ def packed_rank(
 def _packed_rref(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
 
-    Rows must have no bits at or above ncols.  Each row is inserted against
-    the pivot rows found so far, keyed by their lowest set bit, then the
-    pivot rows are back-substituted from the highest pivot down.
+    Rows must have no bits at or above ncols.  packed_rank inserts each
+    row against the pivot rows found so far, keyed by their lowest set bit,
+    then the pivot rows are back-substituted from the highest pivot down.
     """
     pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            low = row & -row
-            other = pivots.get(low)
-            if other is None:
-                pivots[low] = row
-                break
-            row ^= other
+    packed_rank(rows, pivots=pivots)
     # a pivot row holds no pivot bit below its own, and every pivot row
     # above it is already reduced: one XOR per pivot bit clears it.  The
     # keys are distinct single bits, so their sum is their union.
@@ -668,22 +661,16 @@ def symmetric_rank_one_decomposition(matrix: FFMatrix) -> RankOneDecomposition:
 # -- rank descent GF(2^r) -> GF(2) -------------------------------------------
 
 
-def _constraint_violation(
-    matrix: FFMatrix, rows: Sequence[Sequence[tuple[int, int]]] | Sequence[Sequence[int]]
-) -> int | None:
+def _constraint_violation(matrix: FFMatrix, rows: Sequence[Sequence[int]]) -> int | None:
     """First index of a violated homogeneous constraint on the flattened
-    entries, or None.  A constraint is either a dense 0/1 row of length
-    nrows*ncols or a sparse list of (flat index, coefficient) pairs."""
+    entries, or None.  A constraint is a dense 0/1 row, one entry per
+    matrix entry in row-major order."""
     f = matrix.field
     flat = [v for row in matrix.rows for v in row]
     for idx, con in enumerate(rows):
         acc = 0
-        if con and isinstance(con[0], tuple):
-            pairs = con
-        else:
-            pairs = [(k, c) for k, c in enumerate(con) if c]
-        for k, c in pairs:
-            if flat[k]:
+        for k, c in enumerate(con):
+            if c and flat[k]:
                 acc = f.add(acc, f.mul(f.validate(c), flat[k]))
         if acc:
             return idx
@@ -698,10 +685,10 @@ def rank_descent(matrix: FFMatrix, constraints) -> FFMatrix:
     The map applies, entry by entry, the coordinate functional keyed to the
     first nonzero entry in row-major order; that entry maps to 1, so the
     output cannot vanish.  constraints is either an object exposing
-    matrix_violation(A) (a subspace description) or a list of homogeneous
-    0/1 rows over the flattened entries.  Both the input and the output are
-    checked against the constraints; the rank inequality is recomputed and
-    asserted rather than trusted.
+    matrix_violation(A) (a subspace description) or a list of dense
+    homogeneous 0/1 rows, one entry per matrix entry in row-major order.
+    Both the input and the output are checked against the constraints;
+    the rank inequality is recomputed and asserted rather than trusted.
     """
     field = matrix.field
     if field.p != 2:

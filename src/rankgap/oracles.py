@@ -18,7 +18,8 @@ rule out.  The winning witness is re-ranked through its FFMatrix expansion
 before it is reported.
 
 Budgets are hard limits: when an enumeration would exceed one, the answer
-is a refusal, not a subsample.
+is a refusal (BudgetExceededError), not a subsample.  Minrank refuses as
+soon as it knows the kernel dimension, before it hashes the space.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .boolalg import MonomialBasis, SquarefreePoly, basis_make, basis_size, mask
 from .errors import BudgetExceededError, InternalConsistencyError, PreconditionError
 from .gfarith import make_field
 from .gflinalg import FFMatrix, _packed_rref, packed_kernel_basis, packed_rank, table_rank
-from .subspace import SubspaceSpec
+from .subspace import SubspaceSpec, check_kernel_budget
 from .superposition import MonomialQuadSystem
 
 __all__ = [
@@ -101,10 +102,9 @@ def check_membership(values, space: SubspaceSpec) -> MembershipReport:
 class MinrankReport:
     """Outcome of a minrank search over every nonzero kernel member.
 
-    status is "ok", "empty" (the subspace is {0}), or "budget_exceeded"
-    (the search was refused; required is the q^m members it would decide).
-    enumerated counts the q^m - 1 nonzero members decided, whether one by
-    one or a level at a time.
+    status is "ok", or "empty" when the subspace is {0}.  enumerated counts
+    the q^m - 1 nonzero members decided, whether one by one or a level at
+    a time.  A search past the budget raises instead of reporting.
     """
 
     status: str
@@ -113,7 +113,6 @@ class MinrankReport:
     enumerated: int
     minrank: int | None = None
     witness: tuple[int, ...] | None = None
-    required: int | None = None
 
     def to_json(self) -> dict:
         return {
@@ -123,18 +122,9 @@ class MinrankReport:
             "enumerated": self.enumerated,
             "minrank": self.minrank,
             "witness": None if self.witness is None else list(self.witness),
-            "required": self.required,
+            # always null since refusals raise; kept so report bytes stay fixed
+            "required": None,
         }
-
-
-# What one candidate annihilator costs the pass, in member rank tests of
-# the scan.  A level goes to the pass while its [N, r]_q candidates, so
-# weighted, are fewer than the q^m - 1 members.  Measured per candidate,
-# pruning included (Python 3.11, 2 cores), on direct instances with
-# N = 5 to 7 over GF(2), GF(3) and GF(4): 0.04 to 0.7 at levels 2 and 3,
-# where the choice falls, and 0.4 to 10 at level 1, which has a few
-# hundred candidates at most.  An integer, so the products stay exact.
-_CANDIDATE_WEIGHT = 1
 
 
 def _subspace_count(n: int, r: int, q: int) -> int:
@@ -373,21 +363,20 @@ def minrank_bruteforce(
     space: SubspaceSpec,
     level: int | None = None,
     budget: int = 1 << 20,
-    workers: int = 1,
 ) -> MinrankReport:
     """Minimum rank of the level-d expansion over every nonzero member.
 
-    Refuses when q^m exceeds the budget, m the kernel dimension; otherwise
-    every one of the q^m - 1 nonzero members is decided, and enumerated
-    counts them.  Levels r = 0, 1, ... are decided in turn.  A level whose
-    [N, r]_q candidate annihilators, weighted, are fewer than the members
-    goes to _candidate_pass; the first level that does not is handed,
-    with every level above it, to the system's scan, which knows no
-    member ranks lower.  Both name members by their coefficients, which
-    compare as the members' coordinates do, so the witness is the
-    lexicographically smallest coordinate vector among the rank
-    minimizers whichever decides.  The search runs in one process:
-    workers must be positive and changes no work.
+    Raises BudgetExceededError when q^m exceeds the budget, m the kernel
+    dimension, before the space is hashed; otherwise every one of the
+    q^m - 1 nonzero members is decided, and enumerated counts them.
+    Levels r = 0, 1, ... are decided in turn.  A level whose [N, r]_q
+    candidate annihilators are fewer than the members goes to
+    _candidate_pass; the first level that does not is handed, with every
+    level above it, to the system's scan, which knows no member ranks
+    lower.  Both name members by their coefficients, which compare as the
+    members' coordinates do, so the witness is the lexicographically
+    smallest coordinate vector among the rank minimizers whichever
+    decides.  The search runs in one process.
     """
     if level is None:
         level = space.d
@@ -395,18 +384,15 @@ def minrank_bruteforce(
         raise PreconditionError(f"expansion level {level} is outside 0..{space.d}")
     if budget < 1:
         raise PreconditionError("budget must be positive")
-    if workers < 1:
-        raise PreconditionError("worker count must be positive")
-    digest = subspace_digest(space)
     kernel = space.kernel_basis()
     m = len(kernel)
-    if m == 0:
-        return MinrankReport("empty", digest, 0, 0)
     field = space.field
     q = field.q
+    check_kernel_budget(q, m, budget)
+    digest = subspace_digest(space)
+    if m == 0:
+        return MinrankReport("empty", digest, 0, 0)
     total = q**m
-    if total > budget:
-        return MinrankReport("budget_exceeded", digest, m, 0, required=total)
 
     # in reduced echelon form, the kernel coefficients order the members
     # the way their coordinates do, the first coefficient deciding first;
@@ -416,7 +402,12 @@ def minrank_bruteforce(
     side = len(positions)
     system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel, positions)
     best_rank, least = 0, None
-    while _CANDIDATE_WEIGHT * _subspace_count(side, best_rank, q) < total - 1:
+    # one candidate costs the pass about one member rank test of the scan:
+    # measured per candidate, pruning included (Python 3.11, 2 cores), on
+    # direct instances with N = 5 to 7 over GF(2), GF(3) and GF(4), 0.04
+    # to 0.7 at levels 2 and 3, where the choice falls, and 0.4 to 10 at
+    # level 1, which has a few hundred candidates at most
+    while _subspace_count(side, best_rank, q) < total - 1:
         least = _candidate_pass(system, q, side, best_rank)
         if least is not None:
             break

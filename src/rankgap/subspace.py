@@ -31,8 +31,8 @@ from .gflinalg import FFMatrix, sparse_kernel_basis, sparse_rank
 __all__ = [
     "PseudoMomentVector",
     "SubspaceSpec",
+    "check_kernel_budget",
     "honest_moment_vector",
-    "kernel_refusal",
 ]
 
 
@@ -87,12 +87,25 @@ def _check_rows(field: FieldSpec, rows, ncoords: int) -> None:
             prev = pos
 
 
-def kernel_refusal(q: int, m: int, budget: int) -> str:
-    """Why a kernel of dimension m over GF(q) is refused: its q^m members
-    are more than the budget allows.  q^m is written out while str() can
-    print it (CPython stops at 4,300 digits; 2^14000 has 4,215)."""
+def check_kernel_budget(q: int, m: int, budget: int, exact=None) -> None:
+    """Refuse (BudgetExceededError) a kernel of dimension m over GF(q)
+    whose q^m members are more than the budget allows.  m is compared with
+    the budget's q-ary digits, so q^m is never formed past the budget.
+    When m is only a lower bound, exact() gives the true dimension, which
+    the refusal names; it is called only to refuse.  q^m is written out
+    while str() can print it (CPython stops at 4,300 digits; 2^14000 has
+    4,215)."""
+    digits, power = 0, q
+    while power <= budget:
+        digits, power = digits + 1, power * q
+    if m <= digits:
+        return
+    if exact is not None:
+        m = exact()
     members = q**m if m * (q - 1).bit_length() <= 14000 else f"{q}^{m}"
-    return f"kernel dimension {m} means {members} members, budget allows {budget}"
+    raise BudgetExceededError(
+        f"kernel dimension {m} means {members} members, budget allows {budget}"
+    )
 
 
 @dataclass(frozen=True)
@@ -384,13 +397,13 @@ class SubspaceSpec:
         # a degree below one is refused by __post_init__, as malformed
         if kernel_budget is not None and d >= 1:
             ncoords = basis_size(n, 2 * d, variant)
-            digits, power = 0, field.q
-            while power <= kernel_budget:
-                digits, power = digits + 1, power * field.q
-            if ncoords - len(rows) > digits:
+
+            def dimension() -> int:
                 _check_rows(field, rows, ncoords)
-                m = ncoords - sparse_rank(field, rows)
-                raise BudgetExceededError(kernel_refusal(field.q, m, kernel_budget))
+                return ncoords - sparse_rank(field, rows)
+
+            # each row takes at most one dimension off the kernel
+            check_kernel_budget(field.q, ncoords - len(rows), kernel_budget, dimension)
         return cls(
             field=field,
             coords=basis_make(n, 2 * d, variant),

@@ -5,12 +5,14 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 import rankgap.moment
+import rankgap.oracles
 from rankgap.cli import main
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import FFMatrix
@@ -38,8 +40,7 @@ def run_capped(tmp_path, *argv, seconds=10, memory=1 << 30):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
 
-    env = {k: v for k, v in os.environ.items() if not k.startswith("RANKGAP_")}
-    env["PYTHONPATH"] = str(Path(rankgap.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=str(Path(rankgap.__file__).resolve().parent.parent))
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "rankgap", *argv], capture_output=True,
                           text=True, timeout=seconds, preexec_fn=cap, env=env, cwd=tmp_path)
@@ -179,6 +180,23 @@ def test_minrank_budget_exit_code(tmp_path, capsys):
     assert "8 members" in err
 
 
+def test_minrank_refuses_before_hashing(tmp_path, capsys, monkeypatch):
+    # a reduced CNF has more rows than coordinates, so loading it refuses
+    # nothing; minrank refuses it without hashing it first
+    src = write(tmp_path, "one.cnf", ONE_CLAUSE)
+    inst = str(tmp_path / "one.subspace.json")
+    assert run(capsys, "reduce", "--mode", "superposition", "--input", src,
+               "--output", inst)[0] == 0
+
+    def no_digest(space):
+        raise AssertionError("minrank hashed an instance it refuses")
+
+    monkeypatch.setattr(rankgap.oracles, "subspace_digest", no_digest)
+    code, stdout, err = run(capsys, "minrank", "--input", inst, "--budget", "1")
+    assert (code, stdout) == (3, "")
+    assert err == "error: kernel dimension 3 means 8 members, budget allows 1\n"
+
+
 def test_minrank_refuses_a_huge_kernel_before_building_it(tmp_path, capsys):
     # 2^40 coordinates and no rows: the kernel alone is past any budget
     doc = {"format": "subspace", "field": "GF(2)", "variant": "V", "n": 40, "d": 20,
@@ -314,20 +332,39 @@ def test_isolate_takes_a_huge_degree_bound(tmp_path, capsys):
 # -- determinism and environment ----------------------------------------------
 
 
-def test_env_defaults_and_flag_override(tmp_path, capsys, monkeypatch):
+def test_environment_changes_no_output(tmp_path, capsys, monkeypatch):
     src = write(tmp_path, "line.qe", LINE_SRC)
-    out = str(tmp_path / "env.json")
-    monkeypatch.setenv("RANKGAP_K", "0")
-    code, _, err = run(capsys, "reduce", "--mode", "direct", "--input", src,
-                       "--output", out)
-    assert code == 2 and "at least 1" in err
-    code, _, _ = run(capsys, "reduce", "--mode", "direct", "--input", src,
-                     "--output", out, "--k", "1")
-    assert code == 0
-    monkeypatch.setenv("RANKGAP_K", "one")
-    code, _, err = run(capsys, "reduce", "--mode", "direct", "--input", src,
-                       "--output", out)
-    assert code == 2 and "RANKGAP_K" in err
+    inst = tmp_path / "line.subspace.json"
+
+    def outputs():
+        reduced = run(capsys, "reduce", "--mode", "direct", "--input", src,
+                      "--output", str(inst))
+        return reduced, inst.read_bytes(), run(capsys, "minrank", "--input", str(inst))
+
+    plain = outputs()
+    assert plain[0][0] == plain[2][0] == 0
+    for name, value in [("K", "0"), ("BUDGET", "1"), ("FIELD", "GF(3)"), ("C", "x"),
+                        ("DEGREE", "9"), ("WORKERS", "0")]:
+        monkeypatch.setenv("RANKGAP_" + name, value)
+    assert outputs() == plain
+
+
+def test_minrank_worker_counts_agree(tmp_path, capsys, monkeypatch):
+    # the search runs in one process: no worker count may start a thread
+    def no_threads(self):
+        raise AssertionError("minrank started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    src = write(tmp_path, "three.qe", "field: GF(2)\nx1*x2 + x3\n")
+    inst = str(tmp_path / "three.subspace.json")
+    assert run(capsys, "reduce", "--mode", "direct", "--input", src,
+               "--output", inst)[0] == 0
+    alone = run(capsys, "minrank", "--input", inst, "--workers", "1")
+    assert alone[0] == 0
+    for w in ("2", "3", "5"):
+        assert run(capsys, "minrank", "--input", inst, "--workers", w) == alone
+    code, stdout, err = run(capsys, "minrank", "--input", inst, "--workers", "0")
+    assert (code, stdout, err) == (2, "", "error: worker count must be positive\n")
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

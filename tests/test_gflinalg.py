@@ -175,9 +175,9 @@ def test_decomposition_rejects_bad_input():
 
 
 ENTRIES_EQUAL = [
-    [(0, 1), (1, 1)],  # A00 = A01
-    [(0, 1), (2, 1)],  # A00 = A10
-    [(0, 1), (3, 1)],  # A00 = A11
+    [1, 1, 0, 0],  # A00 = A01
+    [1, 0, 1, 0],  # A00 = A10
+    [1, 0, 0, 1],  # A00 = A11
 ]
 
 

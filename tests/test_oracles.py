@@ -2,7 +2,6 @@
 sums, point isolators, sums of points."""
 
 import random
-import threading
 from itertools import product
 
 import pytest
@@ -103,30 +102,18 @@ def test_minrank_frozen_examples():
     assert (report.minrank, report.witness) == (1, (1, 0))
 
 
-def test_minrank_budget_refusal():
+def test_minrank_budget_refusal(monkeypatch):
+    # the refusal comes as soon as the kernel dimension is known, before
+    # the space is hashed
+    def no_digest(space):
+        raise AssertionError("minrank hashed a space it refuses")
+
+    monkeypatch.setattr(oracles, "subspace_digest", no_digest)
     src = parse_quadeq("GF(2)\nx1 + x2\n")
     space = build_moment_subspace(src, 1)
-    report = minrank_bruteforce(space, budget=7)
-    assert report.status == "budget_exceeded"
-    assert report.required == 8
-    assert report.minrank is None
-    assert report.enumerated == 0
-
-
-def test_minrank_worker_counts_agree(monkeypatch):
-    # the scan runs in one process: no worker count may start a thread
-    def no_threads(self):
-        raise AssertionError("minrank started a thread")
-
-    monkeypatch.setattr(threading.Thread, "start", no_threads)
-    src = parse_quadeq("GF(2)\nx1*x2 + x3\n")
-    space = build_moment_subspace(src, 1)
-    alone = minrank_bruteforce(space)
-    for w in (2, 3, 5):
-        sharded = minrank_bruteforce(space, workers=w)
-        assert sharded == alone
-    with pytest.raises(PreconditionError, match="worker"):
-        minrank_bruteforce(space, workers=0)
+    with pytest.raises(BudgetExceededError) as info:
+        minrank_bruteforce(space, budget=7)
+    assert str(info.value) == "kernel dimension 3 means 8 members, budget allows 7"
 
 
 def naive_members(space, level=None):
