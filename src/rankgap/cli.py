@@ -209,8 +209,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_minrank(args: argparse.Namespace) -> int:
     text = _read(args.input)
-    # a budget below one is refused by minrank_bruteforce, as a bad argument
-    space = SubspaceSpec.from_text(text, kernel_budget=args.budget if args.budget > 0 else None)
+    space = SubspaceSpec.from_text(text)
     if args.workers < 1:
         raise PreconditionError("worker count must be positive")
     report = minrank_bruteforce(space, level=args.level, budget=args.budget)

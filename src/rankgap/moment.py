@@ -74,10 +74,4 @@ def build_moment_subspace(
     if d != k:
         base["degree_override"] = True
     base.update(provenance or {})
-    return SubspaceSpec(
-        field=field,
-        coords=coords,
-        index=basis_make(n, d, "V"),
-        rows=tuple(rows),
-        provenance=base,
-    )
+    return SubspaceSpec(field, "V", n, d, tuple(rows), base)

@@ -18,8 +18,10 @@ rule out.  The winning witness is re-ranked through its FFMatrix expansion
 before it is reported.
 
 Budgets are hard limits: when an enumeration would exceed one, the answer
-is a refusal (BudgetExceededError), not a subsample.  Minrank refuses as
-soon as it knows the kernel dimension, before it hashes the space.
+is a refusal (BudgetExceededError), not a subsample.  check_kernel_budget
+holds the rule for minrank, which applies it twice before it hashes the
+space: to the coordinates its rows leave free, before the kernel or any
+basis is built, and then to the kernel itself.
 """
 
 from __future__ import annotations
@@ -32,8 +34,15 @@ from operator import xor
 from .boolalg import MonomialBasis, SquarefreePoly, basis_make, basis_size, mask_of
 from .errors import BudgetExceededError, InternalConsistencyError, PreconditionError
 from .gfarith import make_field
-from .gflinalg import FFMatrix, _packed_rref, packed_kernel_basis, packed_rank, table_rank
-from .subspace import SubspaceSpec, check_kernel_budget
+from .gflinalg import (
+    FFMatrix,
+    _packed_rref,
+    packed_kernel_basis,
+    packed_rank,
+    sparse_rank,
+    table_rank,
+)
+from .subspace import SubspaceSpec
 from .superposition import MonomialQuadSystem
 
 __all__ = [
@@ -125,6 +134,27 @@ class MinrankReport:
             # always null since refusals raise; kept so report bytes stay fixed
             "required": None,
         }
+
+
+def check_kernel_budget(q: int, m: int, budget: int, exact=None) -> None:
+    """Refuse (BudgetExceededError) a kernel of dimension m over GF(q)
+    whose q^m members are more than the budget allows.  m is compared with
+    the budget's q-ary digits, so q^m is never formed past the budget.
+    When m is only a lower bound, exact() gives the true dimension, which
+    the refusal names; it is called only to refuse.  q^m is written out
+    while str() can print it (CPython stops at 4,300 digits; 2^14000 has
+    4,215)."""
+    digits, power = 0, q
+    while power <= budget:
+        digits, power = digits + 1, power * q
+    if m <= digits:
+        return
+    if exact is not None:
+        m = exact()
+    members = q**m if m * (q - 1).bit_length() <= 14000 else f"{q}^{m}"
+    raise BudgetExceededError(
+        f"kernel dimension {m} means {members} members, budget allows {budget}"
+    )
 
 
 def _subspace_count(n: int, r: int, q: int) -> int:
@@ -367,7 +397,11 @@ def minrank_bruteforce(
     """Minimum rank of the level-d expansion over every nonzero member.
 
     Raises BudgetExceededError when q^m exceeds the budget, m the kernel
-    dimension, before the space is hashed; otherwise every one of the
+    dimension, before the space is hashed.  A space whose coordinates
+    outnumber its rows by more than the budget allows is refused before
+    its kernel or any basis is built, since each row takes at most one
+    dimension off the kernel; the refusal names the exact dimension all
+    the same.  Otherwise every one of the
     q^m - 1 nonzero members is decided, and enumerated counts them.
     Levels r = 0, 1, ... are decided in turn.  A level whose [N, r]_q
     candidate annihilators are fewer than the members goes to
@@ -384,10 +418,14 @@ def minrank_bruteforce(
         raise PreconditionError(f"expansion level {level} is outside 0..{space.d}")
     if budget < 1:
         raise PreconditionError("budget must be positive")
-    kernel = space.kernel_basis()
-    m = len(kernel)
     field = space.field
     q = field.q
+    ncoords = space.coord_count
+    check_kernel_budget(
+        q, ncoords - len(space.rows), budget, lambda: ncoords - sparse_rank(field, space.rows)
+    )
+    kernel = space.kernel_basis()
+    m = len(kernel)
     check_kernel_budget(q, m, budget)
     digest = subspace_digest(space)
     if m == 0:
@@ -397,7 +435,7 @@ def minrank_bruteforce(
     # in reduced echelon form, the kernel coefficients order the members
     # the way their coordinates do, the first coefficient deciding first;
     # the systems eliminate from column 0, so they take the rows reversed
-    kernel = FFMatrix(field, kernel, space.coord_count).rref()[0].rows[::-1]
+    kernel = FFMatrix(field, kernel, ncoords).rref()[0].rows[::-1]
     positions = _expansion_positions(space, level)
     side = len(positions)
     system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel, positions)

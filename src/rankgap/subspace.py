@@ -9,10 +9,13 @@ achievable union set R, expanded on demand to the matrix H(y) with
 H[S][T] = y_{S ∪ T}.  The ties then hold identically and membership in
 the subspace is a homogeneous linear condition on y alone.
 
-SubspaceSpec carries the coordinate basis (degree 2d), the matrix-side
-index basis (degree d), and sparse constraint rows over the coordinates.
-Its kernel comes from those sparse rows through gflinalg, over every
-field, without a dense matrix; dense_rows() is only a reference form.
+SubspaceSpec is a shape (variant, n, d) and sparse constraint rows over
+the coordinates.  Its two bases, the coordinates (degree 2d) and the
+matrix-side index (degree d), are functions of the shape, built on first
+use; sizes come from boolalg.basis_size, so loading, validating and
+writing an instance builds neither.  Its kernel comes from the sparse
+rows through gflinalg, over every field, without a dense matrix;
+dense_rows() is only a reference form.
 PseudoMomentVector is one coordinate vector with expansion and
 truncated-column access; honest_moment_vector builds the rank-one point
 y_R = prod_{i in R} a_i from a Boolean assignment.
@@ -24,14 +27,13 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .boolalg import MonomialBasis, basis_make, basis_size, format_monomial, indices_of
-from .errors import BudgetExceededError, ParseError, PreconditionError
+from .errors import ParseError, PreconditionError
 from .gfarith import FieldSpec, format_field, parse_field_descriptor
-from .gflinalg import FFMatrix, sparse_kernel_basis, sparse_rank
+from .gflinalg import FFMatrix, _dense_rows, sparse_kernel_basis
 
 __all__ = [
     "PseudoMomentVector",
     "SubspaceSpec",
-    "check_kernel_budget",
     "honest_moment_vector",
 ]
 
@@ -78,6 +80,9 @@ def _check_rows(field: FieldSpec, rows, ncoords: int) -> None:
     for k, row in enumerate(rows):
         prev = -1
         for pos, coeff in row:
+            if type(pos) is not int or type(coeff) is not int:
+                _json_int(pos, f"row {k} position")
+                _json_int(coeff, f"row {k} coefficient")
             if not prev < pos < ncoords:
                 raise PreconditionError(
                     f"row {k}: positions must be strictly increasing and in range"
@@ -87,25 +92,11 @@ def _check_rows(field: FieldSpec, rows, ncoords: int) -> None:
             prev = pos
 
 
-def check_kernel_budget(q: int, m: int, budget: int, exact=None) -> None:
-    """Refuse (BudgetExceededError) a kernel of dimension m over GF(q)
-    whose q^m members are more than the budget allows.  m is compared with
-    the budget's q-ary digits, so q^m is never formed past the budget.
-    When m is only a lower bound, exact() gives the true dimension, which
-    the refusal names; it is called only to refuse.  q^m is written out
-    while str() can print it (CPython stops at 4,300 digits; 2^14000 has
-    4,215)."""
-    digits, power = 0, q
-    while power <= budget:
-        digits, power = digits + 1, power * q
-    if m <= digits:
-        return
-    if exact is not None:
-        m = exact()
-    members = q**m if m * (q - 1).bit_length() <= 14000 else f"{q}^{m}"
-    raise BudgetExceededError(
-        f"kernel dimension {m} means {members} members, budget allows {budget}"
-    )
+def _row_value(field: FieldSpec, row, values) -> int:
+    acc = 0
+    for pos, coeff in row:
+        acc = field.add(acc, field.mul(coeff, values[pos]))
+    return acc
 
 
 @dataclass(frozen=True)
@@ -182,61 +173,50 @@ class PseudoMomentVector:
 class SubspaceSpec:
     """A subspace of symmetric matrices in quotient coordinates.
 
-    coords is the union-set family (degree 2d), index the matrix-side
-    family (degree d), rows the sparse homogeneous constraints over the
-    coordinates: each row is a tuple of (coordinate position, coefficient)
-    pairs with strictly increasing positions and nonzero coefficients.
-    All-cancelled rows are kept as empty tuples so row counts stay
-    meaningful.  provenance is free-form JSON-compatible metadata carried
-    through instance files; it does not affect equality.
+    variant, n and d fix the shape: the coordinates are the union-set
+    family of degree 2d, the matrix side the family of degree d.  rows are
+    the sparse homogeneous constraints over the coordinates: each row is a
+    tuple of (coordinate position, coefficient) pairs with strictly
+    increasing positions and nonzero coefficients.  All-cancelled rows are
+    kept as empty tuples so row counts stay meaningful.  provenance is
+    free-form JSON-compatible metadata carried through instance files; it
+    does not affect equality.
     """
 
     field: FieldSpec
-    coords: MonomialBasis
-    index: MonomialBasis
+    variant: str
+    n: int
+    d: int
     rows: tuple[tuple[tuple[int, int], ...], ...]
     provenance: dict = dc_field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.coords.variant != self.index.variant or self.coords.n != self.index.n:
-            raise PreconditionError("coordinate and index families disagree")
-        if self.index.degree < 1 or self.coords.degree != 2 * self.index.degree:
-            raise PreconditionError(
-                f"coordinate degree {self.coords.degree} must be twice the "
-                f"matrix degree {self.index.degree}"
-            )
-        _check_rows(self.field, self.rows, len(self.coords))
+        if self.d < 1:
+            raise PreconditionError(f"matrix degree must be at least 1, got {self.d}")
+        _check_rows(self.field, self.rows, self.coord_count)
 
     # -- shape --
 
     @property
-    def n(self) -> int:
-        return self.coords.n
+    def coords(self) -> MonomialBasis:
+        return basis_make(self.n, 2 * self.d, self.variant)
 
     @property
-    def d(self) -> int:
-        return self.index.degree
-
-    @property
-    def variant(self) -> str:
-        return self.coords.variant
+    def index(self) -> MonomialBasis:
+        return basis_make(self.n, self.d, self.variant)
 
     @property
     def coord_count(self) -> int:
-        return len(self.coords)
+        return basis_size(self.n, 2 * self.d, self.variant)
 
     @property
     def matrix_side(self) -> int:
-        return len(self.index)
+        return basis_size(self.n, self.d, self.variant)
 
     # -- membership --
 
     def row_value(self, k: int, values: tuple[int, ...]) -> int:
-        f = self.field
-        acc = 0
-        for pos, coeff in self.rows[k]:
-            acc = f.add(acc, f.mul(coeff, values[pos]))
-        return acc
+        return _row_value(self.field, self.rows[k], values)
 
     def membership_violation(self, values) -> int | None:
         """Index of the first constraint row a coordinate vector violates,
@@ -252,9 +232,9 @@ class SubspaceSpec:
 
     def _validated(self, values) -> tuple[int, ...]:
         vals = tuple(self.field.validate(v) for v in values)
-        if len(vals) != len(self.coords):
+        if len(vals) != self.coord_count:
             raise PreconditionError(
-                f"{len(vals)} coordinates for a basis of size {len(self.coords)}"
+                f"{len(vals)} coordinates for a basis of size {self.coord_count}"
             )
         return vals
 
@@ -266,21 +246,23 @@ class SubspaceSpec:
     def expand(self, values, level: int | None = None) -> FFMatrix:
         """H_level(y) on the index family (level defaults to d)."""
         vals = self._validated(values)
-        idx = self.index if level is None else self.index.prefix(level)
+        idx = basis_make(self.n, self.d if level is None else level, self.variant)
         return _expand_on(self.field, self.coords, vals, idx)
 
     def extract_vector(self, matrix: FFMatrix) -> tuple[int, ...]:
         """Read coordinates back off a matrix indexed by the d-level family,
         taking one witness entry per union set."""
-        if matrix.shape != (len(self.index), len(self.index)):
+        side = self.matrix_side
+        if matrix.shape != (side, side):
             raise PreconditionError(
                 f"matrix shape {matrix.shape} does not match the index family "
-                f"(side {len(self.index)})"
+                f"(side {side})"
             )
         out = []
+        rank = self.index.rank
         for mask in self.coords.masks:
             s, t = _split_union(mask)
-            out.append(matrix.entry(self.index.rank(s), self.index.rank(t)))
+            out.append(matrix.entry(rank(s), rank(t)))
         return tuple(out)
 
     def matrix_violation(self, matrix: FFMatrix) -> str | None:
@@ -299,16 +281,13 @@ class SubspaceSpec:
                 f"constraints over {format_field(self.field)}"
             )
         values = self.extract_vector(matrix)
-        rank = self.coords.rank
-        for i, s in enumerate(self.index.masks):
-            for j, t in enumerate(self.index.masks):
+        rank, masks = self.coords.rank, self.index.masks
+        for i, s in enumerate(masks):
+            for j, t in enumerate(masks):
                 if matrix.entry(i, j) != values[rank(s | t)]:
                     return f"equal-union tie at ({i},{j})"
         for k, row in enumerate(self.rows):
-            acc = 0
-            for pos, coeff in row:
-                acc = mf.add(acc, mf.mul(mf.validate(coeff), values[pos]))
-            if acc:
+            if _row_value(mf, row, values):
                 return f"row {k}"
         return None
 
@@ -317,20 +296,14 @@ class SubspaceSpec:
     def dense_rows(self) -> FFMatrix:
         """The constraint rows as a dense validated matrix: a reference
         form.  The kernel and the membership oracle never build it."""
-        ncols = len(self.coords)
-        rows = []
-        for row in self.rows:
-            dense = [0] * ncols
-            for pos, coeff in row:
-                dense[pos] = coeff
-            rows.append(dense)
-        return FFMatrix(self.field, rows, ncols)
+        ncols = self.coord_count
+        return FFMatrix(self.field, _dense_rows(self.rows, ncols), ncols)
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Coordinate vectors spanning the subspace, one per free column of
         the reduced echelon form of the rows, which __post_init__ has
         already validated."""
-        return sparse_kernel_basis(self.field, self.rows, len(self.coords))
+        return sparse_kernel_basis(self.field, self.rows, self.coord_count)
 
     def dimension(self) -> int:
         return len(self.kernel_basis())
@@ -344,8 +317,8 @@ class SubspaceSpec:
             "variant": self.variant,
             "n": self.n,
             "d": self.d,
-            "coord_count": len(self.coords),
-            "matrix_side": len(self.index),
+            "coord_count": self.coord_count,
+            "matrix_side": self.matrix_side,
             "rows": [[[pos, coeff] for pos, coeff in row] for row in self.rows],
             "provenance": self.provenance,
         }
@@ -354,12 +327,11 @@ class SubspaceSpec:
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, doc: dict, kernel_budget: int | None = None) -> "SubspaceSpec":
-        """The space a subspace document describes.  With a kernel budget,
-        a document whose coordinates outnumber its rows by more than the
-        budget's q-ary digits is refused (BudgetExceededError) before any
-        basis is built: its kernel alone has more members than the budget
-        allows."""
+    def from_json(cls, doc: dict) -> "SubspaceSpec":
+        """The space a subspace document describes.  Each value is checked
+        once, rows included, and no basis is built: the declared
+        coord_count and matrix_side are compared with basis_size, so what
+        loading costs does not grow with the declared size."""
         try:
             if doc.get("format") != "subspace":
                 raise ParseError(f"not a subspace document: format={doc.get('format')!r}")
@@ -371,11 +343,6 @@ class SubspaceSpec:
             rows = tuple(
                 tuple((pos, coeff) for pos, coeff in row) for row in doc["rows"]
             )
-            for k, row in enumerate(rows):
-                for pos, coeff in row:
-                    if type(pos) is not int or type(coeff) is not int:
-                        _json_int(pos, f"row {k} position")
-                        _json_int(coeff, f"row {k} coefficient")
             declared = {
                 key: _json_int(doc[key], key)
                 for key in ("coord_count", "matrix_side")
@@ -394,33 +361,17 @@ class SubspaceSpec:
                     f"{key} says {value}, the ({variant}, n={n}, d={d}) "
                     f"families give {size}"
                 )
-        # a degree below one is refused by __post_init__, as malformed
-        if kernel_budget is not None and d >= 1:
-            ncoords = basis_size(n, 2 * d, variant)
-
-            def dimension() -> int:
-                _check_rows(field, rows, ncoords)
-                return ncoords - sparse_rank(field, rows)
-
-            # each row takes at most one dimension off the kernel
-            check_kernel_budget(field.q, ncoords - len(rows), kernel_budget, dimension)
-        return cls(
-            field=field,
-            coords=basis_make(n, 2 * d, variant),
-            index=basis_make(n, d, variant),
-            rows=rows,
-            provenance=provenance,
-        )
+        return cls(field, variant, n, d, rows, provenance)
 
     @classmethod
-    def from_text(cls, text: str, kernel_budget: int | None = None) -> "SubspaceSpec":
+    def from_text(cls, text: str) -> "SubspaceSpec":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a syntax error, or an integer too long to read
             raise ParseError(f"bad JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError("subspace document must be a JSON object")
-        return cls.from_json(doc, kernel_budget)
+        return cls.from_json(doc)
 
 
 def honest_moment_vector(

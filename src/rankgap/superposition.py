@@ -309,13 +309,7 @@ def build_matrix_subspace(
         "multiplicativity_cancelled": len(quad.multiplicativity),
     }
     base.update(provenance or {})
-    return SubspaceSpec(
-        field=field,
-        coords=coords,
-        index=quad.basis,
-        rows=tuple(rows),
-        provenance=base,
-    )
+    return SubspaceSpec(field, "U", n, d, tuple(rows), base)
 
 
 # -- soundness-facing utilities ----------------------------------------------

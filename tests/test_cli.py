@@ -13,6 +13,7 @@ import pytest
 
 import rankgap.moment
 import rankgap.oracles
+from rankgap.boolalg import basis_size
 from rankgap.cli import main
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import FFMatrix
@@ -456,3 +457,43 @@ def test_non_integer_instance_values_are_parse_errors(tmp_path, capsys, field, v
     assert stdout == ""
     assert "must be a JSON integer" in err
     assert "Traceback" not in err
+
+
+# -- inputs past every bound --------------------------------------------------
+
+# 103 bytes that declare 2^40 coordinates and no rows
+HUGE_INSTANCE = ('{"format":"subspace","field":"GF(2)","variant":"V","n":40,"d":20,'
+                 '"coord_count":1099511627776,"rows":[]}')
+
+
+@pytest.mark.parametrize("command, err", [
+    (("verify", "--input", "huge.json", "--vector", "two.vec"),
+     f"error: vector has 2 coordinates, the subspace has {1 << 40}\n"),
+    (("descend", "--input", "two.mat", "--instance", "huge.json"),
+     "error: matrix shape (2, 2) does not match the index family "
+     f"(side {basis_size(40, 20, 'V')})\n"),
+], ids=["verify", "descend"])
+def test_a_huge_instance_is_refused_without_its_bases(tmp_path, command, err):
+    write(tmp_path, "huge.json", HUGE_INSTANCE)
+    write(tmp_path, "two.vec", "1,0\n")
+    write(tmp_path, "two.mat", FFMatrix.identity(GF2, 2).to_text())
+    code, stdout, stderr, seconds = run_capped(tmp_path, *command)
+    assert (code, stdout, stderr) == (2, "", err)
+    assert seconds < 1.0
+
+
+# 16777259 is the least prime above 2^24
+@pytest.mark.parametrize("descriptor", ["GF(2^40)", "GF(2^99999999999)", "GF(16777259)"])
+@pytest.mark.parametrize("command", [
+    ("reduce", "--mode", "direct", "--input", "big.qe", "--output", "out.json"),
+    ("minrank", "--input", "big.json"),
+    ("verify", "--input", "big.json", "--assignment", "1,1"),
+], ids=["reduce", "minrank", "verify"])
+def test_fields_past_the_size_bound_are_refused(tmp_path, descriptor, command):
+    write(tmp_path, "big.qe", f"field: {descriptor}\nx1 + x2\n")
+    doc = {"format": "subspace", "field": descriptor, "variant": "V", "n": 2, "d": 1, "rows": []}
+    write(tmp_path, "big.json", json.dumps(doc))
+    code, stdout, err, seconds = run_capped(tmp_path, *command)
+    assert (code, stdout) == (2, "")
+    assert f"{descriptor} has more than 2^24 elements, the largest field supported\n" in err
+    assert seconds < 1.0

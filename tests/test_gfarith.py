@@ -54,6 +54,16 @@ def test_non_prime_characteristic_rejected():
         make_field(6)
 
 
+def test_fields_past_2_to_the_24_are_refused_before_any_search():
+    assert make_field(2, 24).q == 1 << 24
+    for p, e in ((2, 25), (3, 30), (16777259, 1), (10**30 + 57, 1), (2, 99999999999)):
+        with pytest.raises(PreconditionError, match="more than 2\\^24 elements"):
+            make_field(p, e)
+    # past the digits int() reads (Python 3.11 and later), or past the bound
+    with pytest.raises(PreconditionError):
+        parse_field_descriptor("GF(" + "7" * 5000 + ")")
+
+
 def test_inverse_of_zero():
     for field in (GF2, GF4, GF5):
         with pytest.raises(ZeroDivisionError):

@@ -93,12 +93,7 @@ def reference_kernel(field, rows, ncols):
 
 
 def spec_with_rows(variant, n, d, rows, field=GF2):
-    return SubspaceSpec(
-        field=field,
-        coords=basis_make(n, 2 * d, variant),
-        index=basis_make(n, d, variant),
-        rows=tuple(tuple(row) for row in rows),
-    )
+    return SubspaceSpec(field, variant, n, d, tuple(tuple(row) for row in rows))
 
 
 def random_rows(rng, ncoords, count, density, field=GF2):

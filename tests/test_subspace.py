@@ -1,10 +1,12 @@
 """Quotient-coordinate subspaces: expansion, membership, instance files."""
 
+import json
 import random
 
 import pytest
 
-from rankgap.boolalg import basis_make, mask_of
+from rankgap import boolalg, subspace
+from rankgap.boolalg import basis_make, basis_size, mask_of
 from rankgap.errors import ParseError, PreconditionError
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import FFMatrix, rank_descent
@@ -17,13 +19,7 @@ GF4 = make_field(2, 2)
 
 def tiny_spec(field=GF2, rows=(((1, 1), (2, 1)),), provenance=None):
     """V-variant, n=2, d=1: coordinates [emptyset, {1}, {2}, {1,2}]."""
-    return SubspaceSpec(
-        field=field,
-        coords=basis_make(2, 2, "V"),
-        index=basis_make(2, 1, "V"),
-        rows=rows,
-        provenance=provenance or {},
-    )
+    return SubspaceSpec(field, "V", 2, 1, rows, provenance or {})
 
 
 # -- honest vectors -----------------------------------------------------------
@@ -194,10 +190,10 @@ def test_matrix_violation_accepts_extensions_of_gf2():
 
 
 def test_spec_validation_errors():
-    with pytest.raises(PreconditionError, match="twice the"):
-        SubspaceSpec(GF2, basis_make(2, 3, "V"), basis_make(2, 1, "V"), ())
-    with pytest.raises(PreconditionError, match="families disagree"):
-        SubspaceSpec(GF2, basis_make(2, 2, "U"), basis_make(2, 1, "V"), ())
+    with pytest.raises(PreconditionError, match="matrix degree must be at least 1, got 0"):
+        SubspaceSpec(GF2, "V", 2, 0, ())
+    with pytest.raises(PreconditionError, match="unknown basis variant 'W'"):
+        SubspaceSpec(GF2, "W", 2, 1, ())
     with pytest.raises(PreconditionError, match="strictly increasing"):
         tiny_spec(rows=(((2, 1), (1, 1)),))
     with pytest.raises(PreconditionError, match="zero coefficient"):
@@ -237,3 +233,20 @@ def test_instance_file_errors():
     del doc["n"]
     with pytest.raises(ParseError, match="malformed subspace"):
         SubspaceSpec.from_json(doc)
+    # past the digits int() reads (Python 3.11 and later)
+    with pytest.raises(ParseError):
+        SubspaceSpec.from_text('{"n": ' + "9" * 5000 + "}")
+
+
+def test_loading_builds_no_basis(monkeypatch):
+    def no_basis(*args):
+        raise AssertionError(f"basis_make{args} called")
+
+    monkeypatch.setattr(boolalg, "basis_make", no_basis)
+    monkeypatch.setattr(subspace, "basis_make", no_basis)
+    # 103 bytes that declare 2^40 coordinates
+    text = ('{"format":"subspace","field":"GF(2)","variant":"V","n":40,"d":20,'
+            '"coord_count":1099511627776,"rows":[]}')
+    space = SubspaceSpec.from_text(text)
+    assert (space.coord_count, space.matrix_side) == (1 << 40, basis_size(40, 20, "V"))
+    assert json.loads(space.to_text())["matrix_side"] == space.matrix_side
