@@ -318,6 +318,16 @@ def format_monomial(mask: int) -> str:
     return "*".join(f"x{i}" for i in indices_of(mask))
 
 
+def read_index(digits: str, what: str) -> int:
+    """The number a decimal digit string spells, for a variable index or
+    count that must stay below MAX_VARS.  A string with more digits than
+    the cap has is refused unread, so int() never meets a long one."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_VARS - 1)):
+        raise ParseError(f"{what} of {len(digits)} digits exceeds the cap of {MAX_VARS - 1}")
+    return int(digits)
+
+
 def parse_monomial(text: str) -> int:
     text = text.strip()
     if text == "1":
@@ -326,7 +336,7 @@ def parse_monomial(text: str) -> int:
         raise ParseError(f"bad monomial {text!r}")
     mask = 0
     for tok in text.split("*"):
-        i = int(tok[1:])
+        i = read_index(tok[1:], "variable index")
         if i >= MAX_VARS:
             raise ParseError(f"variable index {i} exceeds the cap of {MAX_VARS - 1}")
         mask |= 1 << i

@@ -20,7 +20,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 
-from .boolalg import SquarefreePoly, format_poly, mask_of, parse_poly
+from .boolalg import SquarefreePoly, format_poly, mask_of, parse_poly, read_index
 from .errors import ParseError, PreconditionError
 from .gfarith import FieldSpec, format_field, make_field, parse_field_descriptor
 
@@ -255,7 +255,7 @@ def parse_quadeq(text: str) -> QuadSystemSource:
     for tok in tokens[1:]:
         m = _N_TOKEN.match(tok)
         if m:
-            n_pin = int(m.group(1))
+            n_pin = read_index(m.group(1), "n")
             continue
         polys.append(parse_poly(tok, field))
     if not polys:

@@ -541,8 +541,16 @@ class FFMatrix:
         if len(body) != nrows:
             raise ParseError(f"expected {nrows} rows, found {len(body)}")
         rows = []
+        # a packed row is at least as wide as to_text writes it, so the text
+        # bounds the matrix here too, not only the header's column count
+        width = max(1, (ncols + 3) // 4)
         for lineno, ln in enumerate(body, start=2):
             if packed:
+                if len(ln) < width:
+                    raise ParseError(
+                        f"hex row is {len(ln)} characters wide, {ncols} columns need {width} digits",
+                        line=lineno,
+                    )
                 try:
                     mask = int(ln, 16)
                 except ValueError as exc:
@@ -685,10 +693,13 @@ def rank_descent(matrix: FFMatrix, constraints) -> FFMatrix:
     The map applies, entry by entry, the coordinate functional keyed to the
     first nonzero entry in row-major order; that entry maps to 1, so the
     output cannot vanish.  constraints is either an object exposing
-    matrix_violation(A) (a subspace description) or a list of dense
-    homogeneous 0/1 rows, one entry per matrix entry in row-major order.
-    Both the input and the output are checked against the constraints;
-    the rank inequality is recomputed and asserted rather than trusted.
+    matrix_violation(A) and its sparse rows (a subspace description) or a
+    list of dense homogeneous 0/1 rows, one entry per matrix entry in
+    row-major order.  A subspace row with a coefficient other than 1 is
+    refused once the input is checked: the descended matrix is only sure
+    to stay in a GF(2)-defined space.  Both the input and the output are
+    checked against the constraints; the rank inequality is recomputed
+    and asserted rather than trusted.
     """
     field = matrix.field
     if field.p != 2:
@@ -704,6 +715,13 @@ def rank_descent(matrix: FFMatrix, constraints) -> FFMatrix:
     bad = check(matrix)
     if bad is not None:
         raise PreconditionError(f"input violates constraint {bad}")
+    if hasattr(constraints, "matrix_violation"):
+        for k, row in enumerate(constraints.rows):
+            if any(coeff != 1 for _, coeff in row):
+                raise PreconditionError(
+                    f"rank descent needs a GF(2)-defined subspace; constraint "
+                    f"row {k} has a coefficient outside GF(2)"
+                )
 
     target = next(v for row in matrix.rows for v in row if v)
     phi = make_linear_functional(field, target)

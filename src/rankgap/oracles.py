@@ -1,11 +1,11 @@
 """Brute-force ground truth for the reduction pipeline.
 
 Membership is rechecked row by row from dense copies of the constraint
-rows, minrank decides every kernel member within an explicit budget, and
-point isolation / sum-of-points representations come from solving their
-defining linear systems directly.  The pipeline is validated against these
-routines, never the other way around.  Every rank and echelon form comes
-from gflinalg.
+rows, each distinct row once, minrank decides every kernel member within
+an explicit budget, and point isolation / sum-of-points representations
+come from solving their defining linear systems directly.  The pipeline
+is validated against these routines, never the other way around.  Every
+rank and echelon form comes from gflinalg.
 
 Minrank goes level by level.  A low level is decided by a candidate pass:
 a member has rank at most r exactly when some space of dimension N - r
@@ -83,7 +83,9 @@ class MembershipReport:
 def check_membership(values, space: SubspaceSpec) -> MembershipReport:
     """Re-derive membership through dense constraint rows rather than the
     sparse row evaluations the builders use.  Each row is expanded on its
-    own and dotted with the whole vector, so no dense matrix is held."""
+    own and dotted with the whole vector, so no dense matrix is held.  A
+    row equal to one that already passed is skipped: it would pass again,
+    so the first violated row is the same."""
     f = space.field
     vec = tuple(f.validate(v) for v in values)
     ncols = space.coord_count
@@ -91,7 +93,10 @@ def check_membership(values, space: SubspaceSpec) -> MembershipReport:
         raise PreconditionError(
             f"vector has {len(vec)} coordinates, the subspace has {ncols}"
         )
+    passed = set()
     for k, row in enumerate(space.rows):
+        if row in passed:
+            continue
         dense = [0] * ncols
         for pos, coeff in row:
             dense[pos] = coeff
@@ -101,6 +106,7 @@ def check_membership(values, space: SubspaceSpec) -> MembershipReport:
                 acc = f.add(acc, f.mul(a, v))
         if acc:
             return MembershipReport(False, k)
+        passed.add(row)
     return MembershipReport(True, None)
 
 

@@ -15,7 +15,11 @@ matrix-side index (degree d), are functions of the shape, built on first
 use; sizes come from boolalg.basis_size, so loading, validating and
 writing an instance builds neither.  Its kernel comes from the sparse
 rows through gflinalg, over every field, without a dense matrix;
-dense_rows() is only a reference form.
+dense_rows() is only a reference form.  Every row is kept, since row
+indices name violated constraints, but the CNF reduction repeats most of
+them: the kernel eliminates each distinct row once, and to_text renders
+each distinct row once, laying out the bytes json.dumps(indent=2,
+sort_keys=True) would write.
 PseudoMomentVector is one coordinate vector with expansion and
 truncated-column access; honest_moment_vector builds the rank-one point
 y_R = prod_{i in R} a_i from a Boolean assignment.
@@ -90,6 +94,16 @@ def _check_rows(field: FieldSpec, rows, ncoords: int) -> None:
             if field.validate(coeff) == 0:
                 raise PreconditionError(f"row {k}: zero coefficient stored")
             prev = pos
+
+
+def _row_text(row) -> str:
+    """One constraint row as json.dumps(indent=2) writes it inside "rows"."""
+    if not row:
+        return "[]"
+    pairs = ",\n".join(
+        f"      [\n        {pos},\n        {coeff}\n      ]" for pos, coeff in row
+    )
+    return f"[\n{pairs}\n    ]"
 
 
 def _row_value(field: FieldSpec, row, values) -> int:
@@ -302,15 +316,17 @@ class SubspaceSpec:
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Coordinate vectors spanning the subspace, one per free column of
         the reduced echelon form of the rows, which __post_init__ has
-        already validated."""
-        return sparse_kernel_basis(self.field, self.rows, self.coord_count)
+        already validated.  Each distinct row is eliminated once, in
+        first-seen order: repeats do not change the echelon form."""
+        return sparse_kernel_basis(self.field, dict.fromkeys(self.rows), self.coord_count)
 
     def dimension(self) -> int:
         return len(self.kernel_basis())
 
     # -- instance files --
 
-    def to_json(self) -> dict:
+    def _head(self) -> dict:
+        """The instance document without its rows."""
         return {
             "format": "subspace",
             "field": format_field(self.field),
@@ -319,12 +335,25 @@ class SubspaceSpec:
             "d": self.d,
             "coord_count": self.coord_count,
             "matrix_side": self.matrix_side,
-            "rows": [[[pos, coeff] for pos, coeff in row] for row in self.rows],
             "provenance": self.provenance,
         }
 
+    def to_json(self) -> dict:
+        doc = self._head()
+        doc["rows"] = [[[pos, coeff] for pos, coeff in row] for row in self.rows]
+        return doc
+
     def to_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        """json.dumps(self.to_json(), indent=2, sort_keys=True) and a
+        newline, byte for byte.  The encoder writes the head; the rows are
+        laid out here, each distinct row rendered once, and go in front of
+        "variant", the one key that sorts after "rows"."""
+        head = json.dumps(self._head(), indent=2, sort_keys=True)
+        cut = head.rindex('\n  "variant": ')
+        rendered = {row: _row_text(row) for row in set(self.rows)}
+        rows = ",\n    ".join(rendered[row] for row in self.rows)
+        rows = f"[\n    {rows}\n  ]" if self.rows else "[]"
+        return f'{head[:cut]}\n  "rows": {rows},{head[cut:]}\n'
 
     @classmethod
     def from_json(cls, doc: dict) -> "SubspaceSpec":

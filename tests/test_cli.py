@@ -17,6 +17,7 @@ from rankgap.boolalg import basis_size
 from rankgap.cli import main
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import FFMatrix
+from rankgap.subspace import SubspaceSpec
 
 GF2 = make_field(2)
 
@@ -497,3 +498,64 @@ def test_fields_past_the_size_bound_are_refused(tmp_path, descriptor, command):
     assert (code, stdout) == (2, "")
     assert f"{descriptor} has more than 2^24 elements, the largest field supported\n" in err
     assert seconds < 1.0
+
+
+@pytest.mark.parametrize("command", ["decompose", "descend"])
+def test_a_packed_row_narrower_than_its_header_is_refused(tmp_path, command):
+    # 26 bytes that promise 99,999,999,999 columns
+    write(tmp_path, "wide.mat", "1 99999999999 GF(2) hex\n1\n")
+    code, stdout, stderr, seconds = run_capped(tmp_path, command, "--input", "wide.mat")
+    assert (code, stdout) == (2, "")
+    assert stderr == ("error: line 2: hex row is 1 characters wide, "
+                      "99999999999 columns need 25000000000 digits\n")
+    assert seconds < 1.0
+
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("source, err", [
+    (f"field: GF(2)\nx{LONG} + x2\n", "variable index of 5000 digits exceeds the cap of 61"),
+    (f"field: GF(2)\nn: {LONG}\nx1 + x2\n", "n of 5000 digits exceeds the cap of 61"),
+], ids=["index", "n"])
+@pytest.mark.parametrize("command", [
+    ("reduce", "--mode", "direct", "--input", "long.qe", "--output", "out.json"),
+    ("decode", "--source", "long.qe", "--vector", "three.vec"),
+], ids=["reduce", "decode"])
+def test_long_digit_strings_in_a_source_are_refused(tmp_path, monkeypatch, capsys, source, err, command):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "long.qe", source)
+    write(tmp_path, "three.vec", "1,0,0\n")
+    assert run(capsys, *command) == (2, "", f"error: {err}\n")
+
+
+GF4 = make_field(2, 2)
+
+
+def descend_member(tmp_path, capsys, source, vector):
+    """descend --instance on the direct reduction of source and the
+    expansion of one of its members."""
+    inst = str(tmp_path / "src.json")
+    code, _, _ = run(capsys, "reduce", "--mode", "direct", "--input",
+                     write(tmp_path, "src.qe", source), "--output", inst)
+    assert code == 0
+    space = SubspaceSpec.from_text(Path(inst).read_text())
+    assert space.contains(vector)
+    mat = write(tmp_path, "member.mat", space.expand(vector).to_text())
+    return run(capsys, "descend", "--input", mat, "--instance", inst)
+
+
+def test_descend_refuses_an_instance_not_defined_over_gf2(tmp_path, capsys):
+    # the minrank witness of this source; its rows carry the coefficients 2 and 3
+    source = "field: GF(2^2)\nn: 2\n1\n2*x1 + 3*x2 + 2*x1*x2\n"
+    assert descend_member(tmp_path, capsys, source, (0, 0, 1, 2)) == (
+        2, "", "error: rank descent needs a GF(2)-defined subspace; "
+               "constraint row 1 has a coefficient outside GF(2)\n")
+
+
+def test_descend_takes_a_gf2_defined_instance_over_an_extension(tmp_path, capsys):
+    # the member 2*(0,1,1,0) + (0,1,0,1) has entries outside GF(2)
+    code, stdout, _ = descend_member(tmp_path, capsys, "field: GF(2^2)\nn: 2\nx1 + x2 + x1*x2\n",
+                                     (0, 3, 2, 1))
+    assert code == 0
+    assert stdout.splitlines()[0] == "rank 3 over GF(2^2; 1,1,1) descends to rank 2 over GF(2)"

@@ -1,0 +1,140 @@
+"""Repeated constraint rows are decided and rendered once.
+
+The CNF reduction writes one row per clause and shift, so most rows repeat.
+check_membership skips a row equal to one that already passed,
+kernel_basis eliminates each distinct row once, and to_text renders each
+distinct row once.  Here each is held to the all-rows form it replaces, on
+spaces whose rows are drawn from a small pool with empty rows mixed in.
+"""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+import rankgap.gflinalg
+from rankgap.boolalg import basis_size
+from rankgap.cli import main
+from rankgap.gfarith import make_field
+from rankgap.oracles import check_membership
+from rankgap.subspace import SubspaceSpec
+
+FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5)]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def spaces(draw):
+    """A space of up to 40 rows, each drawn from a pool of at most four
+    rows and the empty row, with JSON provenance."""
+    field = draw(st.sampled_from(FIELDS))
+    variant = draw(st.sampled_from("UV"))
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    ncoords = basis_size(n, 2 * d, variant)
+    row = st.dictionaries(
+        st.integers(0, ncoords - 1), st.integers(1, field.q - 1), max_size=4
+    ).map(lambda entries: tuple(sorted(entries.items())))
+    pool = draw(st.lists(row, min_size=1, max_size=4)) + [()]
+    rows = draw(st.lists(st.sampled_from(pool), max_size=40))
+    provenance = draw(st.dictionaries(st.text(max_size=4), json_values, max_size=3))
+    return SubspaceSpec(field, variant, n, d, tuple(rows), provenance)
+
+
+def first_violated_row(space, values):
+    """The dense oracle before it skipped repeats: every row, in order."""
+    f = space.field
+    for k, row in enumerate(space.rows):
+        dense = [0] * space.coord_count
+        for pos, coeff in row:
+            dense[pos] = coeff
+        acc = 0
+        for a, v in zip(dense, values):
+            acc = f.add(acc, f.mul(a, v))
+        if acc:
+            return k
+    return None
+
+
+def assert_same_violated_row(space, values):
+    expected = first_violated_row(space, values)
+    assert check_membership(values, space).violated_row == expected
+    assert space.membership_violation(values) == expected
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spaces(), st.randoms(use_true_random=False))
+def test_membership_names_the_first_violated_row(space, rng):
+    f = space.field
+    kernel = space.kernel_basis()
+    for _ in range(4):
+        assert_same_violated_row(space, [rng.randrange(f.q) for _ in range(space.coord_count)])
+        # a planted member, then the same member with one coordinate moved
+        member = [0] * space.coord_count
+        for vec in kernel:
+            c = rng.randrange(f.q)
+            member = [f.add(a, f.mul(c, b)) for a, b in zip(member, vec)]
+        assert_same_violated_row(space, member)
+        pos = rng.randrange(space.coord_count)
+        member[pos] = f.add(member[pos], rng.randrange(1, f.q))
+        assert_same_violated_row(space, member)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spaces())
+def test_kernel_matches_the_dense_rows(space):
+    assert space.kernel_basis() == space.dense_rows().kernel_basis()
+
+
+def encoder_text(space):
+    return json.dumps(space.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spaces())
+def test_instance_text_is_the_encoders(space):
+    assert space.to_text() == encoder_text(space)
+
+
+def test_instance_text_on_chosen_provenance_and_rows():
+    gf3 = make_field(3)
+    row = ((0, 1), (3, 2))
+    provenances = [
+        {},
+        {"a": {"b": [1, {"c": []}], "d": {}}, "e": [[], [[]]]},
+        {"x": 0.1, "y": -2.5e-300, "z": float("inf")},
+        {"name": "Grüße ☃ \"quoted\"\n\t", "é": ["😀"]},
+        {"rows": [[1, 2]], "variant": "\n  \"variant\": "},
+    ]
+    for rows in [(), ((),), (row, (), row, row, ((2, 1),), ())]:
+        for provenance in provenances:
+            space = SubspaceSpec(gf3, "V", 2, 1, rows, provenance)
+            assert space.to_text() == encoder_text(space)
+    assert '"rows": []' in SubspaceSpec(gf3, "V", 2, 1, ()).to_text()
+
+
+def test_cnf_kernel_eliminates_each_distinct_row_once(tmp_path, monkeypatch):
+    src, out = tmp_path / "two.cnf", tmp_path / "two.json"
+    src.write_text("p cnf 3 2\n1 2 3 0\n-1 2 -3 0\n")
+    assert main(["reduce", "--mode", "superposition", "--input", str(src), "--output", str(out)]) == 0
+    space = SubspaceSpec.from_text(out.read_text())
+    distinct = set(space.rows)
+    assert len(distinct) < len(space.rows)
+
+    seen = []
+    packed_rank = rankgap.gflinalg.packed_rank
+
+    def recording(rows, *args, **kwargs):
+        rows = list(rows)
+        seen.append(rows)
+        return packed_rank(rows, *args, **kwargs)
+
+    monkeypatch.setattr(rankgap.gflinalg, "packed_rank", recording)
+    kernel = space.kernel_basis()
+    assert [len(rows) for rows in seen] == [len(distinct)]
+    assert len(set(seen[0])) == len(distinct)
+    monkeypatch.undo()
+    assert kernel == space.dense_rows().kernel_basis()
