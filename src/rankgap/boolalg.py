@@ -259,9 +259,11 @@ class SquarefreePoly:
         return SquarefreePoly(f, out)
 
     def shift(self, mask: int) -> "SquarefreePoly":
-        """Multiply by the monomial x^mask."""
+        """Multiply by the monomial x^mask.  The sums are field elements
+        already, so the product is not validated again."""
         f = self.field
-        out: dict[int, int] = {}
+        product = SquarefreePoly(f)
+        out = product.coeffs
         for m, c in self.coeffs.items():
             u = m | mask
             s = f.add(out.get(u, 0), c)
@@ -269,7 +271,7 @@ class SquarefreePoly:
                 out[u] = s
             else:
                 del out[u]
-        return SquarefreePoly(f, out)
+        return product
 
     # -- evaluation --
 

@@ -84,6 +84,14 @@ def _emit(args: argparse.Namespace, summary: list[str], doc: dict) -> None:
 # -- reduce -------------------------------------------------------------------
 
 
+def _check_budget(args: argparse.Namespace, *sizes: int) -> None:
+    if max(sizes) > args.budget:
+        raise BudgetExceededError(
+            f"instance needs about {max(sizes)} coordinates or constraints, "
+            f"budget allows {args.budget}"
+        )
+
+
 def _reduce_superposition(args: argparse.Namespace, text: str) -> tuple[SubspaceSpec, int]:
     cnf = parse_dimacs(text)
     field = parse_field_descriptor(args.field) if args.field else make_field(2)
@@ -103,13 +111,7 @@ def _reduce_superposition(args: argparse.Namespace, text: str) -> tuple[Subspace
             f"degree {d} lands in the relaxed regime for k={args.k}, r={r}; "
             "pass --relaxed to build anyway"
         )
-    n = cnf.n
-    estimate = max(expected_equation_count(n, cnf.m, d), basis_size(n, 2 * d, "U"))
-    if estimate > args.budget:
-        raise BudgetExceededError(
-            f"instance needs about {estimate} coordinates or constraints, "
-            f"budget allows {args.budget}"
-        )
+    _check_budget(args, expected_equation_count(cnf.n, cnf.m, d), basis_size(cnf.n, 2 * d, "U"))
     quad = build_monomial_quad_system(build_constant_free_system(cnf, d))
     provenance = {
         "source_sha256": cnf.source_hash(),
@@ -136,12 +138,7 @@ def _reduce_direct(args: argparse.Namespace, text: str) -> tuple[SubspaceSpec, i
     d = args.k if args.degree is None else args.degree
     if d < 1:
         raise PreconditionError("matrix degree must be at least 1")
-    estimate = max(basis_size(src.n, 2 * d, "V"), localizing_row_count(src.n, src.m, d))
-    if estimate > args.budget:
-        raise BudgetExceededError(
-            f"instance needs about {estimate} coordinates or constraints, "
-            f"budget allows {args.budget}"
-        )
+    _check_budget(args, basis_size(src.n, 2 * d, "V"), localizing_row_count(src.n, src.m, d))
     provenance = {
         "source_sha256": src.source_hash(),
         "field": format_field(src.field),

@@ -10,7 +10,9 @@ shifting set W of size at most 2d-2:
 For the honest vector of a point a the row value collapses to a^W * f(a),
 so common zeros give members whose expanded matrix has rank one.  Rows
 whose coefficients cancel entirely are kept as empty rows so the count
-m * |V_{n,2d-2}| stays exact.
+m * |V_{n,2d-2}| stays exact.  subspace.localizing_rows writes the rows,
+as it does for the CNF construction: each equation with the shifting
+sets as its shift masks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from .boolalg import basis_make, basis_size
 from .errors import InternalConsistencyError, PreconditionError
 from .frontends import QuadSystemSource
-from .subspace import SubspaceSpec
+from .subspace import SubspaceSpec, localizing_rows
 
 __all__ = [
     "build_moment_subspace",
@@ -46,27 +48,13 @@ def build_moment_subspace(
     d = k if degree is None else degree
     if d < 1:
         raise PreconditionError(f"the matrix degree must be at least 1, got {d}")
-    n = src.n
-    coords = basis_make(n, 2 * d, "V")
-    shifts = basis_make(n, 2 * d - 2, "V")
-    field = src.field
-    rows = []
-    for f in src.equations:
-        for w in shifts.masks:
-            acc: dict[int, int] = {}
-            for mask, coeff in f.coeffs.items():
-                pos = coords.rank(mask | w)
-                c = field.add(acc.get(pos, 0), coeff)
-                if c:
-                    acc[pos] = c
-                else:
-                    acc.pop(pos, None)
-            rows.append(tuple(sorted(acc.items())))
-    if len(rows) != localizing_row_count(n, src.m, d):
+    shifts = basis_make(src.n, 2 * d - 2, "V").masks
+    rows = localizing_rows(basis_make(src.n, 2 * d, "V"), [(f, shifts) for f in src.equations])
+    if len(rows) != localizing_row_count(src.n, src.m, d):
         raise InternalConsistencyError("localizing row enumeration drifted from the formula")
     base = {
         "construction": "direct",
-        "n": n,
+        "n": src.n,
         "m": src.m,
         "k": k,
         "d": d,
@@ -74,4 +62,4 @@ def build_moment_subspace(
     if d != k:
         base["degree_override"] = True
     base.update(provenance or {})
-    return SubspaceSpec(field, "V", n, d, tuple(rows), base)
+    return SubspaceSpec(src.field, "V", src.n, d, rows, base)

@@ -7,7 +7,9 @@ than store full matrices with those ties as explicit pairwise constraints,
 everything here works in quotient coordinates: one value y_R per
 achievable union set R, expanded on demand to the matrix H(y) with
 H[S][T] = y_{S ∪ T}.  The ties then hold identically and membership in
-the subspace is a homogeneous linear condition on y alone.
+the subspace is a homogeneous linear condition on y alone.  Both
+reductions write those conditions with localizing_rows: one row per
+source polynomial f and shift x^W, the terms of f * x^W read as y's.
 
 SubspaceSpec is a shape (variant, n, d) and sparse constraint rows over
 the coordinates.  Its two bases, the coordinates (degree 2d) and the
@@ -39,6 +41,7 @@ __all__ = [
     "PseudoMomentVector",
     "SubspaceSpec",
     "honest_moment_vector",
+    "localizing_rows",
 ]
 
 
@@ -104,6 +107,18 @@ def _row_text(row) -> str:
         f"      [\n        {pos},\n        {coeff}\n      ]" for pos, coeff in row
     )
     return f"[\n{pairs}\n    ]"
+
+
+def localizing_rows(coords: MonomialBasis, sources) -> tuple:
+    """One row per (polynomial f, shift masks) source and shift w: the terms
+    of f * x^w ranked into coords, sorted by position.  Terms that cancel
+    are dropped, so a row may be empty."""
+    rank = coords.rank
+    return tuple(
+        tuple(sorted(zip(map(rank, p.coeffs), p.coeffs.values())))
+        for f, shifts in sources
+        for p in map(f.shift, shifts)
+    )
 
 
 def _row_value(field: FieldSpec, row, values) -> int:

@@ -2,15 +2,17 @@
 
 The pipeline has three stops.  A CNF formula first becomes a constant-free
 polynomial system: every clause polynomial and every booleanity polynomial,
-multiplied by all monomials of low enough degree so the products stay
-within degree d.  That system linearizes into a quadratic system over one
-variable per monomial index set, with multiplicativity equations tying
-products of monomial variables to the variable of the union set.  Finally
-the quadratic system becomes a linear subspace of symmetric matrices in
-quotient coordinates.  The multiplicativity equations cancel identically
-there: both sides of u_S*u_T = u_{S union T} land on the coordinate of
-the union with coefficient 1 + 1 = 0.  So they are counted and produced
-only on iteration, never turned into rows.
+kept once with its shift masks, the monomials of low enough degree that
+the products stay within degree d.  That system linearizes into a
+quadratic system over one variable per monomial index set, with
+multiplicativity equations tying products of monomial variables to the
+variable of the union set.  Finally subspace.localizing_rows, which the
+direct construction shares, writes one row per polynomial and shift
+straight from the sources: a subspace of symmetric matrices in quotient
+coordinates.  The multiplicativity equations cancel identically there:
+both sides of u_S*u_T = u_{S union T} land on the coordinate of the union
+with coefficient 1 + 1 = 0.  So they, and the products and their
+linearized images, are produced only when a check iterates over them.
 
 Two soundness-facing utilities live here as well: the decomposition of a
 low-rank member into a family of assignments that satisfies every
@@ -22,7 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import chain
+from operator import or_
 from typing import Iterator
 
 from .boolalg import MonomialBasis, SquarefreePoly, basis_make, basis_size
@@ -30,10 +34,11 @@ from .errors import InternalConsistencyError, PreconditionError
 from .frontends import CnfFormula, booleanity_polynomial, clause_polynomial
 from .gfarith import FieldSpec, make_field
 from .gflinalg import symmetric_rank_one_decomposition
-from .subspace import PseudoMomentVector, SubspaceSpec
+from .subspace import PseudoMomentVector, SubspaceSpec, localizing_rows
 
 __all__ = [
     "ConstantFreeSystem",
+    "ShiftedEquations",
     "QuadEquation",
     "MultiplicativityEquations",
     "MonomialQuadSystem",
@@ -55,11 +60,20 @@ _GF2 = make_field(2)
 # -- degree selection ---------------------------------------------------------
 
 
+def _middle_binomial_exceeds(d: int, k0: int) -> bool:
+    """C(d+1, floor((d+1)/2)) > k0.  The binomial is the largest of the d+2
+    that sum to 2^(d+1), so it is at least 2^(d+1)/(d+2); once that bound
+    exceeds k0 the binomial is never formed, however large d is."""
+    if (k0 * (d + 2)).bit_length() <= d + 1:
+        return True
+    return math.comb(d + 1, (d + 1) // 2) > k0
+
+
 def degree_regime(d: int, k0: int) -> str:
     """"faithful" when d meets every soundness-side requirement for a rank
     gap of k0, "relaxed" otherwise (structure and completeness hold either
     way)."""
-    if d >= 8 and d % 4 == 0 and math.comb(d + 1, (d + 1) // 2) > k0:
+    if d >= 8 and d % 4 == 0 and _middle_binomial_exceeds(d, k0):
         return "faithful"
     return "relaxed"
 
@@ -95,8 +109,10 @@ def choose_degree(k: int, r: int = 1, c: float = 4.0) -> DegreeChoice:
     k0 = r * k
     t = 3 * k0 // 2
     lower = max(8.0, c * math.log2(t + 1))
+    if not math.isfinite(lower):
+        raise PreconditionError(f"the soundness constant {c} gives no finite degree")
     d = 4 * math.ceil(lower / 4)
-    while math.comb(d + 1, (d + 1) // 2) <= k0:
+    while not _middle_binomial_exceeds(d, k0):
         d += 4
     return DegreeChoice(k=k, r=r, c=c, k0=k0, t=t, d=d)
 
@@ -105,31 +121,44 @@ def choose_degree(k: int, r: int = 1, c: float = 4.0) -> DegreeChoice:
 
 
 @dataclass(frozen=True)
+class ShiftedEquations:
+    """Each source polynomial times x^w for each of its shift masks w, in
+    order, produced on iteration; len counts the shifts."""
+
+    sources: tuple[tuple[SquarefreePoly, tuple[int, ...]], ...]
+
+    def __len__(self) -> int:
+        return sum(len(shifts) for _, shifts in self.sources)
+
+    def __iter__(self) -> Iterator[SquarefreePoly]:
+        return (f.shift(w) for f, shifts in self.sources for w in shifts)
+
+
+@dataclass(frozen=True)
 class ConstantFreeSystem:
-    """Degree-at-most-d polynomials over GF(2) in x_0..x_n, none of which
-    carries a constant term."""
+    """Degree-at-most-d polynomials over GF(2) in x_0..x_n without a
+    constant term: each (polynomial, shift masks) source stands for the
+    polynomial times x^w for each shift w, and is checked once."""
 
     n: int
     d: int
-    equations: tuple[SquarefreePoly, ...]
+    sources: tuple[tuple[SquarefreePoly, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        for k, f in enumerate(self.equations):
+        for k, (f, shifts) in enumerate(self.sources):
             if f.field != _GF2:
-                raise PreconditionError(f"equation {k} is not over GF(2)")
+                raise PreconditionError(f"source {k} is not over GF(2)")
             if f.constant_term() != 0:
-                raise InternalConsistencyError(
-                    f"equation {k} has a constant term"
-                )
-            if f.degree > self.d:
-                raise InternalConsistencyError(
-                    f"equation {k} has degree {f.degree} > {self.d}"
-                )
-            for mask in f.coeffs:
-                if mask >> (self.n + 1):
-                    raise PreconditionError(
-                        f"equation {k} mentions a variable beyond x{self.n}"
-                    )
+                raise InternalConsistencyError(f"source {k} has a constant term")
+            top = f.degree + max(map(int.bit_count, shifts), default=0)
+            if top > self.d:
+                raise InternalConsistencyError(f"source {k} reaches degree {top} > {self.d}")
+            if reduce(or_, chain(f.coeffs, shifts), 0) >> (self.n + 1):
+                raise PreconditionError(f"source {k} mentions a variable beyond x{self.n}")
+
+    @property
+    def equations(self) -> ShiftedEquations:
+        return ShiftedEquations(self.sources)
 
 
 def expected_equation_count(n: int, m: int, d: int) -> int:
@@ -143,29 +172,24 @@ def expected_equation_count(n: int, m: int, d: int) -> int:
 def build_constant_free_system(cnf: CnfFormula, d: int) -> ConstantFreeSystem:
     """Clause polynomials shifted by all monomials of degree <= d-3, then
     booleanity polynomials shifted by all monomials of degree <= d-2, in
-    that order, clause-major then variable-major.
+    that order, clause-major then variable-major; the sources share two
+    shift tuples.
 
     d >= 3 is accepted; instances with d < 8 or d not a multiple of 4 only
     carry the completeness direction (see degree_regime).
     """
     n = cnf.n
     expected = expected_equation_count(n, cnf.m, d)
-    equations: list[SquarefreePoly] = []
     clause_shifts = (0,) + basis_make(n, d - 3, "U").masks
-    for clause in cnf.clauses:
-        p = clause_polynomial(clause, n)
-        for mask in clause_shifts:
-            equations.append(p.shift(mask))
     bool_shifts = (0,) + basis_make(n, d - 2, "U").masks
-    for i in range(1, n + 1):
-        b = booleanity_polynomial(i, n)
-        for mask in bool_shifts:
-            equations.append(b.shift(mask))
-    if len(equations) != expected:
+    sources = [(clause_polynomial(clause, n), clause_shifts) for clause in cnf.clauses]
+    sources += [(booleanity_polynomial(i, n), bool_shifts) for i in range(1, n + 1)]
+    system = ConstantFreeSystem(n=n, d=d, sources=tuple(sources))
+    if len(system.equations) != expected:
         raise InternalConsistencyError(
-            f"built {len(equations)} equations, the count formula says {expected}"
+            f"built {len(system.equations)} equations, the count formula says {expected}"
         )
-    return ConstantFreeSystem(n=n, d=d, equations=tuple(equations))
+    return system
 
 
 # -- linearization ------------------------------------------------------------
@@ -220,50 +244,36 @@ class MultiplicativityEquations:
 
 @dataclass(frozen=True)
 class MonomialQuadSystem:
-    """The linearized system: one variable per index set in U_{n,d}.
+    """The linearized system of a constant-free system: one variable per
+    index set in U_{n,d}.
 
     linearized holds the images of the constant-free equations (monomials
-    replaced by their variables); multiplicativity the product equations
-    over the basis, produced only on iteration.
+    replaced by their variables), built on first use; multiplicativity the
+    product equations over the basis, produced only on iteration.  The
+    subspace is built from the system's sources and needs neither.
     """
 
-    n: int
-    d: int
+    system: ConstantFreeSystem
     basis: MonomialBasis
-    linearized: tuple[QuadEquation, ...]
     multiplicativity: MultiplicativityEquations
+
+    @cached_property
+    def linearized(self) -> tuple[QuadEquation, ...]:
+        rank = self.basis.rank
+        return tuple(
+            QuadEquation(quad=(), linear=tuple(sorted(f.coeffs.items(), key=lambda kv: rank(kv[0]))))
+            for f in self.system.equations
+        )
 
     @property
     def equations(self) -> Iterator[QuadEquation]:
         """Every equation, linearized first, produced on iteration."""
         return chain(self.linearized, self.multiplicativity)
 
-    def superposition_value(self, eq: QuadEquation, vectors) -> int:
-        acc = 0
-        for v in vectors:
-            acc ^= eq.value(v, self.basis)
-        return acc
-
 
 def build_monomial_quad_system(system: ConstantFreeSystem) -> MonomialQuadSystem:
-    n, d = system.n, system.d
-    basis = basis_make(n, d, "U")
-    linearized = []
-    for f in system.equations:
-        linear = tuple(
-            (mask, coeff)
-            for mask, coeff in sorted(
-                f.coeffs.items(), key=lambda kv: basis.rank(kv[0])
-            )
-        )
-        linearized.append(QuadEquation(quad=(), linear=linear))
-    return MonomialQuadSystem(
-        n=n,
-        d=d,
-        basis=basis,
-        linearized=tuple(linearized),
-        multiplicativity=MultiplicativityEquations(basis),
-    )
+    basis = basis_make(system.n, system.d, "U")
+    return MonomialQuadSystem(system, basis, MultiplicativityEquations(basis))
 
 
 # -- the subspace -------------------------------------------------------------
@@ -275,7 +285,7 @@ def build_matrix_subspace(
     provenance: dict | None = None,
 ) -> SubspaceSpec:
     """Quotient-coordinate subspace on U_{n,2d} cut out by the linearized
-    equations.
+    equations, one localizing row per source and shift.
 
     In quotient coordinates an entry at (S, T) is the coordinate of the
     union, so each multiplicativity equation lands on a single coordinate
@@ -287,21 +297,8 @@ def build_matrix_subspace(
     field = field or _GF2
     if field.p != 2:
         raise PreconditionError("the subspace constraints need characteristic two")
-    n, d = quad.n, quad.d
-    coords = basis_make(n, 2 * d, "U")
-    rows = []
-    for eq in quad.linearized:
-        if eq.quad:
-            raise PreconditionError("linearized equations must be linear")
-        acc: dict[int, int] = {}
-        for mask, coeff in eq.linear:
-            pos = coords.rank(mask)
-            c = (acc.get(pos, 0) + _GF2.validate(coeff)) % 2
-            if c:
-                acc[pos] = c
-            else:
-                acc.pop(pos, None)
-        rows.append(tuple(sorted(acc.items())))
+    n, d = quad.system.n, quad.system.d
+    rows = localizing_rows(basis_make(n, 2 * d, "U"), quad.system.sources)
     base = {
         "construction": "superposition",
         "n": n,
@@ -309,7 +306,7 @@ def build_matrix_subspace(
         "multiplicativity_cancelled": len(quad.multiplicativity),
     }
     base.update(provenance or {})
-    return SubspaceSpec(field, "U", n, d, tuple(rows), base)
+    return SubspaceSpec(field, "U", n, d, rows, base)
 
 
 # -- soundness-facing utilities ----------------------------------------------
@@ -350,7 +347,7 @@ def low_rank_to_superposition(
         for i, bit in enumerate(v):
             aggregate[i] ^= bit
     for idx, eq in enumerate(quad.equations):
-        if quad.superposition_value(eq, vectors):
+        if sum(eq.value(v, quad.basis) for v in vectors) % 2:
             raise InternalConsistencyError(
                 f"superposition value of equation {idx} is nonzero"
             )

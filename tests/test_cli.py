@@ -111,6 +111,37 @@ def test_reduce_budget_refusal(tmp_path, capsys):
     assert "budget allows 3" in err
 
 
+@pytest.mark.parametrize("mode, text, need", [
+    ("superposition", ONE_CLAUSE, 24),  # 1 * (1 + 7) clause rows, 2 * (1 + 7) booleanity rows
+    ("direct", LINE_SRC, 4),  # four coordinates over x1, x2 at d = 1
+])
+def test_reduce_budget_refusal_message(tmp_path, capsys, mode, text, need):
+    src = write(tmp_path, "source.txt", text)
+    code, stdout, err = run(capsys, "reduce", "--mode", mode, "--input", src,
+                            "--output", str(tmp_path / "x.json"), "--budget", "3")
+    assert (code, stdout) == (3, "")
+    assert err == f"error: instance needs about {need} coordinates or constraints, budget allows 3\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--c", "inf"), 2),
+    (("--c", "1e308"), 0),
+    (("--c", "1e6"), 0),
+    (("--degree", "100000000"), 0),
+], ids=["c-inf", "c-1e308", "c-1e6", "degree-1e8"])
+def test_huge_cnf_degrees_refuse_or_finish(tmp_path, argv, expected):
+    """A degree rule that asks for a huge or infinite d ends at once: the
+    binomial C(d+1, floor((d+1)/2)) is never formed for such d."""
+    write(tmp_path, "three.cnf", "p cnf 3 1\n1 2 3 0\n")
+    code, _, err, seconds = run_capped(tmp_path, "reduce", "--mode", "superposition",
+                                       "--input", "three.cnf", "--output", "out.json", *argv)
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 2:
+        assert err == "error: the soundness constant inf gives no finite degree\n"
+    assert seconds < 1.0
+
+
 def test_reduce_parse_error_surfaces(tmp_path, capsys):
     src = write(tmp_path, "bad.cnf", "p cnf 2 1\n1 2\n")
     code, _, err = run(capsys, "reduce", "--mode", "superposition", "--input", src,

@@ -1,6 +1,7 @@
 """The 3SAT-side pipeline: degree choice, polynomial systems, linearization,
 subspace construction, decomposition-to-superposition, rank certificates."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -8,8 +9,9 @@ from itertools import product
 
 import pytest
 
-from rankgap.boolalg import basis_make, mask_of, poly_eval
-from rankgap.errors import PreconditionError
+from rankgap.boolalg import SquarefreePoly, basis_make, mask_of, poly_eval
+from rankgap.cli import main
+from rankgap.errors import InternalConsistencyError, PreconditionError
 from rankgap.frontends import parse_dimacs
 from rankgap.gfarith import make_field
 from rankgap.subspace import PseudoMomentVector, honest_moment_vector
@@ -112,7 +114,7 @@ def test_build_system_frozen_count():
     system = build_constant_free_system(cnf, 4)
     assert len(system.equations) == 7 == expected_equation_count(1, 1, 4)
     # the first equation is the unshifted clause polynomial x0 + x1
-    assert system.equations[0].coeffs == {mask_of([0]): 1, mask_of([1]): 1}
+    assert next(iter(system.equations)).coeffs == {mask_of([0]): 1, mask_of([1]): 1}
     # every equation is constant-free with degree at most d
     for f in system.equations:
         assert f.constant_term() == 0
@@ -127,6 +129,29 @@ def test_build_system_counts_match_formula():
         for d in (3, 4, 8):
             system = build_constant_free_system(cnf, d)
             assert len(system.equations) == expected_equation_count(n, m, d)
+
+
+def test_constant_free_system_checks_each_source():
+    x0, x1 = mask_of([0]), mask_of([1])
+    with pytest.raises(PreconditionError, match="not over GF.2."):
+        ConstantFreeSystem(n=1, d=4, sources=((SquarefreePoly(make_field(3), {x0: 1}), (0,)),))
+    with pytest.raises(InternalConsistencyError, match="constant term"):
+        ConstantFreeSystem(n=1, d=4, sources=((SquarefreePoly(GF2, {0: 1, x0: 1}), (x1,)),))
+    with pytest.raises(InternalConsistencyError, match="reaches degree 3 > 2"):
+        ConstantFreeSystem(n=2, d=2, sources=((SquarefreePoly(GF2, {x0: 1}), (0, mask_of([1, 2]))),))
+    with pytest.raises(PreconditionError, match="beyond x1"):
+        ConstantFreeSystem(n=1, d=4, sources=((SquarefreePoly(GF2, {x0: 1}), (mask_of([2]),)),))
+
+
+def test_equation_count_shifts_nothing(monkeypatch):
+    cnf = parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n")
+    system = build_constant_free_system(cnf, 8)
+
+    def refuse(self, mask):
+        raise AssertionError("len(system.equations) shifted a polynomial")
+
+    monkeypatch.setattr(SquarefreePoly, "shift", refuse)
+    assert len(system.equations) == expected_equation_count(3, 2, 8)
 
 
 def test_build_system_rejects_tiny_degree():
@@ -164,7 +189,7 @@ def test_quad_system_shape():
 
 def test_multiplicativity_enumeration_frozen():
     # n=1, d=2: variables {0}, {1}, {0,1}; six pairs keep their union in range
-    quad = build_monomial_quad_system(ConstantFreeSystem(n=1, d=2, equations=()))
+    quad = build_monomial_quad_system(ConstantFreeSystem(n=1, d=2, sources=()))
     assert len(quad.multiplicativity) == 6
     pairs = {(s, t) for eq in quad.multiplicativity for s, t, _ in eq.quad}
     assert pairs == {
@@ -190,7 +215,7 @@ def reference_multiplicativity(basis):
 def test_multiplicativity_count_and_order_match_the_nested_loop():
     for n in range(1, 7):
         for d in range(0, 10):
-            quad = build_monomial_quad_system(ConstantFreeSystem(n=n, d=d, equations=()))
+            quad = build_monomial_quad_system(ConstantFreeSystem(n=n, d=d, sources=()))
             reference = reference_multiplicativity(quad.basis)
             assert len(quad.multiplicativity) == len(reference)
             assert list(quad.multiplicativity) == reference
@@ -200,19 +225,19 @@ def test_multiplicativity_count_and_order_match_the_nested_loop():
 def test_multiplicativity_is_counted_not_built():
     tracemalloc.start()
     try:
-        quad = build_monomial_quad_system(ConstantFreeSystem(n=10, d=8, equations=()))
+        quad = build_monomial_quad_system(ConstantFreeSystem(n=10, d=8, sources=()))
         count = len(quad.multiplicativity)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert count == 1_141_536
     assert peak < 10 * 2**20
-    small = build_monomial_quad_system(ConstantFreeSystem(n=7, d=8, equations=()))
+    small = build_monomial_quad_system(ConstantFreeSystem(n=7, d=8, sources=()))
     assert len(small.multiplicativity) == 32_640
 
 
 def test_multiplicativity_respects_degree_cap():
-    quad = build_monomial_quad_system(ConstantFreeSystem(n=3, d=2, equations=()))
+    quad = build_monomial_quad_system(ConstantFreeSystem(n=3, d=2, sources=()))
     for eq in quad.multiplicativity:
         ((s, t, _),) = eq.quad
         assert bin(s | t).count("1") <= 2
@@ -254,6 +279,54 @@ def test_subspace_rows_and_sizes():
     assert space.contains((1, 1, 1))
 
 
+def test_rows_are_the_linearized_equations():
+    rng = random.Random(25)
+    for _ in range(6):
+        cnf = random_cnf(rng, rng.randint(1, 5), rng.randint(1, 5))
+        quad = build_monomial_quad_system(build_constant_free_system(cnf, 4))
+        space = build_matrix_subspace(quad)
+        rank = space.coords.rank
+        assert space.rows == tuple(
+            tuple(sorted((rank(mask), c) for mask, c in eq.linear)) for eq in quad.linearized
+        )
+
+
+def test_reduce_builds_no_per_equation_objects(tmp_path, monkeypatch):
+    """The CLI reduce path writes one row per shift without a QuadEquation
+    and without keeping the shifted polynomials: each is dropped once the
+    next is made, so no more than two are ever alive."""
+    alive, peak, made = [0], [0], []
+
+    class Counted(SquarefreePoly):
+        __slots__ = ()
+
+        def __del__(self):
+            alive[0] -= 1
+
+    real_shift = SquarefreePoly.shift
+
+    def shift(self, mask):
+        out = real_shift(self, mask)
+        alive[0] += 1
+        peak[0] = max(peak[0], alive[0])
+        made.append(mask)
+        return Counted(out.field, out.coeffs)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("reduce built a QuadEquation")
+
+    monkeypatch.setattr(SquarefreePoly, "shift", shift)
+    monkeypatch.setattr(QuadEquation, "__init__", refuse)
+    (tmp_path / "f.cnf").write_text("p cnf 4 6\n1 -2 3 0\n-1 2 4 0\n2 3 -4 0\n"
+                                    "-3 -4 1 0\n1 2 3 0\n-2 -3 -4 0\n")
+    out = tmp_path / "f.json"
+    assert main(["reduce", "--mode", "superposition", "--input", str(tmp_path / "f.cnf"),
+                 "--output", str(out)]) == 0
+    rows = len(json.loads(out.read_text())["rows"])
+    assert rows == expected_equation_count(4, 6, 8) == len(made)
+    assert peak[0] <= 2
+
+
 def test_subspace_same_rows_over_extensions():
     cnf = parse_dimacs("p cnf 2 1\n1 -2 0\n")
     quad = build_monomial_quad_system(build_constant_free_system(cnf, 4))
@@ -263,19 +336,6 @@ def test_subspace_same_rows_over_extensions():
     assert over4.field == GF4
     with pytest.raises(PreconditionError, match="characteristic two"):
         build_matrix_subspace(quad, make_field(3))
-
-
-def test_subspace_rejects_quadratic_linearized_rows():
-    quad = build_monomial_quad_system(ConstantFreeSystem(n=1, d=2, equations=()))
-    broken = type(quad)(
-        n=quad.n,
-        d=quad.d,
-        basis=quad.basis,
-        linearized=(QuadEquation(quad=((1, 2, 1),), linear=()),),
-        multiplicativity=(),
-    )
-    with pytest.raises(PreconditionError, match="must be linear"):
-        build_matrix_subspace(broken)
 
 
 def test_completeness_small_sweep():
