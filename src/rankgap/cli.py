@@ -183,13 +183,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc: dict = {"provenance": provenance}
     if args.assignment is not None:
         bits = _parse_csv_ints(args.assignment, "assignment")
+        _check_budget(args, space.coord_count)
         values = _honest_for_instance(space, bits).values
         doc["honest_assignment"] = list(bits)
     else:
         values = _parse_csv_ints(_read(args.vector), "vector")
+        # check_membership refuses a wrong length as such, past the budget or not
+        _check_budget(args, min(len(values), space.coord_count))
     report = check_membership(values, space)
     zero = not any(values)
-    rank = space.expand(values).rank() if report.ok else None
+    rank = space.expansion_rank(values, space.d) if report.ok else None
     doc.update({"ok": report.ok, "violated_row": report.violated_row, "rank": rank, "zero": zero})
     if not report.ok:
         summary = f"not a member: constraint {report.violated_row} violated"
@@ -367,6 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="instance file")
     p.add_argument("--assignment", help="comma separated bits; checks the honest vector")
     p.add_argument("--vector", help="file of comma separated coordinates to check")
+    p.add_argument("--budget", type=int, default=1 << 20,
+                   help="refuse instances with more coordinates than this")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_verify)
 

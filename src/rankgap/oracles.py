@@ -1,11 +1,11 @@
 """Brute-force ground truth for the reduction pipeline.
 
-Membership is rechecked row by row from dense copies of the constraint
-rows, each distinct row once, minrank decides every kernel member within
-an explicit budget, and point isolation / sum-of-points representations
-come from solving their defining linear systems directly.  The pipeline
-is validated against these routines, never the other way around.  Every
-rank and echelon form comes from gflinalg.
+Membership is rechecked from a dense copy of each distinct constraint row
+dotted with the vector over its support, minrank decides every kernel
+member within an explicit budget, and point isolation / sum-of-points
+representations come from solving their defining linear systems directly.
+The pipeline is validated against these routines, never the other way
+around.  Every rank and echelon form comes from gflinalg.
 
 Minrank goes level by level.  A low level is decided by a candidate pass:
 a member has rank at most r exactly when some space of dimension N - r
@@ -14,8 +14,8 @@ is fixed, so each candidate space costs one small elimination.  The first
 level with more candidates than members goes to a scan that counts up
 through the kernel coefficients, which visits the members in increasing
 order, and stops at the first member of the lowest rank the pass did not
-rule out.  The winning witness is re-ranked through its FFMatrix expansion
-before it is reported.
+rule out.  The winning witness is re-ranked from its coordinates
+(SubspaceSpec.expansion_rank) before it is reported.
 
 Budgets are hard limits: when an enumeration would exceed one, the answer
 is a refusal (BudgetExceededError), not a subsample.  check_kernel_budget
@@ -82,10 +82,10 @@ class MembershipReport:
 
 def check_membership(values, space: SubspaceSpec) -> MembershipReport:
     """Re-derive membership through dense constraint rows rather than the
-    sparse row evaluations the builders use.  Each row is expanded on its
-    own and dotted with the whole vector, so no dense matrix is held.  A
-    row equal to one that already passed is skipped: it would pass again,
-    so the first violated row is the same."""
+    sparse row evaluations the builders use.  Each distinct row is expanded
+    to full width on its own, so no dense matrix is held, and dotted with
+    the vector over its nonzero coordinates.  A violated row is named where
+    it first appears, as its repeats give the same value."""
     f = space.field
     vec = tuple(f.validate(v) for v in values)
     ncols = space.coord_count
@@ -93,20 +93,17 @@ def check_membership(values, space: SubspaceSpec) -> MembershipReport:
         raise PreconditionError(
             f"vector has {len(vec)} coordinates, the subspace has {ncols}"
         )
-    passed = set()
-    for k, row in enumerate(space.rows):
-        if row in passed:
-            continue
+    support = [(j, v) for j, v in enumerate(vec) if v]
+    for k, row in space.distinct_rows:
         dense = [0] * ncols
         for pos, coeff in row:
             dense[pos] = coeff
         acc = 0
-        for a, v in zip(dense, vec):
-            if a and v:
-                acc = f.add(acc, f.mul(a, v))
+        for j, v in support:
+            if dense[j]:
+                acc = f.add(acc, f.mul(dense[j], v))
         if acc:
             return MembershipReport(False, k)
-        passed.add(row)
     return MembershipReport(True, None)
 
 
@@ -459,7 +456,7 @@ def minrank_bruteforce(
     if least is None:
         best_rank, least = system.scan(best_rank)
     witness = system.member(least)
-    checked = space.expand(witness, level).rank()
+    checked = space.expansion_rank(witness, level)
     if checked != best_rank:
         raise InternalConsistencyError(
             f"the search ranked its witness {best_rank}, its expansion has rank {checked}"

@@ -17,11 +17,11 @@ matrix-side index (degree d), are functions of the shape, built on first
 use; sizes come from boolalg.basis_size, so loading, validating and
 writing an instance builds neither.  Its kernel comes from the sparse
 rows through gflinalg, over every field, without a dense matrix;
-dense_rows() is only a reference form.  Every row is kept, since row
-indices name violated constraints, but the CNF reduction repeats most of
-them: the kernel eliminates each distinct row once, and to_text renders
-each distinct row once, laying out the bytes json.dumps(indent=2,
-sort_keys=True) would write.
+dense_rows() is only a reference form, and expansion_rank ranks H(y)
+without building it.  Every row is kept, since row indices name violated
+constraints, but the CNF reduction repeats most of them: loading and
+localizing_rows share one tuple among equal rows, and each distinct row is
+checked, evaluated, eliminated and rendered (as json.dumps would) once.
 PseudoMomentVector is one coordinate vector with expansion and
 truncated-column access; honest_moment_vector builds the rank-one point
 y_R = prod_{i in R} a_i from a Boolean assignment.
@@ -30,12 +30,15 @@ y_R = prod_{i in R} a_i from a Boolean assignment.
 from __future__ import annotations
 
 import json
+import marshal
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property, reduce
+from itertools import compress
 
 from .boolalg import MonomialBasis, basis_make, basis_size, format_monomial, indices_of
 from .errors import ParseError, PreconditionError
 from .gfarith import FieldSpec, format_field, parse_field_descriptor
-from .gflinalg import FFMatrix, _dense_rows, sparse_kernel_basis
+from .gflinalg import FFMatrix, _dense_rows, packed_rank, sparse_kernel_basis, table_rank
 
 __all__ = [
     "PseudoMomentVector",
@@ -83,8 +86,8 @@ def _split_union(mask: int) -> tuple[int, int]:
     return s, mask ^ s
 
 
-def _check_rows(field: FieldSpec, rows, ncoords: int) -> None:
-    for k, row in enumerate(rows):
+def _check_rows(field: FieldSpec, indexed_rows, ncoords: int) -> None:
+    for k, row in indexed_rows:
         prev = -1
         for pos, coeff in row:
             if type(pos) is not int or type(coeff) is not int:
@@ -112,13 +115,25 @@ def _row_text(row) -> str:
 def localizing_rows(coords: MonomialBasis, sources) -> tuple:
     """One row per (polynomial f, shift masks) source and shift w: the terms
     of f * x^w ranked into coords, sorted by position.  Terms that cancel
-    are dropped, so a row may be empty."""
-    rank = coords.rank
-    return tuple(
+    are dropped, so a row may be empty.  Equal rows are one shared tuple."""
+    rank, shared = coords.rank, {}
+    rows = (
         tuple(sorted(zip(map(rank, p.coeffs), p.coeffs.values())))
         for f, shifts in sources
         for p in map(f.shift, shifts)
     )
+    return tuple(shared.setdefault(row, row) for row in rows)
+
+
+def _shared_rows(raw):
+    """Rows as tuples of pairs, shared when their marshal bytes match: == would
+    merge a refused 1.0 or True into a valid 1."""
+    shared: dict = {}
+    for row in raw:
+        key = marshal.dumps(row, 2)
+        if key not in shared:
+            shared[key] = tuple((pos, coeff) for pos, coeff in row)
+        yield shared[key]
 
 
 def _row_value(field: FieldSpec, row, values) -> int:
@@ -222,7 +237,17 @@ class SubspaceSpec:
     def __post_init__(self):
         if self.d < 1:
             raise PreconditionError(f"matrix degree must be at least 1, got {self.d}")
-        _check_rows(self.field, self.rows, self.coord_count)
+        _check_rows(self.field, self.distinct_rows, self.coord_count)
+
+    @cached_property
+    def distinct_rows(self) -> tuple:
+        """(index of first appearance, row) for each distinct row object, in
+        order.  Identity, not ==, tells rows apart, since 1.0 and True equal 1."""
+        first: dict[int, tuple] = {}
+        for k, row in enumerate(self.rows):
+            if id(row) not in first:
+                first[id(row)] = (k, row)
+        return tuple(first.values())
 
     # -- shape --
 
@@ -251,7 +276,7 @@ class SubspaceSpec:
         """Index of the first constraint row a coordinate vector violates,
         or None for members."""
         values = self._validated(values)
-        for k in range(len(self.rows)):
+        for k, _ in self.distinct_rows:
             if self.row_value(k, values):
                 return k
         return None
@@ -277,6 +302,22 @@ class SubspaceSpec:
         vals = self._validated(values)
         idx = basis_make(self.n, self.d if level is None else level, self.variant)
         return _expand_on(self.field, self.coords, vals, idx)
+
+    def expansion_rank(self, values, level: int) -> int:
+        """expand(values, level).rank() without an FFMatrix.  Entry (S, T) is
+        zero unless S ∪ T lies inside the union of y's support, so only sets
+        inside it index the rows, bit-packed over GF(2), and the columns."""
+        vals = self._validated(values)
+        if not 0 <= level <= self.d:
+            raise PreconditionError(f"expansion level {level} is outside 0..{self.d}")
+        value = dict(zip(self.coords.masks, vals)).__getitem__
+        inside = reduce(int.__or__, compress(self.coords.masks, vals), 0)
+        masks = [s for s in basis_make(self.n, level, self.variant).masks if not s & ~inside]
+        rows = (map(value, map(s.__or__, masks)) for s in masks)
+        if self.field.q == 2:
+            bits = [1 << j for j in range(len(masks))]
+            return packed_rank(sum(compress(bits, row)) for row in rows)
+        return table_rank(self.field.tables(), map(list, rows))
 
     def extract_vector(self, matrix: FFMatrix) -> tuple[int, ...]:
         """Read coordinates back off a matrix indexed by the d-level family,
@@ -330,10 +371,9 @@ class SubspaceSpec:
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Coordinate vectors spanning the subspace, one per free column of
-        the reduced echelon form of the rows, which __post_init__ has
-        already validated.  Each distinct row is eliminated once, in
-        first-seen order: repeats do not change the echelon form."""
-        return sparse_kernel_basis(self.field, dict.fromkeys(self.rows), self.coord_count)
+        the reduced echelon form of the validated rows, each distinct row
+        eliminated once, in first-seen order."""
+        return sparse_kernel_basis(self.field, (r for _, r in self.distinct_rows), self.coord_count)
 
     def dimension(self) -> int:
         return len(self.kernel_basis())
@@ -365,15 +405,15 @@ class SubspaceSpec:
         "variant", the one key that sorts after "rows"."""
         head = json.dumps(self._head(), indent=2, sort_keys=True)
         cut = head.rindex('\n  "variant": ')
-        rendered = {row: _row_text(row) for row in set(self.rows)}
-        rows = ",\n    ".join(rendered[row] for row in self.rows)
+        rendered = {id(row): _row_text(row) for _, row in self.distinct_rows}
+        rows = ",\n    ".join(map(rendered.__getitem__, map(id, self.rows)))
         rows = f"[\n    {rows}\n  ]" if self.rows else "[]"
         return f'{head[:cut]}\n  "rows": {rows},{head[cut:]}\n'
 
     @classmethod
     def from_json(cls, doc: dict) -> "SubspaceSpec":
         """The space a subspace document describes.  Each value is checked
-        once, rows included, and no basis is built: the declared
+        once, each distinct row once, and no basis is built: the declared
         coord_count and matrix_side are compared with basis_size, so what
         loading costs does not grow with the declared size."""
         try:
@@ -384,9 +424,7 @@ class SubspaceSpec:
             if variant not in ("U", "V"):
                 raise ParseError(f'variant must be "U" or "V", got {variant!r}')
             n, d = _json_int(doc["n"], "n"), _json_int(doc["d"], "d")
-            rows = tuple(
-                tuple((pos, coeff) for pos, coeff in row) for row in doc["rows"]
-            )
+            rows = tuple(_shared_rows(doc["rows"]))
             declared = {
                 key: _json_int(doc[key], key)
                 for key in ("coord_count", "matrix_side")

@@ -1,19 +1,23 @@
-"""Repeated constraint rows are decided and rendered once.
+"""Repeated constraint rows are checked, decided and rendered once.
 
 The CNF reduction writes one row per clause and shift, so most rows repeat.
-check_membership skips a row equal to one that already passed,
-kernel_basis eliminates each distinct row once, and to_text renders each
-distinct row once.  Here each is held to the all-rows form it replaces, on
-spaces whose rows are drawn from a small pool with empty rows mixed in.
+Loading gives equal rows one shared tuple, and SubspaceSpec.distinct_rows
+lists each row object once with the index where it first appears:
+construction checks, check_membership and membership_violation evaluate,
+kernel_basis eliminates and to_text renders each distinct row once.  Here
+each is held to the all-rows form it replaces, on spaces whose rows are
+drawn from a small pool with empty rows mixed in.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import rankgap.gflinalg
 from rankgap.boolalg import basis_size
 from rankgap.cli import main
+from rankgap.errors import ParseError, PreconditionError
 from rankgap.gfarith import make_field
 from rankgap.oracles import check_membership
 from rankgap.subspace import SubspaceSpec
@@ -116,11 +120,15 @@ def test_instance_text_on_chosen_provenance_and_rows():
     assert '"rows": []' in SubspaceSpec(gf3, "V", 2, 1, ()).to_text()
 
 
-def test_cnf_kernel_eliminates_each_distinct_row_once(tmp_path, monkeypatch):
+def reduced_cnf(tmp_path):
     src, out = tmp_path / "two.cnf", tmp_path / "two.json"
     src.write_text("p cnf 3 2\n1 2 3 0\n-1 2 -3 0\n")
     assert main(["reduce", "--mode", "superposition", "--input", str(src), "--output", str(out)]) == 0
-    space = SubspaceSpec.from_text(out.read_text())
+    return out.read_text()
+
+
+def test_cnf_kernel_eliminates_each_distinct_row_once(tmp_path, monkeypatch):
+    space = SubspaceSpec.from_text(reduced_cnf(tmp_path))
     distinct = set(space.rows)
     assert len(distinct) < len(space.rows)
 
@@ -138,3 +146,61 @@ def test_cnf_kernel_eliminates_each_distinct_row_once(tmp_path, monkeypatch):
     assert len(set(seen[0])) == len(distinct)
     monkeypatch.undo()
     assert kernel == space.dense_rows().kernel_basis()
+
+
+def test_loaded_equal_rows_are_one_object(tmp_path):
+    space = SubspaceSpec.from_text(reduced_cnf(tmp_path))
+    first = {}
+    for row in space.rows:
+        assert first.setdefault(row, row) is row
+    assert len(first) < len(space.rows)
+    assert [row for _, row in space.distinct_rows] == list(first)
+    assert [k for k, _ in space.distinct_rows] == [space.rows.index(row) for row in first]
+
+
+GF3 = make_field(3)
+GOOD, BAD = ((0, 1), (2, 2)), ((2, 1), (1, 1))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([GOOD, BAD, GOOD, BAD, BAD], "row 1: positions must be strictly increasing"),
+    ([BAD, GOOD, BAD], "row 0: positions must be strictly increasing"),
+    ([GOOD, ((3, 0),), GOOD, ((3, 0),)], "row 1: zero coefficient stored"),
+    # equal to a valid row under ==, and still refused where it stands
+    ([GOOD, ((0.0, 1), (2, 2)), GOOD], "row 1 position must be a JSON integer, got 0.0"),
+    ([GOOD, ((0, True), (2, 2))], "row 1 coefficient must be a JSON integer, got True"),
+    ([((0, 1.0), (2, 2)), GOOD], "row 0 coefficient must be a JSON integer, got 1.0"),
+], ids=["bad-repeated", "bad-first", "zero-repeated", "float-after-int", "bool-after-int", "float-before-int"])
+def test_a_bad_row_is_named_by_its_first_index(rows, message):
+    with pytest.raises(PreconditionError, match=message):
+        SubspaceSpec(GF3, "V", 2, 1, tuple(rows))
+    doc = json.loads(SubspaceSpec(GF3, "V", 2, 1, ()).to_text())
+    doc["rows"] = [[list(pair) for pair in row] for row in rows]
+    with pytest.raises(PreconditionError, match=message):
+        SubspaceSpec.from_text(json.dumps(doc))
+
+
+def test_malformed_rows_give_the_same_parse_errors():
+    doc = json.loads(SubspaceSpec(GF3, "V", 2, 1, ()).to_text())
+    for rows, message in [
+        ([[[0, 1]], [[0, 1, 1]], [[0, 1, 1]]], "too many values to unpack"),
+        ([[[0, 1]], [5], [5]], "cannot unpack non-iterable int object"),
+        ([[[0, 1]], 5], "'int' object is not iterable"),
+    ]:
+        doc["rows"] = rows
+        with pytest.raises(ParseError, match=f"malformed subspace document: {message}"):
+            SubspaceSpec.from_text(json.dumps(doc))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spaces(), st.randoms(use_true_random=False))
+def test_membership_oracles_agree_on_sparse_and_dense_supports(space, rng):
+    f = space.field
+    for _ in range(4):
+        sparse = [0] * space.coord_count
+        for pos in rng.sample(range(space.coord_count), rng.randint(1, min(3, space.coord_count))):
+            sparse[pos] = rng.randrange(1, f.q)
+        dense = [rng.randrange(1, f.q) for _ in range(space.coord_count)]
+        for values in (sparse, dense):
+            assert check_membership(values, space).violated_row == space.membership_violation(values)
+            assert space.membership_violation(values) == first_violated_row(space, values)

@@ -173,10 +173,9 @@ def test_mutated_instances_end_in_a_clean_exit(workdir, ops):
             assert stdout == "" and stderr.startswith("error: ")
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: verify --assignment builds the honest vector over every "
-    "coordinate of the declared space; it needs the --budget option"))
 def test_verify_assignment_refuses_a_truthfully_declared_huge_instance(tmp_path):
+    """The honest vector has one value per declared coordinate, so verify
+    --assignment applies its budget before building it."""
     doc = dict(BASE, n=40, d=20, coord_count=basis_size(40, 40, "V"),
                matrix_side=basis_size(40, 20, "V"), rows=[])
     (tmp_path / "huge.json").write_text(json.dumps(doc))
@@ -191,5 +190,6 @@ def test_verify_assignment_refuses_a_truthfully_declared_huge_instance(tmp_path)
                               text=True, timeout=LIMIT_S, preexec_fn=cap, env=env, cwd=tmp_path)
     except subprocess.TimeoutExpired:
         pytest.fail(f"verify --assignment ran past {LIMIT_S} s")
-    assert done.returncode in (2, 3)
-    assert "Traceback" not in done.stderr
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (f"error: instance needs about {1 << 40} coordinates or "
+                           f"constraints, budget allows {1 << 20}\n")
