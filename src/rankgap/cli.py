@@ -192,7 +192,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _check_budget(args, min(len(values), space.coord_count))
     report = check_membership(values, space)
     zero = not any(values)
-    rank = space.expansion_rank(values, space.d) if report.ok else None
+    rank = None
+    if report.ok:
+        vector = space.vector(values)
+        side = len(vector.support_sets(space.d))
+        if args.vector is not None and side * side > args.budget:
+            raise BudgetExceededError(
+                f"ranking the member reads {side} x {side} matrix entries, "
+                f"budget allows {args.budget}"
+            )
+        rank = len(vector.independent_sets(space.d))
     doc.update({"ok": report.ok, "violated_row": report.violated_row, "rank": rank, "zero": zero})
     if not report.ok:
         summary = f"not a member: constraint {report.violated_row} violated"
@@ -371,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignment", help="comma separated bits; checks the honest vector")
     p.add_argument("--vector", help="file of comma separated coordinates to check")
     p.add_argument("--budget", type=int, default=1 << 20,
-                   help="refuse instances with more coordinates than this")
+                   help="refuse more coordinates, or --vector rank entries, than this")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_verify)
 

@@ -4,7 +4,8 @@ The pipeline follows the soundness proof of the direct construction as a
 sequence of executable steps, each of which re-verifies the fact the
 argument relies on:
 
-  1. level ranks: r_e = rank H_e(y) for e = 0..d, nondecreasing;
+  1. level ranks: r_e = rank H_e(y) for e = 0..d, nondecreasing, read
+     with their labels by PseudoMomentVector.independent_sets;
   2. flat level: the first e with r_e = r_{e+1} > 0, guaranteed to exist
      whenever H_d(y) is nonzero with rank at most d;
   3. multiplication operators: on the level-e column space, T_i maps the
@@ -25,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolalg import basis_make, indices_of
+from .boolalg import indices_of
 from .errors import InternalConsistencyError, PreconditionError
 from .frontends import QuadSystemSource
 from .gfarith import FieldSpec
-from .gflinalg import FFMatrix
+from .gflinalg import FFMatrix, independent_rows
 from .moment import build_moment_subspace
 from .subspace import PseudoMomentVector
 
@@ -67,18 +68,12 @@ def level_ranks(vector: PseudoMomentVector, d: int) -> LevelRankProfile:
             f"profile up to level {d} needs coordinates of degree {2 * d}, "
             f"have {vector.basis.degree}"
         )
-    ranks = []
-    labels = []
-    for e in range(d + 1):
-        h = vector.expand(e)
-        pivots = h.independent_columns()
-        ranks.append(len(pivots))
-        level_basis = basis_make(vector.n, e, vector.variant)
-        labels.append(tuple(level_basis.masks[p] for p in pivots))
+    labels = tuple(vector.independent_sets(e) for e in range(d + 1))
+    ranks = [len(sets) for sets in labels]
     for a, b in zip(ranks, ranks[1:]):
         if a > b:
             raise InternalConsistencyError(f"rank profile {ranks} decreases")
-    return LevelRankProfile(ranks=tuple(ranks), pivot_labels=tuple(labels))
+    return LevelRankProfile(ranks=tuple(ranks), pivot_labels=labels)
 
 
 def find_flat_level(profile: LevelRankProfile) -> int | None:
@@ -126,16 +121,12 @@ def multiplication_operators(
         raise PreconditionError("operators are defined for V-variant coordinates")
     if e < 0 or 2 * (e + 1) > vector.basis.degree:
         raise PreconditionError(f"level {e}+1 is beyond the stored coordinates")
-    h_e = vector.expand(e)
-    r_e = h_e.rank()
-    r_next = vector.expand(e + 1).rank()
-    if not (r_e == r_next > 0):
+    labels = vector.independent_sets(e)
+    r_next = len(vector.independent_sets(e + 1))
+    if not (len(labels) == r_next > 0):
         raise PreconditionError(
-            f"level {e} is not flat: ranks are {r_e} and {r_next}"
+            f"level {e} is not flat: ranks are {len(labels)} and {r_next}"
         )
-    level_basis = basis_make(vector.n, e, "V")
-    pivots = h_e.independent_columns()
-    labels = tuple(level_basis.masks[p] for p in pivots)
     # basis columns one level up; they stay independent there, so the
     # coefficients below are unique
     base_cols = [vector.truncated_column(b, e + 1) for b in labels]
@@ -243,8 +234,7 @@ def _independent_subset(
 ) -> list[tuple[int, ...]]:
     """Lexicographically first maximal independent subset, dropping zero
     vectors; empty when every vector is zero."""
-    matrix = FFMatrix.from_columns(field, vectors, nrows=len(vectors[0]) if vectors else 0)
-    return [vectors[j] for j in matrix.independent_columns()]
+    return [vectors[i] for i in independent_rows(field, vectors)]
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ matrix over GF(2^r) down to GF(2) without leaving a GF(2)-defined subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError, ParseError, PreconditionError
@@ -36,6 +37,7 @@ from .gfarith import (
 __all__ = [
     "FFMatrix",
     "RankOneDecomposition",
+    "independent_rows",
     "rank",
     "kernel_basis",
     "symmetric_rank_one_decomposition",
@@ -121,12 +123,12 @@ def packed_kernel_basis(rows: Sequence[int], ncols: int) -> list[int]:
     return basis
 
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _pack_row(entries: Sequence[int]) -> int:
-    m = 0
-    for j, v in enumerate(entries):
-        if v:
-            m |= 1 << j
-    return m
+    """GF(2) entries as an int, bit j = entry j."""
+    return int(b"0" + bytes(reversed(entries)).translate(_BIT_DIGITS), 2)
 
 
 def _unpack_row(mask: int, ncols: int) -> tuple[int, ...]:
@@ -230,6 +232,21 @@ def _dense_rows(rows: Iterable[Sequence[tuple[int, int]]], ncols: int) -> list[l
     return dense
 
 
+def independent_rows(field: FieldSpec, rows: Iterable[Sequence[int]]) -> list[int]:
+    """Indices of the lexicographically first maximal independent set of
+    rows: each row is inserted against the ones kept so far, bit-packed over
+    GF(2) and through FieldSpec.tables() otherwise, and kept when it raises
+    the rank.  For a symmetric matrix these are also the pivot columns of
+    its reduced echelon form."""
+    if field.q == 2:
+        rank, rows = packed_rank, map(_pack_row, rows)
+    else:
+        rank = partial(table_rank, field.tables())
+    pivots: dict = {}
+    # len(pivots) is read before the row goes in, and rank returns it after
+    return [i for i, row in enumerate(rows) if len(pivots) < rank((row,), pivots=pivots)]
+
+
 def sparse_kernel_basis(
     field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]], ncols: int
 ) -> list[tuple[int, ...]]:
@@ -289,11 +306,8 @@ class FFMatrix:
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
-    def from_columns(cls, field: FieldSpec, cols: Sequence[Sequence[int]], nrows: int | None = None) -> "FFMatrix":
-        if not cols:
-            return cls(field, [[] for _ in range(nrows or 0)], 0)
-        nrows = len(cols[0])
-        return cls(field, [[col[i] for col in cols] for i in range(nrows)])
+    def from_columns(cls, field: FieldSpec, cols: Sequence[Sequence[int]]) -> "FFMatrix":
+        return cls(field, zip(*cols), len(cols))
 
     # -- access --
 
@@ -492,11 +506,6 @@ class FFMatrix:
             out.append(tuple(x))
         return out
 
-    def independent_columns(self) -> tuple[int, ...]:
-        """Indices of the lexicographically first maximal independent column
-        set, i.e. the pivot columns of the reduced echelon form."""
-        return self.rref()[1]
-
     # -- text form --
 
     def to_text(self, packed: bool = False) -> str:
@@ -693,7 +702,7 @@ def rank_descent(matrix: FFMatrix, constraints) -> FFMatrix:
     The map applies, entry by entry, the coordinate functional keyed to the
     first nonzero entry in row-major order; that entry maps to 1, so the
     output cannot vanish.  constraints is either an object exposing
-    matrix_violation(A) and its sparse rows (a subspace description) or a
+    matrix_violation(A) and its distinct_rows (a subspace description) or a
     list of dense homogeneous 0/1 rows, one entry per matrix entry in
     row-major order.  A subspace row with a coefficient other than 1 is
     refused once the input is checked: the descended matrix is only sure
@@ -716,7 +725,7 @@ def rank_descent(matrix: FFMatrix, constraints) -> FFMatrix:
     if bad is not None:
         raise PreconditionError(f"input violates constraint {bad}")
     if hasattr(constraints, "matrix_violation"):
-        for k, row in enumerate(constraints.rows):
+        for k, row in constraints.distinct_rows:
             if any(coeff != 1 for _, coeff in row):
                 raise PreconditionError(
                     f"rank descent needs a GF(2)-defined subspace; constraint "

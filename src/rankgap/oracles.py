@@ -2,10 +2,11 @@
 
 Membership is rechecked from a dense copy of each distinct constraint row
 dotted with the vector over its support, minrank decides every kernel
-member within an explicit budget, and point isolation / sum-of-points
-representations come from solving their defining linear systems directly.
-The pipeline is validated against these routines, never the other way
-around.  Every rank and echelon form comes from gflinalg.
+member within an explicit budget, point isolation solves its defining
+linear system, and a sum of points is the GF(2) superset Möbius transform
+of the assignment, checked against the equations it must meet.  The
+pipeline is validated against these routines, never the other way around.
+Every rank and echelon form comes from gflinalg.
 
 Minrank goes level by level.  A low level is decided by a candidate pass:
 a member has rank at most r exactly when some space of dimension N - r
@@ -15,7 +16,7 @@ level with more candidates than members goes to a scan that counts up
 through the kernel coefficients, which visits the members in increasing
 order, and stops at the first member of the lowest rank the pass did not
 rule out.  The winning witness is re-ranked from its coordinates
-(SubspaceSpec.expansion_rank) before it is reported.
+(PseudoMomentVector.independent_sets) before it is reported.
 
 Budgets are hard limits: when an enumeration would exceed one, the answer
 is a refusal (BudgetExceededError), not a subsample.  check_kernel_budget
@@ -42,7 +43,7 @@ from .gflinalg import (
     sparse_rank,
     table_rank,
 )
-from .subspace import SubspaceSpec
+from .subspace import SubspaceSpec, expansion_positions
 from .superposition import MonomialQuadSystem
 
 __all__ = [
@@ -439,7 +440,7 @@ def minrank_bruteforce(
     # the way their coordinates do, the first coefficient deciding first;
     # the systems eliminate from column 0, so they take the rows reversed
     kernel = FFMatrix(field, kernel, ncoords).rref()[0].rows[::-1]
-    positions = _expansion_positions(space, level)
+    positions = expansion_positions(space.coords, basis_make(space.n, level, space.variant).masks)
     side = len(positions)
     system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel, positions)
     best_rank, least = 0, None
@@ -456,20 +457,12 @@ def minrank_bruteforce(
     if least is None:
         best_rank, least = system.scan(best_rank)
     witness = system.member(least)
-    checked = space.expansion_rank(witness, level)
+    checked = len(space.vector(witness).independent_sets(level))
     if checked != best_rank:
         raise InternalConsistencyError(
             f"the search ranked its witness {best_rank}, its expansion has rank {checked}"
         )
     return MinrankReport("ok", digest, m, total - 1, minrank=best_rank, witness=witness)
-
-
-def _expansion_positions(space: SubspaceSpec, level: int) -> list[list[int]]:
-    """positions[i][j] is the coordinate at cell (i, j) of the level
-    expansion."""
-    masks = basis_make(space.n, level, space.variant).masks
-    rank_of = space.coords.rank
-    return [[rank_of(s | t) for t in masks] for s in masks]
 
 
 # -- superposition ------------------------------------------------------------
@@ -702,31 +695,32 @@ def sum_of_points(sigma: MonomialAssignment, budget: int = 1 << 20) -> PointSet:
     """A point set whose evaluation sums reproduce the assignment on every
     monomial of degree <= d (and 1 on the empty monomial).
 
-    Solves for an indicator vector over all 2^{n+1} points; any valid set
-    is acceptable, no minimality is attempted.  The result always has odd
-    size: the empty-monomial row forces it.
+    Point b is in the set when the sum of sigma over the monomials S ⊇ b
+    is 1, sigma taken as 0 above degree d: the GF(2) superset Möbius
+    transform, whose inverse is itself, so the sum over the points b ⊇ S
+    gives back sigma(S).  Points with more than d ones are never in it.
+    The result always has odd size: the empty monomial forces it.
     """
     n = sigma.n
     npoints = 1 << (n + 1)
     if npoints > budget:
         raise BudgetExceededError(
-            f"solving over GF(2)^{n + 1} needs {npoints} indicator columns, "
+            f"the transform over GF(2)^{n + 1} needs {npoints} indicator columns, "
             f"budget allows {budget}"
         )
-    all_points = list(product((0, 1), repeat=n + 1))
+    indicator = [0] * npoints
+    indicator[0] = 1
+    for mask, value in zip(sigma.basis.masks, sigma.values):
+        indicator[mask] = value
+    for i in range(n + 1):
+        bit = 1 << i
+        for b in range(npoints):
+            if not b & bit:
+                indicator[b] ^= indicator[b | bit]
+    beta = PointSet(
+        n, tuple(tuple(b >> i & 1 for i in range(n + 1)) for b, v in enumerate(indicator) if v)
+    )
     masks = [0] + list(sigma.basis.masks)
-    rows = []
-    targets = []
-    for mask in masks:
-        rows.append([1 if mask & ~_point_ones(b) == 0 else 0 for b in all_points])
-        targets.append(sigma.value(mask))
-    indicator = FFMatrix(_GF2, rows, ncols=npoints).solve(targets)
-    if indicator is None:
-        raise InternalConsistencyError(
-            "no point set reproduces the assignment; the representation "
-            "guarantee says one always exists"
-        )
-    beta = PointSet(n, tuple(b for b, v in zip(all_points, indicator) if v))
     for mask in masks:
         acc = 0
         for b in beta:

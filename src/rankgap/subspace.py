@@ -17,14 +17,14 @@ matrix-side index (degree d), are functions of the shape, built on first
 use; sizes come from boolalg.basis_size, so loading, validating and
 writing an instance builds neither.  Its kernel comes from the sparse
 rows through gflinalg, over every field, without a dense matrix;
-dense_rows() is only a reference form, and expansion_rank ranks H(y)
-without building it.  Every row is kept, since row indices name violated
-constraints, but the CNF reduction repeats most of them: loading and
-localizing_rows share one tuple among equal rows, and each distinct row is
-checked, evaluated, eliminated and rendered (as json.dumps would) once.
-PseudoMomentVector is one coordinate vector with expansion and
-truncated-column access; honest_moment_vector builds the rank-one point
-y_R = prod_{i in R} a_i from a Boolean assignment.
+dense_rows() is only a reference form.  Every row is kept, since row
+indices name violated constraints, but the CNF reduction repeats most of
+them: loading and localizing_rows share one tuple among equal rows, and
+each distinct row is checked, evaluated, eliminated and rendered once.
+expansion_positions lays out H(y) cell by cell, and every rank of an H(y)
+is the number of labels PseudoMomentVector.independent_sets returns, read
+from only the sets inside the union of y's support.  honest_moment_vector
+builds the rank-one point y_R = prod_{i in R} a_i from a Boolean assignment.
 """
 
 from __future__ import annotations
@@ -33,32 +33,26 @@ import json
 import marshal
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
-from itertools import compress
 
 from .boolalg import MonomialBasis, basis_make, basis_size, format_monomial, indices_of
 from .errors import ParseError, PreconditionError
 from .gfarith import FieldSpec, format_field, parse_field_descriptor
-from .gflinalg import FFMatrix, _dense_rows, packed_rank, sparse_kernel_basis, table_rank
+from .gflinalg import FFMatrix, _dense_rows, independent_rows, sparse_kernel_basis
 
 __all__ = [
     "PseudoMomentVector",
     "SubspaceSpec",
+    "expansion_positions",
     "honest_moment_vector",
     "localizing_rows",
 ]
 
 
-def _expand_on(
-    field: FieldSpec,
-    coords: MonomialBasis,
-    values: tuple[int, ...],
-    index: MonomialBasis,
-) -> FFMatrix:
+def expansion_positions(coords: MonomialBasis, masks) -> list[list[int]]:
+    """The layout of H(y) on the index sets masks: positions[i][j] is the
+    coordinate of masks[i] ∪ masks[j], whose value is entry (i, j)."""
     rank = coords.rank
-    rows = [
-        [values[rank(s | t)] for t in index.masks] for s in index.masks
-    ]
-    return FFMatrix(field, rows, len(index))
+    return [[rank(s | t) for t in masks] for s in masks]
 
 
 def _json_int(value, what: str) -> int:
@@ -184,17 +178,37 @@ class PseudoMomentVector:
             m for m, v in zip(self.basis.masks, self.values) if v
         )
 
-    def expand(self, level: int) -> FFMatrix:
-        """H_level(y): the symmetric matrix indexed by the level-truncated
-        family, entry (S, T) = y_{S ∪ T}."""
+    def _family(self, level: int) -> MonomialBasis:
+        """The level-truncated family that indexes H_level(y)."""
         if level < 0 or 2 * level > self.basis.degree:
             raise PreconditionError(
                 f"level {level} needs coordinates up to degree {2 * level}, "
                 f"have {self.basis.degree}"
             )
-        return _expand_on(
-            self.field, self.basis, self.values, self.basis.prefix(level)
-        )
+        return self.basis.prefix(level)
+
+    def _rows_on(self, masks):
+        return ([self.values[c] for c in prow] for prow in expansion_positions(self.basis, masks))
+
+    def expand(self, level: int) -> FFMatrix:
+        """H_level(y): the symmetric matrix indexed by the level-truncated
+        family, entry (S, T) = y_{S ∪ T}."""
+        family = self._family(level)
+        return FFMatrix(self.field, self._rows_on(family.masks), len(family))
+
+    def support_sets(self, level: int) -> tuple[int, ...]:
+        """The sets of the level family inside the union of y's support, in
+        order.  Entry (S, T) of H_level(y) is zero unless S ∪ T lies inside
+        that union, so every other row and column of it is zero."""
+        inside = reduce(int.__or__, self.support(), 0)
+        return tuple(s for s in self._family(level).masks if not s & ~inside)
+
+    def independent_sets(self, level: int) -> tuple[int, ...]:
+        """The sets labelling the lexicographically first maximal independent
+        rows of H_level(y), which is symmetric, so its columns too; their
+        number is rank H_level(y).  Only the support sets are expanded."""
+        masks = self.support_sets(level)
+        return tuple(masks[i] for i in independent_rows(self.field, self._rows_on(masks)))
 
     def truncated_column(self, mask: int, level: int) -> tuple[int, ...]:
         """c_level(A) = (y_{R ∪ A}) over all R in the level-truncated family."""
@@ -299,25 +313,7 @@ class SubspaceSpec:
 
     def expand(self, values, level: int | None = None) -> FFMatrix:
         """H_level(y) on the index family (level defaults to d)."""
-        vals = self._validated(values)
-        idx = basis_make(self.n, self.d if level is None else level, self.variant)
-        return _expand_on(self.field, self.coords, vals, idx)
-
-    def expansion_rank(self, values, level: int) -> int:
-        """expand(values, level).rank() without an FFMatrix.  Entry (S, T) is
-        zero unless S ∪ T lies inside the union of y's support, so only sets
-        inside it index the rows, bit-packed over GF(2), and the columns."""
-        vals = self._validated(values)
-        if not 0 <= level <= self.d:
-            raise PreconditionError(f"expansion level {level} is outside 0..{self.d}")
-        value = dict(zip(self.coords.masks, vals)).__getitem__
-        inside = reduce(int.__or__, compress(self.coords.masks, vals), 0)
-        masks = [s for s in basis_make(self.n, level, self.variant).masks if not s & ~inside]
-        rows = (map(value, map(s.__or__, masks)) for s in masks)
-        if self.field.q == 2:
-            bits = [1 << j for j in range(len(masks))]
-            return packed_rank(sum(compress(bits, row)) for row in rows)
-        return table_rank(self.field.tables(), map(list, rows))
+        return self.vector(values).expand(self.d if level is None else level)
 
     def extract_vector(self, matrix: FFMatrix) -> tuple[int, ...]:
         """Read coordinates back off a matrix indexed by the d-level family,
@@ -351,12 +347,12 @@ class SubspaceSpec:
                 f"constraints over {format_field(self.field)}"
             )
         values = self.extract_vector(matrix)
-        rank, masks = self.coords.rank, self.index.masks
-        for i, s in enumerate(masks):
-            for j, t in enumerate(masks):
-                if matrix.entry(i, j) != values[rank(s | t)]:
+        positions = expansion_positions(self.coords, self.index.masks)
+        for i, (row, prow) in enumerate(zip(matrix.rows, positions)):
+            for j, (entry, c) in enumerate(zip(row, prow)):
+                if entry != values[c]:
                     return f"equal-union tie at ({i},{j})"
-        for k, row in enumerate(self.rows):
+        for k, row in self.distinct_rows:
             if _row_value(mf, row, values):
                 return f"row {k}"
         return None

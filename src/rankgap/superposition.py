@@ -354,7 +354,7 @@ def low_rank_to_superposition(
     return SuperpositionWitness(
         vectors=vectors,
         aggregate=tuple(aggregate),
-        matrix_rank=matrix.rank(),
+        matrix_rank=len(subspace.vector(values).independent_sets(subspace.d)),
     )
 
 

@@ -1,10 +1,12 @@
-"""SubspaceSpec.expansion_rank against the rank of the expanded matrix.
+"""PseudoMomentVector.independent_sets against the expanded matrix.
 
-expansion_rank reads rank H_level(y) straight off the coordinates, keeping
-only the rows and columns inside the union of y's support; expand() builds
-the whole FFMatrix.  Both must give the same rank for every field kind,
-both variants, every level and vectors of every kind: zero, honest
-(rank one), random, sparse random and honest with one coordinate moved.
+independent_sets reads the labels of the first independent rows of
+H_level(y) straight off the coordinates, expanding only the sets inside the
+union of y's support; expand() builds the whole FFMatrix.  The labels must
+be the pivot columns of its reduced echelon form, and their number its
+rank, for every field kind, both variants, every level and vectors of every
+kind: zero, honest (rank one), random, sparse random and honest with one
+coordinate moved.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rankgap.gflinalg
+from rankgap.boolalg import basis_make
 from rankgap.cli import main
 from rankgap.errors import PreconditionError
 from rankgap.gfarith import make_field
@@ -50,18 +53,25 @@ def spaces_and_vectors(draw):
 def test_expansion_rank_is_the_rank_of_the_expansion(case):
     space, vectors = case
     for values in vectors:
+        vector = space.vector(values)
         for level in range(space.d + 1):
-            assert space.expansion_rank(values, level) == space.expand(values, level).rank()
+            matrix = vector.expand(level)
+            masks = basis_make(space.n, level, space.variant).masks
+            labels = vector.independent_sets(level)
+            assert labels == tuple(masks[p] for p in matrix.rref()[1])
+            assert len(labels) == matrix.rank()
 
 
 def test_expansion_rank_checks_its_arguments():
     space = SubspaceSpec(make_field(3), "V", 2, 1, ())
-    with pytest.raises(PreconditionError, match="outside 0..1"):
-        space.expansion_rank([0] * space.coord_count, 2)
+    with pytest.raises(PreconditionError, match="level 2 needs coordinates up to degree 4"):
+        space.vector([0] * space.coord_count).independent_sets(2)
+    with pytest.raises(PreconditionError, match="level -1"):
+        space.vector([0] * space.coord_count).independent_sets(-1)
     with pytest.raises(PreconditionError, match="3 coordinates for a basis of size 4"):
-        space.expansion_rank([0, 0, 0], 1)
+        space.vector([0, 0, 0])
     with pytest.raises(PreconditionError):
-        space.expansion_rank([0, 0, 0, 3], 1)
+        space.vector([0, 0, 0, 3])
 
 
 def test_verify_builds_no_dense_matrix(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from rankgap.errors import InternalConsistencyError, ParseError, PreconditionErr
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import (
     FFMatrix,
+    independent_rows,
     kernel_basis,
     packed_kernel_basis,
     packed_rank,
@@ -94,9 +95,13 @@ def test_rref_pivots():
     red, pivots = m.rref()
     assert pivots == (0, 2)
     assert red.rows == ((1, 1, 0), (0, 0, 1))
-    # duplicate column is skipped by the pivot scan
+    # duplicate column is skipped by the pivot scan, and by independent_rows
+    # over the columns
     dup = FFMatrix(GF5, [[2, 2, 1], [1, 1, 0]])
-    assert dup.independent_columns() == (0, 2)
+    assert dup.rref()[1] == (0, 2)
+    assert independent_rows(GF5, dup.transpose().rows) == [0, 2]
+    assert independent_rows(GF2, m.transpose().rows) == [0, 2]
+    assert independent_rows(GF2, []) == independent_rows(GF5, [(0, 0)]) == []
 
 
 def test_solve_round_trip():

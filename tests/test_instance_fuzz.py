@@ -193,3 +193,28 @@ def test_verify_assignment_refuses_a_truthfully_declared_huge_instance(tmp_path)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == (f"error: instance needs about {1 << 40} coordinates or "
                            f"constraints, budget allows {1 << 20}\n")
+
+
+def test_verify_vector_refuses_a_member_whose_rank_is_past_the_budget(tmp_path):
+    """616,666 coordinates fit the default budget, but ranking the all-ones
+    member would read 21,700 x 21,700 entries of its matrix; verify --vector
+    refuses before it ranks, within seconds (parsing and checking the
+    vector takes about two on one core)."""
+    doc = {key: BASE[key] for key in ("format", "field", "variant")}
+    doc.update(n=20, d=5, rows=[])
+    (tmp_path / "wide.json").write_text(json.dumps(doc))
+    (tmp_path / "ones.vec").write_text(",".join(["1"] * basis_size(20, 10, "V")))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(rankgap.__file__).resolve().parent.parent))
+    argv = ["verify", "--input", "wide.json", "--vector", "ones.vec"]
+    try:
+        done = subprocess.run([sys.executable, "-m", "rankgap", *argv], capture_output=True,
+                              text=True, timeout=15, preexec_fn=cap, env=env, cwd=tmp_path)
+    except subprocess.TimeoutExpired:
+        pytest.fail("verify --vector ran past 15 s")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (f"error: ranking the member reads 21700 x 21700 matrix entries, "
+                           f"budget allows {1 << 20}\n")

@@ -16,7 +16,6 @@ from rankgap.moment import build_moment_subspace
 from rankgap.oracles import (
     MonomialAssignment,
     PointSet,
-    _expansion_positions,
     _PackedSystem,
     _TableSystem,
     check_membership,
@@ -26,7 +25,7 @@ from rankgap.oracles import (
     sum_of_points,
     superposition_check,
 )
-from rankgap.subspace import honest_moment_vector
+from rankgap.subspace import expansion_positions, honest_moment_vector
 from rankgap.superposition import build_monomial_quad_system
 
 GF2 = make_field(2)
@@ -253,7 +252,7 @@ def test_scan_ranks_members_in_increasing_order(q, monkeypatch):
     space = build_moment_subspace(parse_quadeq(SCAN_SPACES[q]), 1)
     field = space.field
     kernel = FFMatrix(field, space.kernel_basis(), space.coord_count).rref()[0].rows[::-1]
-    positions = _expansion_positions(space, space.d)
+    positions = expansion_positions(space.coords, space.index.masks)
     system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel, positions)
     real_rank = oracles.packed_rank if q == 2 else oracles.table_rank
     ranked = []
@@ -543,6 +542,30 @@ def test_sum_of_points_random_sweep():
             for b in beta:
                 got ^= f.evaluate(b)
             assert got == want
+
+
+def solved_sum_of_points(sigma: MonomialAssignment) -> PointSet:
+    """The reference: solve for an indicator over all 2^{n+1} points, one
+    equation per monomial of degree <= d and one for the empty monomial,
+    free variables set to zero."""
+    all_points = list(product((0, 1), repeat=sigma.n + 1))
+    masks = [0] + list(sigma.basis.masks)
+    rows = [
+        [1 if mask & ~mask_of(i for i, v in enumerate(b) if v) == 0 else 0 for b in all_points]
+        for mask in masks
+    ]
+    indicator = FFMatrix(GF2, rows, ncols=len(all_points)).solve([sigma.value(m) for m in masks])
+    return PointSet(sigma.n, tuple(b for b, v in zip(all_points, indicator) if v))
+
+
+def test_sum_of_points_is_the_solved_point_set():
+    rng = random.Random(57)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        d = rng.randint(1, n + 1)
+        size = len(basis_make(n, d, "U"))
+        sigma = MonomialAssignment(n, d, tuple(rng.randint(0, 1) for _ in range(size)))
+        assert sum_of_points(sigma) == solved_sum_of_points(sigma)
 
 
 def test_monomial_assignment_validation():
