@@ -254,7 +254,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if len(values) != want:
         raise PreconditionError(f"vector has {len(values)} coordinates, degree {d} needs {want}")
     basis = basis_make(src.n, 2 * d, "V")
-    vector = PseudoMomentVector(src.field, basis, tuple(src.field.validate(v) for v in values))
+    vector = PseudoMomentVector(src.field, basis, tuple(values))
     report = decode_assignment(vector, src, d)
     doc = report.to_json()
     doc["provenance"] = {

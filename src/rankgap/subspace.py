@@ -10,6 +10,9 @@ H[S][T] = y_{S ∪ T}.  The ties then hold identically and membership in
 the subspace is a homogeneous linear condition on y alone.  Both
 reductions write those conditions with localizing_rows: one row per
 source polynomial f and shift x^W, the terms of f * x^W read as y's.
+Each distinct row is built once, per (product of f with the part of W on
+f's variables S, part of W outside S) pair, so f is multiplied at most
+2^|S| times however many shifts it has.
 
 SubspaceSpec is a shape (variant, n, d) and sparse constraint rows over
 the coordinates.  Its two bases, the coordinates (degree 2d) and the
@@ -109,14 +112,34 @@ def _row_text(row) -> str:
 def localizing_rows(coords: MonomialBasis, sources) -> tuple:
     """One row per (polynomial f, shift masks) source and shift w: the terms
     of f * x^w ranked into coords, sorted by position.  Terms that cancel
-    are dropped, so a row may be empty.  Equal rows are one shared tuple."""
-    rank, shared = coords.rank, {}
-    rows = (
-        tuple(sorted(zip(map(rank, p.coeffs), p.coeffs.values())))
-        for f, shifts in sources
-        for p in map(f.shift, shifts)
-    )
-    return tuple(shared.setdefault(row, row) for row in rows)
+    are dropped, so a row may be empty.  Equal rows are one shared tuple.
+
+    Each distinct row is built once.  With S the union of f's monomials,
+    f * x^w = (f * x^inner) * x^outer for inner = w & S and outer = w & ~S,
+    and the outer part only ORs onto each term: no two terms meet, none
+    cancels, and the terms keep their order.  So f is multiplied once per
+    distinct inner, at most 2^|S| times; equal products share one term
+    tuple, and a row is ranked and sorted only the first time its (product,
+    outer) pair appears."""
+    rank, shared, products, built = coords.rank, {}, {}, {}
+    out = []
+    for f, shifts in sources:
+        own = reduce(int.__or__, f.coeffs, 0)
+        inner_terms: dict[int, tuple] = {}
+        for w in shifts:
+            inner = w & own
+            terms = inner_terms.get(inner)
+            if terms is None:
+                terms = tuple(f.shift(inner).coeffs.items())
+                terms = inner_terms[inner] = products.setdefault(terms, terms)
+            outer = w ^ inner
+            key = (id(terms), outer)
+            row = built.get(key)
+            if row is None:
+                row = tuple(sorted([(rank(m | outer), c) for m, c in terms]))
+                row = built[key] = shared.setdefault(row, row)
+            out.append(row)
+    return tuple(out)
 
 
 def _shared_rows(raw):
@@ -299,7 +322,9 @@ class SubspaceSpec:
         return self.membership_violation(values) is None
 
     def _validated(self, values) -> tuple[int, ...]:
-        vals = tuple(self.field.validate(v) for v in values)
+        return self._sized(tuple(self.field.validate(v) for v in values))
+
+    def _sized(self, vals: tuple) -> tuple:
         if len(vals) != self.coord_count:
             raise PreconditionError(
                 f"{len(vals)} coordinates for a basis of size {self.coord_count}"
@@ -309,7 +334,9 @@ class SubspaceSpec:
     # -- vectors and matrices --
 
     def vector(self, values) -> PseudoMomentVector:
-        return PseudoMomentVector(self.field, self.coords, self._validated(values))
+        """The vector of these coordinates; its constructor validates each
+        one, after the length is checked here."""
+        return PseudoMomentVector(self.field, self.coords, self._sized(tuple(values)))
 
     def expand(self, values, level: int | None = None) -> FFMatrix:
         """H_level(y) on the index family (level defaults to d)."""

@@ -5,7 +5,9 @@ import json
 import math
 import random
 import tracemalloc
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 
@@ -294,7 +296,9 @@ def test_rows_are_the_linearized_equations():
 def test_reduce_builds_no_per_equation_objects(tmp_path, monkeypatch):
     """The CLI reduce path writes one row per shift without a QuadEquation
     and without keeping the shifted polynomials: each is dropped once the
-    next is made, so no more than two are ever alive."""
+    next is made, so no more than two are ever alive.  A source is shifted
+    only on its own variables, at most 2^|vars(f)| times, however many
+    shifts it has."""
     alive, peak, made = [0], [0], []
 
     class Counted(SquarefreePoly):
@@ -317,13 +321,16 @@ def test_reduce_builds_no_per_equation_objects(tmp_path, monkeypatch):
 
     monkeypatch.setattr(SquarefreePoly, "shift", shift)
     monkeypatch.setattr(QuadEquation, "__init__", refuse)
-    (tmp_path / "f.cnf").write_text("p cnf 4 6\n1 -2 3 0\n-1 2 4 0\n2 3 -4 0\n"
-                                    "-3 -4 1 0\n1 2 3 0\n-2 -3 -4 0\n")
+    text = "p cnf 4 6\n1 -2 3 0\n-1 2 4 0\n2 3 -4 0\n-3 -4 1 0\n1 2 3 0\n-2 -3 -4 0\n"
+    (tmp_path / "f.cnf").write_text(text)
     out = tmp_path / "f.json"
     assert main(["reduce", "--mode", "superposition", "--input", str(tmp_path / "f.cnf"),
                  "--output", str(out)]) == 0
     rows = len(json.loads(out.read_text())["rows"])
-    assert rows == expected_equation_count(4, 6, 8) == len(made)
+    assert rows == expected_equation_count(4, 6, 8)
+    sources = build_constant_free_system(parse_dimacs(text), 8).sources
+    own_shifts = sum(2 ** reduce(or_, f.coeffs).bit_count() for f, _ in sources)
+    assert len(made) <= own_shifts < rows
     assert peak[0] <= 2
 
 
