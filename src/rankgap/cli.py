@@ -18,6 +18,7 @@ budget, 4 internal consistency violation (always a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -426,10 +427,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first main call and kept: parse_args
+    leaves a parser as it found it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

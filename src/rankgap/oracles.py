@@ -65,7 +65,8 @@ _GF2 = make_field(2)
 
 def subspace_digest(space: SubspaceSpec) -> str:
     """sha256 of the canonical text serialization; names a subspace in
-    oracle reports."""
+    oracle reports.  to_text writes a space once, and a space loaded from
+    that text keeps it, so hashing writes nothing again."""
     return hashlib.sha256(space.to_text().encode("utf-8")).hexdigest()
 
 

@@ -24,6 +24,12 @@ dense_rows() is only a reference form.  Every row is kept, since row
 indices name violated constraints, but the CNF reduction repeats most of
 them: loading and localizing_rows share one tuple among equal rows, and
 each distinct row is checked, evaluated, eliminated and rendered once.
+from_text reads a text laid out as to_text writes it, with rows that
+mostly repeat, by parsing each distinct row text once (_canonical_parts).
+It accepts the text only when writing back what it parsed gives the text
+byte for byte, so it holds what json.loads would have read; every other
+text goes through json.loads and from_json.  A space keeps the text it
+was read from, or first written as, so to_text writes it at most once.
 expansion_positions lays out H(y) cell by cell, and every rank of an H(y)
 is the number of labels PseudoMomentVector.independent_sets returns, read
 from only the sets inside the union of y's support.  honest_moment_vector
@@ -36,6 +42,8 @@ import json
 import marshal
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
+from itertools import accumulate, chain
+from operator import itemgetter
 
 from .boolalg import MonomialBasis, basis_make, basis_size, format_monomial, indices_of
 from .errors import ParseError, PreconditionError
@@ -84,6 +92,7 @@ def _split_union(mask: int) -> tuple[int, int]:
 
 
 def _check_rows(field: FieldSpec, indexed_rows, ncoords: int) -> None:
+    q = field.q
     for k, row in indexed_rows:
         prev = -1
         for pos, coeff in row:
@@ -94,9 +103,28 @@ def _check_rows(field: FieldSpec, indexed_rows, ncoords: int) -> None:
                 raise PreconditionError(
                     f"row {k}: positions must be strictly increasing and in range"
                 )
-            if field.validate(coeff) == 0:
+            # an int is a nonzero element when 0 < coeff < q; validate words
+            # the refusal of any other
+            if not 0 < coeff < q and field.validate(coeff) == 0:
                 raise PreconditionError(f"row {k}: zero coefficient stored")
             prev = pos
+
+
+# to_text's layout of the "rows" array; a JSON string cannot hold a raw
+# newline, so none of these can fall inside one
+_ROWS_OPEN = '\n  "rows": [\n    '
+_ROWS_CLOSE = '\n  ],\n  "variant": '
+_ROW_SEP = ",\n    ["  # between rows: inside one, ",\n" is followed by 6 or 8 spaces
+_PAIR = "      [\n        %d,\n        %d\n      ]"
+# distinct rows parsed per json.loads: one text of all 920 distinct rows of
+# an n = 7 CNF instance raised the benchmark's peak RSS from 31.4 to 34-35 MB
+_PARSE_ROWS = 256
+
+
+def _row_layout(size: int) -> str:
+    """The %-template of a row of size pairs as json.dumps(indent=2) writes
+    it inside "rows", the text _row_text writes."""
+    return "[\n" + ",\n".join([_PAIR] * size) + "\n    ]" if size else "[]"
 
 
 def _row_text(row) -> str:
@@ -107,6 +135,62 @@ def _row_text(row) -> str:
         f"      [\n        {pos},\n        {coeff}\n      ]" for pos, coeff in row
     )
     return f"[\n{pairs}\n    ]"
+
+
+def _read_rows(texts) -> list:
+    """Row texts, each without its leading "[", parsed into tuples of
+    pairs; ValueError unless _row_layout writes the rows back byte for
+    byte, which its %d never does for 1.0, true or a string."""
+    joined = "[" + _ROW_SEP.join(texts)
+    parsed = json.loads(f"[{joined}]")
+    sizes = list(map(len, parsed))
+    values = tuple(chain.from_iterable(chain.from_iterable(parsed)))
+    layouts = {size: _row_layout(size) for size in set(sizes)}
+    # rows start with "[" and hold no _ROW_SEP, so equal joins mean equal rows
+    if ",\n    ".join(map(layouts.__getitem__, sizes)) % values != joined:
+        raise ValueError("rows not laid out as to_text writes them")
+    pairs = iter(values)
+    pairs = tuple(zip(pairs, pairs))
+    bounds = list(accumulate(sizes, initial=0))
+    return list(map(pairs.__getitem__, map(slice, bounds, bounds[1:])))
+
+
+def _canonical_parts(text: str):
+    """(head, rows, distinct_rows) of a document laid out exactly as to_text
+    writes one, else None.  Equal row texts share one tuple, and each
+    distinct one is parsed once; for such texts, equal text means equal
+    marshal bytes, as in _shared_rows.  A text is accepted only when
+    writing back what was parsed gives it byte for byte: the head through
+    json.dumps, the distinct rows through _row_layout.  The text is then
+    json.dumps of the parsed document, so json.loads would have returned
+    that same document.  Texts where fewer than half the rows repeat are
+    left to json.loads, which reads them faster than this parses and
+    writes them back."""
+    start, end = text.find(_ROWS_OPEN), text.rfind(_ROWS_CLOSE)
+    body = start + len(_ROWS_OPEN)
+    if start < 0 or end < body or text[body] != "[" or text[-1:] != "\n":
+        return None
+    pieces = text[body + 1 : end].split(_ROW_SEP)  # each row text but its "["
+    if 2 * len(set(pieces)) > len(pieces):
+        return None
+    first = dict(zip(reversed(pieces), range(len(pieces) - 1, -1, -1)))
+    texts, starts = zip(*sorted(first.items(), key=itemgetter(1)))
+    head_text = text[:start] + text[end + 5 : -1]  # less "\n  ]," and the last newline
+    try:
+        head = json.loads(head_text)
+        if (
+            type(head) is not dict
+            or "rows" in head
+            or json.dumps(head, indent=2, sort_keys=True) != head_text
+        ):
+            return None
+        distinct = []
+        for at in range(0, len(texts), _PARSE_ROWS):
+            distinct += _read_rows(texts[at : at + _PARSE_ROWS])
+    except (ValueError, TypeError, OverflowError, RecursionError):
+        return None
+    rows = tuple(map(dict(zip(texts, distinct)).__getitem__, pieces))
+    return head, rows, tuple(zip(starts, distinct))
 
 
 def localizing_rows(coords: MonomialBasis, sources) -> tuple:
@@ -149,7 +233,7 @@ def _shared_rows(raw):
     for row in raw:
         key = marshal.dumps(row, 2)
         if key not in shared:
-            shared[key] = tuple((pos, coeff) for pos, coeff in row)
+            shared[key] = tuple([(pos, coeff) for pos, coeff in row])
         yield shared[key]
 
 
@@ -279,7 +363,8 @@ class SubspaceSpec:
     @cached_property
     def distinct_rows(self) -> tuple:
         """(index of first appearance, row) for each distinct row object, in
-        order.  Identity, not ==, tells rows apart, since 1.0 and True equal 1."""
+        order.  Identity, not ==, tells rows apart, since 1.0 and True equal 1.
+        from_text fills this in as it reads a canonical text."""
         first: dict[int, tuple] = {}
         for k, row in enumerate(self.rows):
             if id(row) not in first:
@@ -423,9 +508,16 @@ class SubspaceSpec:
 
     def to_text(self) -> str:
         """json.dumps(self.to_json(), indent=2, sort_keys=True) and a
-        newline, byte for byte.  The encoder writes the head; the rows are
-        laid out here, each distinct row rendered once, and go in front of
-        "variant", the one key that sorts after "rows"."""
+        newline, byte for byte, written once per space: a text from_text
+        found to be exactly this is kept as read.  The provenance is read
+        when the text is first written."""
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """The encoder writes the head; the rows are laid out here, each
+        distinct row rendered once, and go in front of "variant", the one
+        key that sorts after "rows"."""
         head = json.dumps(self._head(), indent=2, sort_keys=True)
         cut = head.rindex('\n  "variant": ')
         rendered = {id(row): _row_text(row) for _, row in self.distinct_rows}
@@ -439,6 +531,12 @@ class SubspaceSpec:
         once, each distinct row once, and no basis is built: the declared
         coord_count and matrix_side are compared with basis_size, so what
         loading costs does not grow with the declared size."""
+        return cls._from_doc(doc, lambda: tuple(_shared_rows(doc["rows"])))
+
+    @classmethod
+    def _from_doc(cls, doc: dict, read_rows, distinct_rows=None) -> "SubspaceSpec":
+        """from_json, with the rows from read_rows(), called where from_json
+        reads them, and distinct_rows, when given, as that property's value."""
         try:
             if doc.get("format") != "subspace":
                 raise ParseError(f"not a subspace document: format={doc.get('format')!r}")
@@ -447,7 +545,7 @@ class SubspaceSpec:
             if variant not in ("U", "V"):
                 raise ParseError(f'variant must be "U" or "V", got {variant!r}')
             n, d = _json_int(doc["n"], "n"), _json_int(doc["d"], "d")
-            rows = tuple(_shared_rows(doc["rows"]))
+            rows = read_rows()
             declared = {
                 key: _json_int(doc[key], key)
                 for key in ("coord_count", "matrix_side")
@@ -466,10 +564,29 @@ class SubspaceSpec:
                     f"{key} says {value}, the ({variant}, n={n}, d={d}) "
                     f"families give {size}"
                 )
-        return cls(field, variant, n, d, rows, provenance)
+        space = cls.__new__(cls)
+        if distinct_rows is not None:  # seen before __init__ checks the rows
+            space.__dict__["distinct_rows"] = distinct_rows
+        space.__init__(field, variant, n, d, rows, provenance)
+        return space
 
     @classmethod
     def from_text(cls, text: str) -> "SubspaceSpec":
+        """The space an instance text describes.  A text laid out as to_text
+        writes one, whose rows mostly repeat, is read with one parse per
+        distinct row (_canonical_parts); any other goes through json.loads
+        and from_json.  Both give the same space, rows shared the same way,
+        and the same errors."""
+        parts = _canonical_parts(text)
+        if parts is not None:
+            head, rows, distinct = parts
+            space = cls._from_doc(head, lambda: rows, distinct)
+            # a head equal to _head() means to_text() would write text itself:
+            # n, d and the sizes passed _json_int, so == cannot take 1.0 or
+            # True for 1
+            if head == space._head():
+                space.__dict__["_text"] = text
+            return space
         try:
             doc = json.loads(text)
         except ValueError as exc:  # a syntax error, or an integer too long to read

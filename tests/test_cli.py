@@ -1,5 +1,6 @@
 """Command-line surface: subcommand behavior, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import resource
@@ -605,3 +606,58 @@ def test_descend_takes_a_gf2_defined_instance_over_an_extension(tmp_path, capsys
                                      (0, 3, 2, 1))
     assert code == 0
     assert stdout.splitlines()[0] == "rank 3 over GF(2^2; 1,1,1) descends to rank 2 over GF(2)"
+
+
+# -- parser -------------------------------------------------------------------
+
+
+def test_main_reuses_one_parser_with_the_bytes_of_fresh_runs(tmp_path, capsys, monkeypatch):
+    """Bad arguments, a failing command and good commands in one process
+    build the argparse parser at most once, and print and write what each
+    command gives in a process of its own."""
+    calls = [
+        ["minrank", "--bogus"],
+        ["reduce", "--mode", "direct", "--input", "line.qe", "--output", "line.json"],
+        ["verify", "--input", "line.json"],
+        ["reduce"],
+        ["verify", "--input", "line.json", "--assignment", "1,1", "--output", "verify.json"],
+        ["minrank", "--input", "line.json"],
+    ]
+    outputs = ("line.json", "verify.json")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "rankgap":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    for work in (here, fresh):
+        work.mkdir()
+        (work / "line.qe").write_text(LINE_SRC)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.chdir(here)
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        in_process.append((code, out, err, *((here / name).read_bytes() for name in outputs
+                                              if (here / name).exists())))
+    monkeypatch.undo()
+    assert len(built) <= 1
+
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=str(Path(rankgap.__file__).resolve().parent.parent))
+    separate = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "rankgap", *argv], capture_output=True,
+                              text=True, env=env, cwd=fresh)
+        separate.append((done.returncode, done.stdout, done.stderr,
+                         *((fresh / name).read_bytes() for name in outputs if (fresh / name).exists())))
+    assert in_process == separate
+    assert [result[0] for result in separate] == [2, 0, 2, 2, 0, 0]
