@@ -65,8 +65,8 @@ _GF2 = make_field(2)
 
 def subspace_digest(space: SubspaceSpec) -> str:
     """sha256 of the canonical text serialization; names a subspace in
-    oracle reports.  to_text writes a space once, and a space loaded from
-    that text keeps it, so hashing writes nothing again."""
+    oracle reports.  A space from_text read through its canonical route
+    keeps the text it read, so hashing it writes nothing again."""
     return hashlib.sha256(space.to_text().encode("utf-8")).hexdigest()
 
 

@@ -28,8 +28,8 @@ from_text reads a text laid out as to_text writes it, with rows that
 mostly repeat, by parsing each distinct row text once (_canonical_parts).
 It accepts the text only when writing back what it parsed gives the text
 byte for byte, so it holds what json.loads would have read; every other
-text goes through json.loads and from_json.  A space keeps the text it
-was read from, or first written as, so to_text writes it at most once.
+text goes through json.loads and from_json.  A space from_text accepted
+keeps the text it was read from, so to_text returns it without writing.
 expansion_positions lays out H(y) cell by cell, and every rank of an H(y)
 is the number of labels PseudoMomentVector.independent_sets returns, read
 from only the sets inside the union of y's support.  honest_moment_vector
@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import marshal
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import accumulate, chain
 from operator import itemgetter
 
@@ -115,16 +115,9 @@ def _check_rows(field: FieldSpec, indexed_rows, ncoords: int) -> None:
 _ROWS_OPEN = '\n  "rows": [\n    '
 _ROWS_CLOSE = '\n  ],\n  "variant": '
 _ROW_SEP = ",\n    ["  # between rows: inside one, ",\n" is followed by 6 or 8 spaces
-_PAIR = "      [\n        %d,\n        %d\n      ]"
 # distinct rows parsed per json.loads: one text of all 920 distinct rows of
 # an n = 7 CNF instance raised the benchmark's peak RSS from 31.4 to 34-35 MB
 _PARSE_ROWS = 256
-
-
-def _row_layout(size: int) -> str:
-    """The %-template of a row of size pairs as json.dumps(indent=2) writes
-    it inside "rows", the text _row_text writes."""
-    return "[\n" + ",\n".join([_PAIR] * size) + "\n    ]" if size else "[]"
 
 
 def _row_text(row) -> str:
@@ -137,6 +130,13 @@ def _row_text(row) -> str:
     return f"[\n{pairs}\n    ]"
 
 
+@cache
+def _row_layout(size: int) -> str:
+    """_row_text's layout of a row of size pairs as a %-template: %d writes
+    an int as _row_text does, and 1.0 or True not as json.dumps does."""
+    return _row_text((("%d", "%d"),) * size)
+
+
 def _read_rows(texts) -> list:
     """Row texts, each without its leading "[", parsed into tuples of
     pairs; ValueError unless _row_layout writes the rows back byte for
@@ -145,9 +145,8 @@ def _read_rows(texts) -> list:
     parsed = json.loads(f"[{joined}]")
     sizes = list(map(len, parsed))
     values = tuple(chain.from_iterable(chain.from_iterable(parsed)))
-    layouts = {size: _row_layout(size) for size in set(sizes)}
     # rows start with "[" and hold no _ROW_SEP, so equal joins mean equal rows
-    if ",\n    ".join(map(layouts.__getitem__, sizes)) % values != joined:
+    if ",\n    ".join(map(_row_layout, sizes)) % values != joined:
         raise ValueError("rows not laid out as to_text writes them")
     pairs = iter(values)
     pairs = tuple(zip(pairs, pairs))
@@ -163,9 +162,14 @@ def _canonical_parts(text: str):
     writing back what was parsed gives it byte for byte: the head through
     json.dumps, the distinct rows through _row_layout.  The text is then
     json.dumps of the parsed document, so json.loads would have returned
-    that same document.  Texts where fewer than half the rows repeat are
-    left to json.loads, which reads them faster than this parses and
-    writes them back."""
+    that same document.
+
+    Texts where fewer than half the rows repeat are left to json.loads.
+    Timed against it on random rows of 2 and 10 pairs, this route breaks
+    even at 50-65% distinct rows on texts of 512 rows or more; below 64
+    rows its fixed cost, 30-60 us for the separate head, loses at any
+    share.  Finding that share, a split and a set over the rows, costs a
+    text sent to json.loads 8-10% of its load."""
     start, end = text.find(_ROWS_OPEN), text.rfind(_ROWS_CLOSE)
     body = start + len(_ROWS_OPEN)
     if start < 0 or end < body or text[body] != "[" or text[-1:] != "\n":
@@ -233,6 +237,7 @@ def _shared_rows(raw):
     for row in raw:
         key = marshal.dumps(row, 2)
         if key not in shared:
+            # from a list, not a generator: 1-3 us less per few-KB load
             shared[key] = tuple([(pos, coeff) for pos, coeff in row])
         yield shared[key]
 
@@ -508,16 +513,15 @@ class SubspaceSpec:
 
     def to_text(self) -> str:
         """json.dumps(self.to_json(), indent=2, sort_keys=True) and a
-        newline, byte for byte, written once per space: a text from_text
-        found to be exactly this is kept as read.  The provenance is read
-        when the text is first written."""
-        return self._text
-
-    @cached_property
-    def _text(self) -> str:
-        """The encoder writes the head; the rows are laid out here, each
+        newline, byte for byte.  A space from_text read from text that is
+        exactly this returns that text, kept as read; the space owns the
+        provenance parsed from it.  Otherwise the encoder writes the head,
+        with the provenance as it is now; the rows are laid out here, each
         distinct row rendered once, and go in front of "variant", the one
         key that sorts after "rows"."""
+        kept = self.__dict__.get("_text")
+        if kept is not None:
+            return kept
         head = json.dumps(self._head(), indent=2, sort_keys=True)
         cut = head.rindex('\n  "variant": ')
         rendered = {id(row): _row_text(row) for _, row in self.distinct_rows}

@@ -231,6 +231,20 @@ def test_written_instances_with_repeated_rows_take_the_canonical_route(space):
         assert loaded.__dict__["_text"] is text  # kept, not written again
 
 
+def test_to_text_writes_the_provenance_as_it_is_now():
+    """A built space writes its provenance as it stands at each call, so a
+    caller's later change to that dict shows; a loaded space returns the
+    text it read."""
+    provenance = {"k": 1}
+    space = SubspaceSpec(make_field(2), "V", 2, 1, (((0, 1),),) * 4, provenance)
+    first = space.to_text()
+    provenance["k"] = 2
+    text = space.to_text()
+    assert text != first
+    assert text == json.dumps(space.to_json(), indent=2, sort_keys=True) + "\n"
+    assert SubspaceSpec.from_text(text).to_text() is text
+
+
 def test_many_distinct_rows_load_as_the_reference_loads_them():
     """More distinct rows than one json.loads call reads, each twice."""
     rng = random.Random(7)
