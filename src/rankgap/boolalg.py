@@ -23,7 +23,7 @@ from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
-from .gfarith import FieldElement, FieldSpec
+from .gfarith import FieldSpec
 
 __all__ = [
     "MAX_VARS",
@@ -31,8 +31,6 @@ __all__ = [
     "SquarefreePoly",
     "basis_make",
     "basis_size",
-    "poly_mul",
-    "poly_eval",
     "mask_of",
     "indices_of",
     "format_monomial",
@@ -92,9 +90,6 @@ class MonomialBasis:
             raise PreconditionError(
                 f"monomial {format_monomial(mask)} is not in this basis"
             ) from None
-
-    def unrank(self, index: int) -> int:
-        return self.masks[index]
 
     def prefix(self, degree: int) -> "MonomialBasis":
         """The same family truncated to a smaller degree; a prefix of this
@@ -299,14 +294,6 @@ class SquarefreePoly:
             if term:
                 acc = f.add(acc, term)
         return acc
-
-
-def poly_mul(f: SquarefreePoly, g: SquarefreePoly) -> SquarefreePoly:
-    return f * g
-
-
-def poly_eval(f: SquarefreePoly, point: Sequence[int], first_var: int = 0) -> FieldElement:
-    return FieldElement(f.field, f.evaluate(point, first_var))
 
 
 # -- text forms --------------------------------------------------------------

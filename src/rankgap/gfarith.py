@@ -20,13 +20,12 @@ x^4+x+1 for GF(16), ...).
 from __future__ import annotations
 
 import re
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ParseError, PreconditionError
 
 __all__ = [
     "FieldSpec",
-    "FieldElement",
     "LinearFunctional",
     "make_field",
     "make_linear_functional",
@@ -174,20 +173,6 @@ class FieldSpec:
             )
         return _undigits([c % self.p for c in coeffs], self.p)
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
-
-    def element(self, a: int) -> "FieldElement":
-        return FieldElement(self, self.validate(a))
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     # -- arithmetic on int encodings --
 
     def add(self, a: int, b: int) -> int:
@@ -293,91 +278,6 @@ class FieldSpec:
         return out
 
 
-class FieldElement:
-    """An int-encoded field element bound to its field.
-
-    Thin operator sugar over FieldSpec; mixing elements of different fields
-    raises rather than coercing.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldSpec, value: int):
-        self.field = field
-        self.value = field.validate(value)
-
-    def _peer(self, other: object) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise PreconditionError(
-                    f"mixed fields: {format_field(self.field)} vs "
-                    f"{format_field(other.field)}"
-                )
-            return other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.field.validate(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        v = self._peer(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._peer(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __mul__(self, other):
-        v = self._peer(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._peer(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, v))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.field, self.field.pow(self.value, k))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.value)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{format_field(self.field)}[{self.value}]"
-
-
 def make_field(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> FieldSpec:
     """Construct GF(p^e).
 
@@ -478,11 +378,9 @@ class LinearFunctional:
     """A GF(2)-linear map GF(2^r) -> GF(2) given by a coefficient row.
 
     phi(x) is the mod-2 dot product of the row with x's coefficient vector.
-    gram[a][b] records phi(theta_a * theta_b) for the power basis
-    theta_a = alpha^(a-1), which is what a bilinear-form computation needs.
     """
 
-    __slots__ = ("field", "row", "gram")
+    __slots__ = ("field", "row")
 
     def __init__(self, field: FieldSpec, row: Sequence[int]):
         if field.p != 2:
@@ -493,38 +391,23 @@ class LinearFunctional:
             )
         self.field = field
         self.row = tuple(row)
-        r = field.e
-        theta = [1 << a for a in range(r)] if r > 1 else [1]
-        self.gram = tuple(
-            tuple(self._apply_int(field.mul(theta[a], theta[b])) for b in range(r))
-            for a in range(r)
-        )
 
-    def _apply_int(self, x: int) -> int:
+    def __call__(self, x: int) -> int:
         acc = 0
-        for lam, c in zip(self.row, self.field.coeffs(x)):
+        for lam, c in zip(self.row, self.field.coeffs(self.field.validate(x))):
             acc ^= lam & c
         return acc
-
-    def __call__(self, x: int | FieldElement) -> int:
-        if isinstance(x, FieldElement):
-            if x.field != self.field:
-                raise PreconditionError("element belongs to a different field")
-            x = x.value
-        return self._apply_int(self.field.validate(x))
 
     def __repr__(self) -> str:
         return f"LinearFunctional({format_field(self.field)}, row={self.row})"
 
 
-def make_linear_functional(field: FieldSpec, target: int | FieldElement) -> LinearFunctional:
+def make_linear_functional(field: FieldSpec, target: int) -> LinearFunctional:
     """The coordinate functional keyed to target: it extracts the lowest-index
     nonzero coefficient of target, so phi(target) == 1 by construction.
 
     Deterministic, which keeps everything downstream reproducible.
     """
-    if isinstance(target, FieldElement):
-        target = target.value
     if field.p != 2:
         raise PreconditionError("linear functionals require characteristic 2")
     field.validate(target)

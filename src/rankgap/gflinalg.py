@@ -38,8 +38,6 @@ __all__ = [
     "FFMatrix",
     "RankOneDecomposition",
     "independent_rows",
-    "rank",
-    "kernel_basis",
     "symmetric_rank_one_decomposition",
     "rank_descent",
     "packed_rank",
@@ -311,15 +309,8 @@ class FFMatrix:
 
     # -- access --
 
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        return self.rows[i][j]
-
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.rows)
@@ -583,17 +574,6 @@ class FFMatrix:
                 entries.append(field.from_coeffs(coeffs))
             rows.append(entries)
         return cls(field, rows, ncols)
-
-
-# -- module-level conveniences matching the operation names ------------------
-
-
-def rank(matrix: FFMatrix) -> int:
-    return matrix.rank()
-
-
-def kernel_basis(matrix: FFMatrix) -> list[tuple[int, ...]]:
-    return matrix.kernel_basis()
 
 
 # -- symmetric rank-one decomposition over GF(2) -----------------------------

@@ -65,8 +65,7 @@ _GF2 = make_field(2)
 
 def subspace_digest(space: SubspaceSpec) -> str:
     """sha256 of the canonical text serialization; names a subspace in
-    oracle reports.  A space from_text read through its canonical route
-    keeps the text it read, so hashing it writes nothing again."""
+    oracle reports."""
     return hashlib.sha256(space.to_text().encode("utf-8")).hexdigest()
 
 
@@ -403,11 +402,11 @@ def minrank_bruteforce(
 
     Raises BudgetExceededError when q^m exceeds the budget, m the kernel
     dimension, before the space is hashed.  A space whose coordinates
-    outnumber its rows by more than the budget allows is refused before
-    its kernel or any basis is built, since each row takes at most one
-    dimension off the kernel; the refusal names the exact dimension all
-    the same.  Otherwise every one of the
-    q^m - 1 nonzero members is decided, and enumerated counts them.
+    outnumber its distinct rows by more than the budget allows is refused
+    before its kernel or any basis is built, since a row and its repeats
+    take at most one dimension off the kernel; the refusal names the exact
+    dimension all the same.  Otherwise every one of the q^m - 1 nonzero
+    members is decided, and enumerated counts them.
     Levels r = 0, 1, ... are decided in turn.  A level whose [N, r]_q
     candidate annihilators are fewer than the members goes to
     _candidate_pass; the first level that does not is handed, with every
@@ -426,9 +425,8 @@ def minrank_bruteforce(
     field = space.field
     q = field.q
     ncoords = space.coord_count
-    check_kernel_budget(
-        q, ncoords - len(space.rows), budget, lambda: ncoords - sparse_rank(field, space.rows)
-    )
+    rows = [row for _, row in space.distinct_rows]
+    check_kernel_budget(q, ncoords - len(rows), budget, lambda: ncoords - sparse_rank(field, rows))
     kernel = space.kernel_basis()
     m = len(kernel)
     check_kernel_budget(q, m, budget)

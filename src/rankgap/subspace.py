@@ -28,8 +28,7 @@ from_text reads a text laid out as to_text writes it, with rows that
 mostly repeat, by parsing each distinct row text once (_canonical_parts).
 It accepts the text only when writing back what it parsed gives the text
 byte for byte, so it holds what json.loads would have read; every other
-text goes through json.loads and from_json.  A space from_text accepted
-keeps the text it was read from, so to_text returns it without writing.
+text goes through json.loads and from_json.
 expansion_positions lays out H(y) cell by cell, and every rank of an H(y)
 is the number of labels PseudoMomentVector.independent_sets returns, read
 from only the sets inside the union of y's support.  honest_moment_vector
@@ -513,15 +512,9 @@ class SubspaceSpec:
 
     def to_text(self) -> str:
         """json.dumps(self.to_json(), indent=2, sort_keys=True) and a
-        newline, byte for byte.  A space from_text read from text that is
-        exactly this returns that text, kept as read; the space owns the
-        provenance parsed from it.  Otherwise the encoder writes the head,
-        with the provenance as it is now; the rows are laid out here, each
-        distinct row rendered once, and go in front of "variant", the one
-        key that sorts after "rows"."""
-        kept = self.__dict__.get("_text")
-        if kept is not None:
-            return kept
+        newline, byte for byte.  The encoder writes the head; the rows are
+        laid out here, each distinct row rendered once, and go in front of
+        "variant", the one key that sorts after "rows"."""
         head = json.dumps(self._head(), indent=2, sort_keys=True)
         cut = head.rindex('\n  "variant": ')
         rendered = {id(row): _row_text(row) for _, row in self.distinct_rows}
@@ -584,13 +577,7 @@ class SubspaceSpec:
         parts = _canonical_parts(text)
         if parts is not None:
             head, rows, distinct = parts
-            space = cls._from_doc(head, lambda: rows, distinct)
-            # a head equal to _head() means to_text() would write text itself:
-            # n, d and the sizes passed _json_int, so == cannot take 1.0 or
-            # True for 1
-            if head == space._head():
-                space.__dict__["_text"] = text
-            return space
+            return cls._from_doc(head, lambda: rows, distinct)
         try:
             doc = json.loads(text)
         except ValueError as exc:  # a syntax error, or an integer too long to read

@@ -15,8 +15,6 @@ from rankgap.boolalg import (
     mask_of,
     parse_monomial,
     parse_poly,
-    poly_eval,
-    poly_mul,
 )
 from rankgap.errors import ParseError, PreconditionError
 from rankgap.gfarith import make_field
@@ -69,7 +67,7 @@ def test_rank_unrank_round_trip():
     b = basis_make(4, 3, "V")
     for i, mask in enumerate(b):
         assert b.rank(mask) == i
-        assert b.unrank(i) == mask
+        assert b.masks[i] == mask
     with pytest.raises(PreconditionError):
         b.rank(mask_of([1, 2, 3, 4]))  # size 4 > degree
 
@@ -103,10 +101,10 @@ def test_basis_size_validates_like_basis_make(args):
 
 def test_squarefree_product_collapses_repeats():
     x1 = SquarefreePoly.variable(GF2, 1)
-    assert poly_mul(x1, x1) == x1
+    assert x1 * x1 == x1
     f = SquarefreePoly(GF2, {mask_of([0]): 1, mask_of([1]): 1})  # x0 + x1
     # (x0 + x1)^2 = x0 + x1 over GF(2) squarefree
-    assert poly_mul(f, f) == f
+    assert f * f == f
 
 
 def test_ring_laws_random():
@@ -141,7 +139,7 @@ def test_eval_is_multiplicative_at_boolean_points():
                 {rng.randrange(16): rng.randrange(1, field.q) for _ in range(3)},
             )
             pt = [rng.randrange(2) for _ in range(4)]
-            fg = poly_mul(f, g)
+            fg = f * g
             assert fg.evaluate(pt) == field.mul(f.evaluate(pt), g.evaluate(pt))
             s = (f + g).evaluate(pt)
             assert s == field.add(f.evaluate(pt), g.evaluate(pt))
@@ -149,9 +147,9 @@ def test_eval_is_multiplicative_at_boolean_points():
 
 def test_eval_frozen_examples():
     x1x2 = SquarefreePoly.monomial(GF2, mask_of([1, 2]))
-    assert poly_eval(x1x2, (1, 1, 1)).value == 1
+    assert x1x2.evaluate((1, 1, 1)) == 1
     x0_plus_x1 = SquarefreePoly(GF2, {1: 1, 2: 1})
-    assert poly_eval(x0_plus_x1, (1, 0)).value == 1
+    assert x0_plus_x1.evaluate((1, 0)) == 1
 
 
 def test_eval_first_var_offset():

@@ -246,6 +246,22 @@ def test_minrank_refuses_before_hashing(tmp_path, capsys, monkeypatch):
     assert err == "error: kernel dimension 3 means 8 members, budget allows 1\n"
 
 
+def test_minrank_refuses_repeated_rows_before_the_kernel(tmp_path, capsys, monkeypatch):
+    # 16 coordinates and one row written 20 times: the repeats take no
+    # further dimension off the kernel, so the early refusal must see 15
+    doc = {"format": "subspace", "field": "GF(2)", "variant": "V", "n": 4, "d": 2,
+           "rows": [[[0, 1]]] * 20}
+    inst = write(tmp_path, "repeats.json", json.dumps(doc))
+
+    def no_kernel(space):
+        raise AssertionError("minrank built the kernel of a space it refuses")
+
+    monkeypatch.setattr(SubspaceSpec, "kernel_basis", no_kernel)
+    code, stdout, err = run(capsys, "minrank", "--input", inst, "--budget", "1")
+    assert (code, stdout) == (3, "")
+    assert err == "error: kernel dimension 15 means 32768 members, budget allows 1\n"
+
+
 def test_minrank_refuses_a_huge_kernel_before_building_it(tmp_path, capsys):
     # 2^40 coordinates and no rows: the kernel alone is past any budget
     doc = {"format": "subspace", "field": "GF(2)", "variant": "V", "n": 40, "d": 20,

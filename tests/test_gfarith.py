@@ -9,7 +9,6 @@ import pytest
 
 from rankgap.errors import ParseError, PreconditionError
 from rankgap.gfarith import (
-    FieldElement,
     format_field,
     make_field,
     make_linear_functional,
@@ -70,28 +69,9 @@ def test_inverse_of_zero():
             field.inv(0)
 
 
-def test_mixed_field_operands_rejected():
-    a = GF4.element(1)
-    b = GF5.element(1)
-    with pytest.raises(PreconditionError, match="mixed fields"):
-        a + b
-    with pytest.raises(PreconditionError, match="mixed fields"):
-        a * b
-
-
-def test_element_operators():
-    a = GF4.element(2)
-    assert (a * a).value == 3
-    assert (a + a).value == 0
-    assert (-a).value == 2
-    assert (a / a).value == 1
-    assert a.inverse() * a == 1
-    assert int(a**3) == GF4.pow(2, 3)
-
-
 def test_coeff_round_trip():
     for field in (GF4, make_field(3, 2), make_field(2, 3)):
-        for a in field.elements():
+        for a in range(field.q):
             assert field.from_coeffs(field.coeffs(a)) == a
 
 
@@ -152,7 +132,6 @@ def test_functional_keyed_to_lowest_nonzero_coordinate():
     phi = make_linear_functional(GF4, 2)
     assert phi.row == (0, 1)
     assert phi(2) == 1
-    assert phi.gram == ((0, 1), (1, 1))
 
     phi1 = make_linear_functional(GF4, 1)
     assert phi1.row == (1, 0)
@@ -164,8 +143,8 @@ def test_functional_additivity_exhaustive():
         for t in range(1, field.q):
             phi = make_linear_functional(field, t)
             assert phi(t) == 1
-            for x in field.elements():
-                for y in field.elements():
+            for x in range(field.q):
+                for y in range(field.q):
                     assert phi(field.add(x, y)) == phi(x) ^ phi(y)
 
 
@@ -186,5 +165,3 @@ def test_element_validation():
         GF4.validate(4)
     with pytest.raises(PreconditionError):
         GF4.validate(-1)
-    with pytest.raises(PreconditionError):
-        FieldElement(GF4, 5)

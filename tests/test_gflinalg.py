@@ -10,10 +10,8 @@ from rankgap.gfarith import make_field
 from rankgap.gflinalg import (
     FFMatrix,
     independent_rows,
-    kernel_basis,
     packed_kernel_basis,
     packed_rank,
-    rank,
     rank_descent,
     symmetric_rank_one_decomposition,
 )
@@ -34,8 +32,8 @@ def rand_matrix(rng, field, nrows, ncols):
 
 
 def test_rank_frozen():
-    assert rank(FFMatrix(GF2, [[0, 1], [1, 0]])) == 2
-    assert rank(FFMatrix(GF2, [[1, 1], [1, 1]])) == 1
+    assert FFMatrix(GF2, [[0, 1], [1, 0]]).rank() == 2
+    assert FFMatrix(GF2, [[1, 1], [1, 1]]).rank() == 1
     assert FFMatrix.identity(GF5, 4).rank() == 4
     assert FFMatrix.zeros(GF3, 3, 5).rank() == 0
 
@@ -69,7 +67,7 @@ def test_kernel_basis_annihilates():
     for field in FIELDS:
         for _ in range(15):
             m = rand_matrix(rng, field, rng.randrange(1, 6), rng.randrange(1, 7))
-            basis = kernel_basis(m)
+            basis = m.kernel_basis()
             assert len(basis) == m.ncols - m.rank()
             for vec in basis:
                 assert all(v == 0 for v in m.mat_vec(vec))
@@ -267,7 +265,7 @@ def test_text_errors():
 
 def test_entry_access_and_submatrix():
     m = FFMatrix(GF5, [[1, 2, 3], [4, 0, 1]])
-    assert m[1, 2] == 1 and m.entry(0, 1) == 2
+    assert m.entry(1, 2) == 1 and m.entry(0, 1) == 2
     assert m.column(2) == (3, 1)
     assert m.submatrix([1], [0, 2]).rows == ((4, 1),)
     assert m.transpose().shape == (3, 2)

@@ -11,7 +11,7 @@ from operator import or_
 
 import pytest
 
-from rankgap.boolalg import SquarefreePoly, basis_make, mask_of, poly_eval
+from rankgap.boolalg import SquarefreePoly, basis_make, mask_of
 from rankgap.cli import main
 from rankgap.errors import InternalConsistencyError, PreconditionError
 from rankgap.frontends import parse_dimacs
@@ -174,7 +174,7 @@ def test_satisfying_point_zeroes_every_equation():
         system = build_constant_free_system(cnf, 4)
         a = (1,) + rng.choice(points)
         for f in system.equations:
-            assert poly_eval(f, a) == 0
+            assert f.evaluate(a) == 0
 
 
 # -- linearization ------------------------------------------------------------
