@@ -360,7 +360,7 @@ def parse_poly(text: str, field: FieldSpec) -> SquarefreePoly:
     body = text.replace("-", "+-")
     if body.startswith("+"):
         body = body[1:]
-    acc = SquarefreePoly.zero(field)
+    coeffs: dict[int, int] = {}
     for raw in body.split("+"):
         term = raw.strip()
         if not term:
@@ -394,5 +394,5 @@ def parse_poly(text: str, field: FieldSpec) -> SquarefreePoly:
                 )
         if negate:
             coeff = field.neg(coeff)
-        acc = acc + SquarefreePoly.monomial(field, mask, coeff)
-    return acc
+        coeffs[mask] = field.add(coeffs.get(mask, 0), coeff)
+    return SquarefreePoly(field, coeffs)

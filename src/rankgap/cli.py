@@ -197,7 +197,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if report.ok:
         vector = space.vector(values)
         side = len(vector.support_sets(space.d))
-        if args.vector is not None and side * side > args.budget:
+        if side * side > args.budget:
             raise BudgetExceededError(
                 f"ranking the member reads {side} x {side} matrix entries, "
                 f"budget allows {args.budget}"
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignment", help="comma separated bits; checks the honest vector")
     p.add_argument("--vector", help="file of comma separated coordinates to check")
     p.add_argument("--budget", type=int, default=1 << 20,
-                   help="refuse more coordinates, or --vector rank entries, than this")
+                   help="refuse more coordinates, or member rank entries, than this")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_verify)
 

@@ -11,7 +11,8 @@ argument relies on:
   3. multiplication operators: on the level-e column space, T_i maps the
      column of B to the column of B with i adjoined; the matrices come out
      of one consistent linear solve at level e+1 and must be idempotent,
-     pairwise commuting, and annihilated by every source equation;
+     pairwise commuting, and annihilated by every source equation, checked
+     on products formed once;
   4. common eigenvector: split the space variable by variable into kernel
      and image parts (image preferred when both are nonzero), ending with
      a joint eigenvector whose eigenvalue tuple is the Boolean point.
@@ -131,54 +132,59 @@ def multiplication_operators(
     # coefficients below are unique
     base_cols = [vector.truncated_column(b, e + 1) for b in labels]
     base = FFMatrix.from_columns(field, base_cols)
-    operators = []
-    for i in range(1, vector.n + 1):
-        bit = 1 << i
-        targets = [vector.truncated_column(b | bit, e + 1) for b in labels]
-        solved = base.solve_columns(targets)
-        if solved is None:
-            raise InternalConsistencyError(
-                f"column of variable {i} left the flat-level span"
-            )
-        operators.append(FFMatrix.from_columns(field, solved))
+    # the targets of T_1, then those of T_2, ...: r columns per variable
+    r = len(labels)
+    solved = base.solve_columns([
+        vector.truncated_column(b | 1 << i, e + 1)
+        for i in range(1, vector.n + 1)
+        for b in labels
+    ])
+    if solved is None:
+        raise InternalConsistencyError("a variable's column left the flat-level span")
     ops = MultiplicationOperators(
         field=field,
         n=vector.n,
         flat_level=e,
         labels=labels,
-        operators=tuple(operators),
+        operators=tuple(
+            FFMatrix.from_columns(field, solved[k : k + r])
+            for k in range(0, len(solved), r)
+        ),
     )
     _verify_operator_identities(ops, src)
     return ops
 
 
-def _operator_monomial(ops: MultiplicationOperators, mask: int) -> FFMatrix:
-    acc = FFMatrix.identity(ops.field, ops.dimension)
-    for i in indices_of(mask):
-        acc = acc @ ops.operators[i - 1]
-    return acc
-
-
 def _verify_operator_identities(
     ops: MultiplicationOperators, src: QuadSystemSource
 ) -> None:
+    """Check idempotence, commutation and annihilation by every source
+    equation.  Each product is formed once, into a table from monomial mask
+    to operator: the identity at 0, T_i at bit i and T_iT_j at the pair,
+    which covers every term since a source equation has degree at most 2."""
+    f = ops.field
+    dim = ops.dimension
+    table = {0: FFMatrix.identity(f, dim)}
     for i, t in enumerate(ops.operators, start=1):
         if t @ t != t:
             raise InternalConsistencyError(f"operator {i} is not idempotent")
-    for i in range(len(ops.operators)):
-        for j in range(i + 1, len(ops.operators)):
-            a, b = ops.operators[i], ops.operators[j]
-            if a @ b != b @ a:
+        table[1 << i] = t
+    for i, a in enumerate(ops.operators, start=1):
+        for j, b in enumerate(ops.operators[i:], start=i + 1):
+            ab = a @ b
+            if ab != b @ a:
                 raise InternalConsistencyError(
-                    f"operators {i + 1} and {j + 1} do not commute"
+                    f"operators {i} and {j} do not commute"
                 )
-    f = ops.field
-    dim = ops.dimension
+            table[1 << i | 1 << j] = ab
     for idx, eq in enumerate(src.equations):
-        acc = FFMatrix.zeros(f, dim, dim)
+        acc = [0] * (dim * dim)
         for mask, coeff in eq.terms():
-            acc = acc + _operator_monomial(ops, mask).scale(coeff)
-        if not acc.is_zero():
+            entries = (v for row in table[mask].rows for v in row)
+            for k, v in enumerate(entries):
+                if v:
+                    acc[k] = f.add(acc[k], f.mul(coeff, v))
+        if any(acc):
             raise InternalConsistencyError(
                 f"source equation {idx} does not annihilate the operators"
             )
@@ -206,7 +212,7 @@ def common_eigenvector(
     values = []
     for t in ops.operators:
         images = [t.mat_vec(b) for b in basis]
-        picked = _independent_subset(f, images)
+        picked = [images[k] for k in independent_rows(f, images)]
         if picked:
             basis = picked
             values.append(1)
@@ -215,7 +221,7 @@ def common_eigenvector(
             tuple(f.sub(bv, iv) for bv, iv in zip(b, img))
             for b, img in zip(basis, images)
         ]
-        basis = _independent_subset(f, residues)
+        basis = [residues[k] for k in independent_rows(f, residues)]
         values.append(0)
         if not basis:
             raise InternalConsistencyError(
@@ -227,14 +233,6 @@ def common_eigenvector(
         if t.mat_vec(v) != expect:
             raise InternalConsistencyError("claimed eigenvector fails its eigenvalue")
     return v, tuple(values)
-
-
-def _independent_subset(
-    field: FieldSpec, vectors: list[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """Lexicographically first maximal independent subset, dropping zero
-    vectors; empty when every vector is zero."""
-    return [vectors[i] for i in independent_rows(field, vectors)]
 
 
 @dataclass(frozen=True)

@@ -352,45 +352,9 @@ class FFMatrix:
 
     # -- arithmetic --
 
-    def _same_field(self, other: "FFMatrix") -> None:
+    def __matmul__(self, other: "FFMatrix") -> "FFMatrix":
         if self.field != other.field:
             raise PreconditionError("matrices live in different fields")
-
-    def __add__(self, other: "FFMatrix") -> "FFMatrix":
-        self._same_field(other)
-        if self.shape != other.shape:
-            raise PreconditionError(f"shape mismatch {self.shape} vs {other.shape}")
-        f = self.field
-        return FFMatrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.ncols,
-        )
-
-    def __sub__(self, other: "FFMatrix") -> "FFMatrix":
-        self._same_field(other)
-        if self.shape != other.shape:
-            raise PreconditionError(f"shape mismatch {self.shape} vs {other.shape}")
-        f = self.field
-        return FFMatrix(
-            f,
-            [
-                [f.sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.ncols,
-        )
-
-    def scale(self, c: int) -> "FFMatrix":
-        f = self.field
-        f.validate(c)
-        return FFMatrix(f, [[f.mul(c, v) for v in row] for row in self.rows], self.ncols)
-
-    def __matmul__(self, other: "FFMatrix") -> "FFMatrix":
-        self._same_field(other)
         if self.ncols != other.nrows:
             raise PreconditionError(f"shape mismatch {self.shape} @ {other.shape}")
         f = self.field

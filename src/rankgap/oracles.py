@@ -603,10 +603,6 @@ class MonomialAssignment:
 # -- point isolation ----------------------------------------------------------
 
 
-def _pack_bits(bits) -> int:
-    return sum(b << i for i, b in enumerate(bits))
-
-
 def _support_lex_min(particular: int, kernel: list[int], width: int) -> int:
     """Pick, from the affine solution set particular + span(kernel), the
     vector whose support sequence (sorted list of nonzero positions) is
@@ -676,7 +672,7 @@ def point_isolator(points: PointSet, target, rho: int) -> SquarefreePoly:
     # _support_lex_min inserts them without a single reduction step
     width = len(monomials)
     kernel = _packed_rref(packed_kernel_basis(system.packed_rows(), width), width)[0]
-    chosen = _support_lex_min(_pack_bits(particular), kernel, width)
+    chosen = _support_lex_min(_point_ones(particular), kernel, width)
     coeffs = {mask: 1 for i, mask in enumerate(monomials) if chosen >> i & 1}
     q = SquarefreePoly(_GF2, coeffs)
     if q.degree > rho:

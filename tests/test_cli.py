@@ -189,9 +189,9 @@ def test_verify_perturbed_vector_reports_constraint(tmp_path, capsys):
 
 
 def test_verify_bounds_the_rank_of_a_vector(tmp_path, capsys):
-    """A --vector member is refused when its rank would read more matrix
-    entries than the budget allows; the rank reads only the sets inside the
-    vector's support, and an --assignment is ranked all the same."""
+    """A member is refused when its rank would read more matrix entries than
+    the budget allows, whether it comes from --vector or --assignment; the
+    rank reads only the sets inside the vector's support."""
     inst = instance(tmp_path, capsys)
     vec = write(tmp_path, "honest.vec", "1,1,1,1\n")
     code, stdout, err = run(capsys, "verify", "--input", inst, "--vector", vec, "--budget", "8")
@@ -199,8 +199,9 @@ def test_verify_bounds_the_rank_of_a_vector(tmp_path, capsys):
     assert err == "error: ranking the member reads 3 x 3 matrix entries, budget allows 8\n"
     zero = write(tmp_path, "zero.vec", "0,0,0,0\n")
     assert run(capsys, "verify", "--input", inst, "--vector", zero, "--budget", "8")[0] == 0
-    code, stdout, _ = run(capsys, "verify", "--input", inst, "--assignment", "1,1", "--budget", "8")
-    assert code == 0 and stdout.splitlines()[0] == "member, rank 1"
+    code, stdout, err = run(capsys, "verify", "--input", inst, "--assignment", "1,1", "--budget", "8")
+    assert (code, stdout) == (3, "")
+    assert err == "error: ranking the member reads 3 x 3 matrix entries, budget allows 8\n"
 
 
 def test_verify_needs_exactly_one_mode(tmp_path, capsys):

@@ -10,13 +10,14 @@ from rankgap.boolalg import SquarefreePoly, basis_make, mask_of
 from rankgap.decoder import (
     LevelRankProfile,
     MultiplicationOperators,
+    _verify_operator_identities,
     common_eigenvector,
     decode_assignment,
     find_flat_level,
     level_ranks,
     multiplication_operators,
 )
-from rankgap.errors import PreconditionError
+from rankgap.errors import InternalConsistencyError, PreconditionError
 from rankgap.frontends import QuadSystemSource, parse_quadeq
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import FFMatrix
@@ -162,9 +163,6 @@ def test_operators_preconditions():
         multiplication_operators(u_side, 0, parse_quadeq("GF(2); n: 1; x1\n"))
 
 
-# -- common eigenvector -------------------------------------------------------
-
-
 def make_ops(field, mats, labels=None):
     dim = mats[0].nrows if mats else 0
     return MultiplicationOperators(
@@ -174,6 +172,41 @@ def make_ops(field, mats, labels=None):
         labels=labels or tuple(range(dim)),
         operators=tuple(mats),
     )
+
+
+def refusal(field, rows_per_operator, source):
+    """The identity check's refusal message for hand-built operators, or
+    None when every identity holds."""
+    ops = make_ops(field, [FFMatrix(field, rows) for rows in rows_per_operator])
+    try:
+        _verify_operator_identities(ops, parse_quadeq(source))
+    except InternalConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def test_identity_checks_refuse_idempotence_and_commutation():
+    assert refusal(GF2, [[[0, 1], [0, 0]]], "GF(2)\nx1\n") == "operator 1 is not idempotent"
+    # both idempotent, but T1 T2 = T2 while T2 T1 = T1
+    pair = [[[1, 1], [0, 0]], [[1, 0], [0, 0]]]
+    assert refusal(GF2, pair, "GF(2)\nx1 + x2\n") == "operators 1 and 2 do not commute"
+
+
+def test_identity_checks_refuse_unannihilated_equations():
+    annihilated = "source equation {} does not annihilate the operators"
+    # the constant term is the identity
+    assert refusal(GF2, [[[0]]], "GF(2)\nx1 + 1\n") == annihilated.format(0)
+    assert refusal(GF2, [[[1]]], "GF(2)\nx1 + 1\n") is None
+    # a pair term is the product T1 T2
+    src = "GF(2)\nx1 + x2 + x1*x2 + 1\nx1*x2 + x1\n"
+    assert refusal(GF2, [[[1]], [[0]]], src) == annihilated.format(1)
+    assert refusal(GF2, [[[1]], [[1]]], src) is None
+    # coefficients other than 1 scale their operator
+    assert refusal(GF3, [[[1]], [[0]]], "GF(3)\n2*x1 + x2\n") == annihilated.format(0)
+    assert refusal(GF3, [[[1]], [[1]]], "GF(3)\n2*x1 + x2\n") is None
+
+
+# -- common eigenvector -------------------------------------------------------
 
 
 def test_eigenvector_frozen_example():
