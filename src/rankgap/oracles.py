@@ -8,15 +8,20 @@ of the assignment, checked against the equations it must meet.  The
 pipeline is validated against these routines, never the other way around.
 Every rank and echelon form comes from gflinalg.
 
-Minrank goes level by level.  A low level is decided by a candidate pass:
+Minrank goes level by level.  At the full level d, where no nonzero
+member has rank 0, rank one is decided from the Boolean points when they
+are fewer than the members: there the rank-one members are the multiples
+of honest vectors in the space (_honest_member), in V over every field
+and in U over GF(2).  Any other low level is decided by a candidate pass:
 a member has rank at most r exactly when some space of dimension N - r
 annihilates it, which is linear in the kernel coefficients once the space
 is fixed, so each candidate space costs one small elimination.  The first
 level with more candidates than members goes to a scan that counts up
 through the kernel coefficients, which visits the members in increasing
-order, and stops at the first member of the lowest rank the pass did not
-rule out.  The winning witness is re-ranked from its coordinates
-(PseudoMomentVector.independent_sets) before it is reported.
+order, and stops at the first member of the lowest rank the points and
+the pass did not rule out.  The winning witness is re-ranked from its
+coordinates (PseudoMomentVector.independent_sets) before it is reported,
+and one from the points is checked against every row as well.
 
 Budgets are hard limits: when an enumeration would exceed one, the answer
 is a refusal (BudgetExceededError), not a subsample.  check_kernel_budget
@@ -43,7 +48,7 @@ from .gflinalg import (
     sparse_rank,
     table_rank,
 )
-from .subspace import SubspaceSpec, expansion_positions
+from .subspace import SubspaceSpec, expansion_positions, honest_moment_vector
 from .superposition import MonomialQuadSystem
 
 __all__ = [
@@ -393,6 +398,55 @@ def _candidate_pass(system, q: int, side: int, r: int):
     return best
 
 
+def _honest_member(space: SubspaceSpec):
+    """The least honest vector h(z) in the space, z a Boolean point (not 0
+    in U), or None when it holds none.  z passes when every distinct row
+    sums to 0 over its terms whose masks lie inside z: that sum is the
+    row's value at h(z).  The points go in lexicographic order of their
+    bits, which is the order of their honest vectors, since in both
+    variants the coordinates start with the singletons (after the empty
+    set, 1 throughout, in V) and the rest are products of them.
+
+    At level d the nonzero members of rank one are exactly the multiples
+    λh(z) in the space, in the two cases this is called for.  Each
+    coordinate R is an entry of H_d(y), at (S, T) for two halves of R of
+    at most d elements each.  λh_d h_d^T has rank one, so it is enough
+    that a rank-one H_d(y) is such a multiple.
+    - V, any field: H_d(y) = λuu^T with λ ≠ 0.  Were u_∅ = 0, row ∅
+      would give y_S = 0, so λu_S^2 = 0 on the diagonal and u = 0.  So
+      scale u so that u_∅ = 1.  Then y_S = λu_S from row ∅ and
+      y_S = λu_S^2 on the diagonal, so u_S is 0 or 1, and for A ∪ B in
+      the family entry (A, B) against entry (∅, A ∪ B) gives
+      u_{A∪B} = u_A·u_B.  With z_i = u_{i}, u_S is the product of z over
+      S, and y_R = λu_S·u_T = λh(z)_R.
+    - U over GF(2): H_d(y) = uu^T.  The diagonal gives y_S = u_S, so
+      y_{S∪T} = y_S·y_T, and y_R is the product of z_i = y_{i} over R:
+      y = h(z), with z ≠ 0 since y ≠ 0.
+    The least multiple has λ = 1 in V, where its first coordinate is λ.
+    U over larger fields falls outside: over GF(3), n = 1, d = 1, the
+    member y = (1, 1, 2) has H_1(y) = [[1, 2], [2, 1]] = uu^T for
+    u = (1, 2), and y is no multiple of an honest vector.
+    """
+    add = space.field.tables()[0]
+    masks = space.coords.masks
+    rows = [[(masks[pos], coeff) for pos, coeff in row] for _, row in space.distinct_rows]
+    symbols = range(space.n + 1) if space.variant == "U" else range(1, space.n + 1)
+    for bits in product((0, 1), repeat=len(symbols)):
+        outside = ~mask_of(i for i, b in zip(symbols, bits) if b)
+        if outside == -1 and space.variant == "U":
+            continue  # h(0) is the zero vector in U
+        for row in rows:
+            acc = 0
+            for mask, coeff in row:
+                if not mask & outside:
+                    acc = add[acc][coeff]
+            if acc:
+                break
+        else:
+            return honest_moment_vector(space.field, bits, space.n, 2 * space.d, space.variant).values
+    return None
+
+
 def minrank_bruteforce(
     space: SubspaceSpec,
     level: int | None = None,
@@ -407,14 +461,20 @@ def minrank_bruteforce(
     take at most one dimension off the kernel; the refusal names the exact
     dimension all the same.  Otherwise every one of the q^m - 1 nonzero
     members is decided, and enumerated counts them.
-    Levels r = 0, 1, ... are decided in turn.  A level whose [N, r]_q
-    candidate annihilators are fewer than the members goes to
-    _candidate_pass; the first level that does not is handed, with every
-    level above it, to the system's scan, which knows no member ranks
+    Ranks r are decided in turn, from 0 below level d and from 1 at it,
+    where only the zero vector has rank 0.  At level d, in V and in U over
+    GF(2), rank one goes to _honest_member when the points are fewer than
+    the members; its witness is the least rank-one member, and when it
+    finds none the search goes on from rank 2.  Otherwise a rank whose
+    [N, r]_q candidate annihilators are fewer than the members goes to
+    _candidate_pass; the first rank that does not is handed, with every
+    rank above it, to the system's scan, which knows no member ranks
     lower.  Both name members by their coefficients, which compare as the
     members' coordinates do, so the witness is the lexicographically
     smallest coordinate vector among the rank minimizers whichever
-    decides.  The search runs in one process.
+    decides.  The kernel's echelon form, the layout of H and the system
+    are built only when the pass or the scan runs.  The search runs in
+    one process.
     """
     if level is None:
         level = space.d
@@ -434,28 +494,43 @@ def minrank_bruteforce(
     if m == 0:
         return MinrankReport("empty", digest, 0, 0)
     total = q**m
-
-    # in reduced echelon form, the kernel coefficients order the members
-    # the way their coordinates do, the first coefficient deciding first;
-    # the systems eliminate from column 0, so they take the rows reversed
-    kernel = FFMatrix(field, kernel, ncoords).rref()[0].rows[::-1]
-    positions = expansion_positions(space.coords, basis_make(space.n, level, space.variant).masks)
-    side = len(positions)
-    system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel, positions)
-    best_rank, least = 0, None
-    # one candidate costs the pass about one member rank test of the scan:
-    # measured per candidate, pruning included (Python 3.11, 2 cores), on
-    # direct instances with N = 5 to 7 over GF(2), GF(3) and GF(4), 0.04
-    # to 0.7 at levels 2 and 3, where the choice falls, and 0.4 to 10 at
-    # level 1, which has a few hundred candidates at most
-    while _subspace_count(side, best_rank, q) < total - 1:
-        least = _candidate_pass(system, q, side, best_rank)
-        if least is not None:
-            break
-        best_rank += 1
-    if least is None:
-        best_rank, least = system.scan(best_rank)
-    witness = system.member(least)
+    best_rank, witness = 0, None
+    if level == space.d:
+        # every coordinate is an entry of H_d(y), so only 0 has rank 0
+        best_rank = 1
+        points = 1 << space.n if space.variant == "V" else (2 << space.n) - 1
+        if (space.variant == "V" or q == 2) and points < total - 1:
+            witness = _honest_member(space)
+            if witness is None:
+                best_rank = 2
+            else:
+                violated = space.membership_violation(witness)
+                if violated is not None:
+                    raise InternalConsistencyError(
+                        f"the points' witness violates constraint row {violated}"
+                    )
+    if witness is None:
+        # in reduced echelon form, the kernel coefficients order the members
+        # the way their coordinates do, the first coefficient deciding first;
+        # the systems eliminate from column 0, so they take the rows reversed
+        kernel = FFMatrix(field, kernel, ncoords).rref()[0].rows[::-1]
+        positions = expansion_positions(space.coords, basis_make(space.n, level, space.variant).masks)
+        side = len(positions)
+        system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel, positions)
+        least = None
+        # one candidate costs the pass about one member rank test of the scan:
+        # measured per candidate, pruning included (Python 3.11, 2 cores), on
+        # direct instances with N = 5 to 7 over GF(2), GF(3) and GF(4), 0.04
+        # to 0.7 at levels 2 and 3, where the choice falls, and 0.4 to 10 at
+        # level 1, which has a few hundred candidates at most
+        while _subspace_count(side, best_rank, q) < total - 1:
+            least = _candidate_pass(system, q, side, best_rank)
+            if least is not None:
+                break
+            best_rank += 1
+        if least is None:
+            best_rank, least = system.scan(best_rank)
+        witness = system.member(least)
     checked = len(space.vector(witness).independent_sets(level))
     if checked != best_rank:
         raise InternalConsistencyError(

@@ -114,6 +114,8 @@ def _check_rows(field: FieldSpec, indexed_rows, ncoords: int) -> None:
 _ROWS_OPEN = '\n  "rows": [\n    '
 _ROWS_CLOSE = '\n  ],\n  "variant": '
 _ROW_SEP = ",\n    ["  # between rows: inside one, ",\n" is followed by 6 or 8 spaces
+# the fewest rows _canonical_parts reads itself
+_CANONICAL_ROWS = 64
 # distinct rows parsed per json.loads: one text of all 920 distinct rows of
 # an n = 7 CNF instance raised the benchmark's peak RSS from 31.4 to 34-35 MB
 _PARSE_ROWS = 256
@@ -163,16 +165,24 @@ def _canonical_parts(text: str):
     json.dumps of the parsed document, so json.loads would have returned
     that same document.
 
-    Texts where fewer than half the rows repeat are left to json.loads.
-    Timed against it on random rows of 2 and 10 pairs, this route breaks
-    even at 50-65% distinct rows on texts of 512 rows or more; below 64
-    rows its fixed cost, 30-60 us for the separate head, loses at any
-    share.  Finding that share, a split and a set over the rows, costs a
-    text sent to json.loads 8-10% of its load."""
+    Texts of fewer than _CANONICAL_ROWS rows, or where fewer than half
+    the rows repeat, are left to json.loads.  Timed against it on random
+    rows of 2 and 10 pairs, this route breaks even at 50-65% distinct rows
+    on texts of 512 rows or more; below 64 rows its fixed cost, 30-60 us
+    for the separate head, loses at any share.  Finding that share, a
+    split and a set over the rows, costs a text sent to json.loads 8-10%
+    of its load, so the first _CANONICAL_ROWS separators are looked for
+    first."""
     start, end = text.find(_ROWS_OPEN), text.rfind(_ROWS_CLOSE)
     body = start + len(_ROWS_OPEN)
     if start < 0 or end < body or text[body] != "[" or text[-1:] != "\n":
         return None
+    at = body
+    for _ in range(_CANONICAL_ROWS - 1):  # not count(): it reads a long text to its end
+        at = text.find(_ROW_SEP, at, end)
+        if at < 0:
+            return None
+        at += len(_ROW_SEP)
     pieces = text[body + 1 : end].split(_ROW_SEP)  # each row text but its "["
     if 2 * len(set(pieces)) > len(pieces):
         return None

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from rankgap.boolalg import SquarefreePoly, basis_make, mask_of
+from rankgap.boolalg import SquarefreePoly, basis_make
 from rankgap.decoder import (
     LevelRankProfile,
     MultiplicationOperators,

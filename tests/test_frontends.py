@@ -7,7 +7,6 @@ import pytest
 from rankgap.boolalg import mask_of
 from rankgap.errors import ParseError, PreconditionError
 from rankgap.frontends import (
-    CnfFormula,
     QuadSystemSource,
     booleanity_polynomial,
     clause_polynomial,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rankgap.errors import InternalConsistencyError, ParseError, PreconditionError
+from rankgap.errors import ParseError, PreconditionError
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import (
     FFMatrix,

@@ -66,11 +66,12 @@ json_values = st.recursive(
 
 
 @st.composite
-def spaces(draw):
+def spaces(draw, min_rows=0):
     """A space over GF(2), GF(3), GF(4) or GF(5), U or V, whose rows are
     drawn from a pool of at most four rows and the empty row, the list then
     written up to three times over, so most repeat; sometimes every row is
-    distinct, sometimes there are none."""
+    distinct, sometimes there are none.  A nonempty list is written over
+    again until it has at least min_rows rows."""
     field = draw(st.sampled_from(FIELDS))
     variant = draw(st.sampled_from("UV"))
     n, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
@@ -81,6 +82,8 @@ def spaces(draw):
     pool = draw(st.lists(row, min_size=1, max_size=4)) + [()]
     rows = draw(st.lists(st.sampled_from(pool), max_size=20) | st.lists(row, max_size=3))
     rows *= draw(st.integers(1, 3))
+    if rows and len(rows) < min_rows:
+        rows *= -(-min_rows // len(rows))
     provenance = draw(st.dictionaries(st.text(max_size=4), json_values, max_size=3))
     return SubspaceSpec(field, variant, n, d, tuple(rows), provenance)
 
@@ -201,12 +204,24 @@ def test_mutated_instances_load_as_the_reference_loads_them(space, data):
     assert_same_load(text)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spaces(min_rows=rankgap.subspace._CANONICAL_ROWS), st.data())
+def test_long_instances_load_as_the_reference_loads_them(space, data):
+    """Texts long enough for the canonical route, written and mutated."""
+    text = space.to_text()
+    result = assert_same_load(text)
+    assert result[0] == "ok" and result[1] == space and result[2] == text
+    for _ in range(data.draw(st.integers(1, 3))):
+        text = data.draw(st.sampled_from(MUTATORS))(text, data.draw)
+    assert_same_load(text)
+
+
 def test_changed_rows_are_found_where_they_stand():
     """Canonical texts whose rows break a rule give the reference's error;
     the route reads those with int values, and leaves 1.0 to json.loads."""
     gf3 = make_field(3)
     good = ((0, 1), (2, 2))
-    text = SubspaceSpec(gf3, "V", 2, 1, (good,) * 8 + ((),)).to_text()
+    text = SubspaceSpec(gf3, "V", 2, 1, (good,) * 80 + ((),)).to_text()
     for old, new, canonical in [
         ("2\n      ]\n    ]", "0\n      ]\n    ]", True),  # a zero coefficient
         ("        2,", "        99,", True),  # a position out of range
@@ -217,15 +232,19 @@ def test_changed_rows_are_found_where_they_stand():
         mutant = text[:i] + new + text[i + len(old):]
         assert (rankgap.subspace._canonical_parts(mutant) is not None) == canonical
         result = assert_same_load(mutant)
-        assert result[0] == "error" and "row 7" in result[2], result
+        assert result[0] == "error" and "row 79" in result[2], result
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(spaces())
+@given(spaces() | spaces(min_rows=rankgap.subspace._CANONICAL_ROWS))
 def test_written_instances_with_repeated_rows_take_the_canonical_route(space):
+    """Texts of at least _CANONICAL_ROWS rows, at least half of them
+    repeats, take the route; shorter ones never do."""
     text = space.to_text()
     repeats = len(space.rows) - len(space.distinct_rows)
-    if space.rows and 2 * repeats >= len(space.rows):
+    if len(space.rows) < rankgap.subspace._CANONICAL_ROWS:
+        assert rankgap.subspace._canonical_parts(text) is None
+    elif 2 * repeats >= len(space.rows):
         assert rankgap.subspace._canonical_parts(text) is not None
         loaded = SubspaceSpec.from_text(text)
         assert loaded.to_text() == text

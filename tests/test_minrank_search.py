@@ -1,17 +1,21 @@
 """The level-by-level minrank search against a naive enumeration.
 
-minrank_bruteforce decides low levels with the candidate pass and hands
-the rest to the scan with a lower bound.  On random small direct specs
-its answer must equal the one read straight off the definition: every
-nonzero combination of the kernel vectors, ranked by plain Gaussian
-elimination over the field, the least coordinate vector winning among
-the rank minimizers.  The reference checks the kernel it is handed and
-shares nothing with the search but the field arithmetic.
+minrank_bruteforce decides rank one at level d from the Boolean points
+when they are fewer than the members, decides other low levels with the
+candidate pass, and hands the rest to the scan with a lower bound.  On
+random small specs its answer must equal the one read straight off the
+definition: every nonzero combination of the kernel vectors, ranked by
+plain Gaussian elimination over the field, the least coordinate vector
+winning among the rank minimizers.  The reference checks the kernel it
+is handed and shares nothing with the search but the field arithmetic.
+The lemma the points rest on, that the rank-one members at level d are
+the multiples of honest vectors in the space, is checked the same way.
 """
 
 from collections import Counter
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import rankgap.oracles as oracles
@@ -20,17 +24,18 @@ from rankgap.errors import BudgetExceededError
 from rankgap.frontends import QuadSystemSource
 from rankgap.gfarith import make_field
 from rankgap.moment import build_moment_subspace
+from rankgap.subspace import SubspaceSpec
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+GF2 = make_field(2)
 
 
 @st.composite
-def direct_specs(draw):
-    """(space, level): a direct space of one to three equations of at most
-    four terms, at k = 1 or 2, planted with a Boolean zero when sat is
-    drawn, and a level in 0..d.  Fields past GF(4) get two variables so
-    kernels stay small."""
-    p, e = draw(st.sampled_from(FIELDS))
+def direct_specs(draw, fields=FIELDS):
+    """A direct space of one to three equations of at most four terms, at
+    k = 1 or 2, planted with a Boolean zero when sat is drawn.  Fields
+    past GF(4) get two variables so kernels stay small."""
+    p, e = draw(st.sampled_from(fields))
     field = make_field(p, e)
     n = draw(st.integers(1, 3 if field.q <= 4 else 2))
     k = draw(st.integers(1, 2))
@@ -45,8 +50,29 @@ def direct_specs(draw):
             coeffs[0] = field.sub(coeffs.get(0, 0), poly.evaluate(point, first_var=1))
             poly = SquarefreePoly(field, coeffs)
         equations.append(poly)
-    space = build_moment_subspace(QuadSystemSource(field, n, tuple(equations)), k)
-    return space, draw(st.integers(0, space.d))
+    return build_moment_subspace(QuadSystemSource(field, n, tuple(equations)), k)
+
+
+@st.composite
+def gf2_u_specs(draw):
+    """A hand-built U space over GF(2), n = 1 to 3 at d = 1 and n = 1 or 2
+    at d = 2, with 2 to 8 fewer random rows than coordinates.  When sat is
+    drawn, each row is made to vanish on the honest vector of a planted
+    nonzero point by toggling that point's first singleton."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3 if d == 1 else 2))
+    masks = basis_make(n, 2 * d, "U").masks
+    point = draw(st.integers(1, (2 << n) - 1))
+    first = masks.index(point & -point)
+    sat = draw(st.booleans())
+    rows = []
+    for _ in range(max(0, len(masks) - draw(st.integers(2, 8)))):
+        picks = draw(st.lists(st.booleans(), min_size=len(masks), max_size=len(masks)))
+        row = {c for c, pick in enumerate(picks) if pick}
+        if sat and sum(1 for c in row if not masks[c] & ~point) % 2:
+            row ^= {first}
+        rows.append(tuple((c, 1) for c in sorted(row)))
+    return SubspaceSpec(GF2, "U", n, d, tuple(rows))
 
 
 def naive_rank(field, rows):
@@ -67,28 +93,37 @@ def naive_rank(field, rows):
     return rank
 
 
-def naive_minrank(space, level):
-    """(minrank, least minimizer) over every nonzero kernel member, after
-    checking that space.kernel_basis() is a basis of the kernel."""
-    field, count = space.field, space.coord_count
-    kernel = space.kernel_basis()
+def dense_constraints(space):
+    count = space.coord_count
     dense = []
     for row in space.rows:
         line = [0] * count
         for pos, coeff in row:
             line[pos] = coeff
         dense.append(line)
+    return dense
+
+
+def is_member(space, y):
+    field = space.field
+    for line in dense_constraints(space):
+        acc = 0
+        for a, v in zip(line, y):
+            acc = field.add(acc, field.mul(a, v))
+        if acc:
+            return False
+    return True
+
+
+def naive_members(space):
+    """Every nonzero member, after checking that space.kernel_basis() is a
+    basis of the kernel."""
+    field, count = space.field, space.coord_count
+    kernel = space.kernel_basis()
+    dense = dense_constraints(space)
     assert len(kernel) == count - naive_rank(field, dense) == naive_rank(field, kernel)
-    for vec in kernel:
-        for line in dense:
-            acc = 0
-            for a, v in zip(line, vec):
-                acc = field.add(acc, field.mul(a, v))
-            assert acc == 0
-    # the level's index family: coordinate monomials of at most level variables
-    index = [mask for mask in space.coords.masks if mask.bit_count() <= level]
-    where = {mask: c for c, mask in enumerate(space.coords.masks)}
-    best = None
+    assert all(is_member(space, vec) for vec in kernel)
+    members = []
     for combo in product(range(field.q), repeat=len(kernel)):
         if not any(combo):
             continue
@@ -96,22 +131,78 @@ def naive_minrank(space, level):
         for c, vec in zip(combo, kernel):
             for i, v in enumerate(vec):
                 y[i] = field.add(y[i], field.mul(c, v))
-        matrix = [[y[where[s | t]] for t in index] for s in index]
-        candidate = (naive_rank(field, matrix), tuple(y))
-        if best is None or candidate < best:
-            best = candidate
-    return best
+        members.append(tuple(y))
+    return members
 
 
-def test_search_matches_scan(monkeypatch):
+def naive_layout(space, level):
+    """The coordinate at each cell (S, T) of H_level(y), the index family
+    being the coordinate monomials of at most level variables."""
+    index = [mask for mask in space.coords.masks if mask.bit_count() <= level]
+    where = {mask: c for c, mask in enumerate(space.coords.masks)}
+    return [[where[s | t] for t in index] for s in index]
+
+
+def naive_ranks(space, members, level):
+    """rank H_level(y) for each member y."""
+    layout = naive_layout(space, level)
+    return [naive_rank(space.field, [[y[c] for c in row] for row in layout]) for y in members]
+
+
+def naive_minrank(space, level, members):
+    """(minrank, least minimizer) over the nonzero members."""
+    return min(zip(naive_ranks(space, members, level), members))
+
+
+def honest_multiples(space):
+    """λh(z) for each Boolean point z (not 0 in U) and nonzero λ, read
+    straight off the definition: coordinate R is λ when z is 1 throughout
+    R, else 0."""
+    field, masks = space.field, space.coords.masks
+    symbols = range(space.n + 1) if space.variant == "U" else range(1, space.n + 1)
+    out = set()
+    for bits in product((0, 1), repeat=len(symbols)):
+        ones = sum(1 << i for i, b in zip(symbols, bits) if b)
+        if space.variant == "U" and not ones:
+            continue
+        for scale in range(1, field.q):
+            out.add(tuple(scale if mask & ones == mask else 0 for mask in masks))
+    return out
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(direct_specs(fields=[(2, 1), (3, 1), (2, 2), (5, 1)]) | gf2_u_specs())
+def test_rank_one_members_are_the_member_multiples_of_honest_vectors(space):
+    """At level d, the members of rank one are exactly the multiples of
+    honest vectors that the space contains: V over GF(2), GF(3), GF(4)
+    and GF(5), and U over GF(2)."""
+    if space.field.q ** space.dimension() > 1 << 10:
+        return
+    members = naive_members(space)
+    rank_one = {y for y, rank in zip(members, naive_ranks(space, members, space.d)) if rank == 1}
+    assert rank_one == {y for y in honest_multiples(space) if is_member(space, y)}
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """A count of which route decided each minrank call: the points, the
+    candidate pass, or each class's scan, stopped at its lower bound or
+    run through every member."""
     calls = Counter()
+    real_points = oracles._honest_member
     real_pass = oracles._candidate_pass
+
+    def counted_points(space):
+        witness = real_points(space)
+        calls["points decided" if witness is not None else "points ruled out"] += 1
+        return witness
 
     def counted_pass(*args):
         least = real_pass(*args)
         calls["pass decided" if least is not None else "pass ruled out"] += 1
         return least
 
+    monkeypatch.setattr(oracles, "_honest_member", counted_points)
     monkeypatch.setattr(oracles, "_candidate_pass", counted_pass)
     for system in (oracles._PackedSystem, oracles._TableSystem):
         real_scan = system.scan
@@ -122,27 +213,65 @@ def test_search_matches_scan(monkeypatch):
             return rank, least
 
         monkeypatch.setattr(system, "scan", counted_scan)
+    return calls
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(direct_specs())
-    def check(spec):
-        space, level = spec
-        try:
-            report = oracles.minrank_bruteforce(space, level=level, budget=1 << 12)
-        except BudgetExceededError:
-            return
-        if report.status != "ok":
-            return
-        minrank, witness = naive_minrank(space, level)
-        enumerated = space.field.q ** report.kernel_dimension - 1
+
+def test_points_rule_out_the_u_counterexample_over_gf3(routes):
+    """Over GF(3), y = (1, 1, 2) on the U coordinates {0}, {1}, {0, 1} has
+    H_1(y) = [[1, 2], [2, 1]] = uu^T for u = (1, 2), and is no multiple of
+    an honest vector.  The kernel of y_0 + y_1 + 2y_01 = 0 holds it and no
+    honest multiple, so the points would rule rank one out; the candidate
+    pass finds it."""
+    space = SubspaceSpec(make_field(3), "U", 1, 1, (((0, 1), (1, 1), (2, 2)),))
+    members = naive_members(space)
+    assert (1, 1, 2) in members and not honest_multiples(space) & set(members)
+    report = oracles.minrank_bruteforce(space)
+    assert (report.minrank, report.witness) == naive_minrank(space, 1, members)
+    assert report.minrank == 1 and routes == {"pass decided": 1}
+    assert oracles._honest_member(space) is None
+
+
+def check_levels(space, levels, budget):
+    """minrank_bruteforce at each of the levels against the naive minrank."""
+    try:
+        top = oracles.minrank_bruteforce(space, budget=budget)
+    except BudgetExceededError:
+        return
+    if top.status != "ok":
+        return
+    members = naive_members(space)
+    enumerated = space.field.q ** top.kernel_dimension - 1
+    for level in levels:
+        report = top if level == space.d else oracles.minrank_bruteforce(space, level=level, budget=budget)
+        minrank, witness = naive_minrank(space, level, members)
         assert (report.minrank, report.witness, report.enumerated) == (minrank, witness, enumerated)
 
+
+def test_search_matches_scan(routes):
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(direct_specs().flatmap(lambda space: st.tuples(st.just(space), st.integers(0, space.d))))
+    def check(spec):
+        space, level = spec
+        check_levels(space, {level, space.d}, 1 << 12)
+
     check()
-    # each class's scan is reached both ways; no benchmark workload runs
-    # the packed scan, so this is its guard
-    assert set(calls) == {
+    # every route is reached, each class's scan both ways; no benchmark
+    # workload runs the packed scan, so this is its guard
+    assert set(routes) == {
+        "points decided",
+        "points ruled out",
         "pass decided",
         "pass ruled out",
         *((name, outcome) for name in ("_PackedSystem", "_TableSystem")
           for outcome in ("stopped early", "walked every member")),
-    }, calls
+    }, routes
+
+
+def test_minrank_on_gf2_u_spaces(routes):
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(gf2_u_specs())
+    def check(space):
+        check_levels(space, range(space.d + 1), 1 << 10)
+
+    check()
+    assert {"points decided", "points ruled out"} <= set(routes), routes

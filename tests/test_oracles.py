@@ -281,23 +281,36 @@ def test_scan_ranks_members_in_increasing_order(q, monkeypatch):
 
 
 def test_minrank_rechecks_its_witness(monkeypatch):
-    # both routes end in the re-check.  The scan decides this GF(3) space
-    # from level 1 on: its 13 candidate lines outnumber the 8 members.  A
-    # scan that calls its member rank 0 is caught.
-    space = build_moment_subspace(parse_quadeq("GF(3)\nx1 + x2\nx1*x2 + 1\n"), 1)
-    assert space.dimension() == 2
+    # every route ends in the re-check.  This GF(3) space has 2 members,
+    # no more than its 4 points, so the points do not decide it, and its
+    # 13 candidate lines at rank 1 outnumber the members: the scan decides
+    # it.  A scan that calls its member rank 0 is caught.
+    space = build_moment_subspace(parse_quadeq("GF(3)\nx1 + x2\nx1*x2 + 1\nx1 + 1\n"), 1)
+    assert space.dimension() == 1
     real_scan = _TableSystem.scan
     with monkeypatch.context() as patch:
         patch.setattr(_TableSystem, "scan", lambda self, lo: (0, real_scan(self, lo)[1]))
         with pytest.raises(InternalConsistencyError, match="witness"):
             minrank_bruteforce(space)
-    # the candidate pass decides level 0 of every space with more than one
-    # nonzero member; a solver that never rules a candidate out finds a
-    # rank-0 member there
-    space = build_moment_subspace(parse_quadeq("GF(2)\nx1 + x2\n"), 1)
+    # below level d, the candidate pass decides rank 0 of every space with
+    # more than one nonzero member.  At d = 2 this space is y_1 = y_2 =
+    # y_12, and a solver that never rules a candidate out calls its least
+    # member (0, 1, 1, 1) rank 0 at level 1
+    space = build_moment_subspace(parse_quadeq("GF(2)\nx1 + x2\n"), 2)
+    assert space.dimension() == 2
     with monkeypatch.context() as patch:
         patch.setattr(_PackedSystem, "extend", lambda self, pivots, p: pivots)
         with pytest.raises(InternalConsistencyError, match="witness"):
+            minrank_bruteforce(space, level=1)
+    # at d = 1 its 4 points, fewer than its 7 members, decide rank one.  An
+    # honest vector outside the space has rank one all the same, so the
+    # re-rank passes it; the membership re-check catches it
+    space = build_moment_subspace(parse_quadeq("GF(2)\nx1 + x2\n"), 1)
+    outside = honest_moment_vector(GF2, (1, 0), n=2, degree=2).values
+    assert not space.contains(outside)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "_honest_member", lambda space: outside)
+        with pytest.raises(InternalConsistencyError, match="witness violates constraint row 0"):
             minrank_bruteforce(space)
 
 
