@@ -36,6 +36,7 @@ __all__ = [
     "format_monomial",
     "parse_monomial",
     "format_poly",
+    "format_polys",
     "parse_poly",
 ]
 
@@ -335,17 +336,29 @@ def parse_monomial(text: str) -> int:
 def format_poly(f: SquarefreePoly) -> str:
     """Canonical text: graded-lex terms joined by " + ", coefficients as int
     encodings, 1 suppressed except on the constant term."""
-    if f.is_zero():
-        return "0"
-    parts = []
-    for mask, c in f.terms():
-        if mask == 0:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(format_monomial(mask))
-        else:
-            parts.append(f"{c}*{format_monomial(mask)}")
-    return " + ".join(parts)
+    return format_polys([f])[0]
+
+
+def format_polys(polys: Sequence[SquarefreePoly]) -> list[str]:
+    """format_poly of each polynomial.  The graded order and the text of a
+    monomial are worked out once per distinct monomial, not once per term,
+    so the equations of a system cost one sort key per monomial they use."""
+    order = sorted(set().union(*(f.coeffs for f in polys)), key=_graded_key)
+    place = {mask: i for i, mask in enumerate(order)}
+    names = [format_monomial(mask) for mask in order]
+    texts = []
+    for f in polys:
+        parts = []
+        for i in sorted(map(place.__getitem__, f.coeffs)):
+            c = f.coeffs[order[i]]
+            if order[i] == 0:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(names[i])
+            else:
+                parts.append(f"{c}*{names[i]}")
+        texts.append(" + ".join(parts) or "0")
+    return texts
 
 
 def parse_poly(text: str, field: FieldSpec) -> SquarefreePoly:

@@ -218,10 +218,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_minrank(args: argparse.Namespace) -> int:
-    text = _read(args.input)
-    space = SubspaceSpec.from_text(text)
     if args.workers < 1:
         raise PreconditionError("worker count must be positive")
+    text = _read(args.input)
+    space = SubspaceSpec.from_text(text)
     report = minrank_bruteforce(space, level=args.level, budget=args.budget)
     doc = report.to_json()
     doc["provenance"] = {

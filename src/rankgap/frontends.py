@@ -20,7 +20,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 
-from .boolalg import SquarefreePoly, format_poly, mask_of, parse_poly, read_index
+from .boolalg import SquarefreePoly, format_polys, mask_of, parse_poly, read_index
 from .errors import ParseError, PreconditionError
 from .gfarith import FieldSpec, format_field, make_field, parse_field_descriptor
 
@@ -195,7 +195,7 @@ class QuadSystemSource:
 
     def to_text(self) -> str:
         lines = [f"field: {format_field(self.field)}", f"n: {self.n}"]
-        lines.extend(format_poly(f) for f in self.equations)
+        lines.extend(format_polys(self.equations))
         return "\n".join(lines) + "\n"
 
     def source_hash(self) -> str:

@@ -19,9 +19,12 @@ is fixed, so each candidate space costs one small elimination.  The first
 level with more candidates than members goes to a scan that counts up
 through the kernel coefficients, which visits the members in increasing
 order, and stops at the first member of the lowest rank the points and
-the pass did not rule out.  The winning witness is re-ranked from its
-coordinates (PseudoMomentVector.independent_sets) before it is reported,
-and one from the points is checked against every row as well.
+the pass did not rule out.  The pass makes the same choice at each node
+of its search: a node whose solutions are no more than the candidates
+below it hands them to the same scan, bounded by the level's rank.  The
+winning witness is re-ranked from its coordinates
+(PseudoMomentVector.independent_sets) before it is reported, and one
+from the points is checked against every row as well.
 
 Budgets are hard limits: when an enumeration would exceed one, the answer
 is a refusal (BudgetExceededError), not a subsample.  check_kernel_budget
@@ -168,7 +171,8 @@ def check_kernel_budget(q: int, m: int, budget: int, exact=None) -> None:
 
 def _subspace_count(n: int, r: int, q: int) -> int:
     """The Gaussian binomial [n, r]_q: how many r-dimensional subspaces
-    F_q^n has."""
+    F_q^n has.  It equals [n, n - r]_q, so it takes the fewer factors."""
+    r = min(r, n - r)
     num = den = 1
     for i in range(r):
         num *= q ** (n - i) - 1
@@ -190,6 +194,17 @@ class _PackedSystem:
         self._cells = [[columns[c] for c in prow] for prow in positions]
         self._kernel_y = [sum(v << c for c, v in enumerate(vec)) for vec in kernel]
         self._coord_count = len(kernel[0])
+        # where each coordinate sits in the member's rows: (row, packed
+        # columns) pairs, from one pass over the cells
+        self._spots = [[] for _ in range(self._coord_count)]
+        for i, prow in enumerate(positions):
+            masks = dict.fromkeys(prow, 0)
+            bit = 1
+            for c in prow:
+                masks[c] |= bit
+                bit <<= 1
+            for c, mask in masks.items():
+                self._spots[c].append((i, mask))
         self._products = {}
 
     def products(self, p):
@@ -212,48 +227,67 @@ class _PackedSystem:
             return None
         return pivots
 
-    def least(self, pivots):
-        """The least nonzero solution: the one whose highest bit is the
-        lowest free column, which back-substitution from the highest pivot
-        down completes."""
-        taken = sum(pivots)
-        x = free = ~taken & (taken + 1)
-        for low in sorted(pivots, reverse=True):
-            if low < free and (pivots[low] & x).bit_count() & 1:
-                x |= low
-        return x
+    def solutions(self, pivots):
+        """The echelon basis of the solutions, lowest free column first: for
+        each free column the solution that is 1 there and 0 at every other
+        free column, completed by back-substitution from the highest pivot
+        down.  The first is the least nonzero solution, and counting up
+        through the basis visits their combinations in increasing order,
+        since a solution's pivot bits follow from its higher bits."""
+        order = sorted(pivots, reverse=True)
+        for free in range(self.m):
+            x = bit = 1 << free
+            if bit in pivots:
+                continue
+            for low in order:
+                if low < bit and (pivots[low] & x).bit_count() & 1:
+                    x |= low
+            yield x
 
-    def scan(self, lo):
-        """(rank, coefficients) of the least member of least rank, lo a rank
-        no member goes below.  Counting c up walks the members in order.
-        The step c - 1 -> c flips bits 0..t, t the trailing zeros of c, so
-        the member's rows change by the XOR of the expansions of kernel
-        vectors 0..t.  The first member found at a rank is the least of
-        that rank, so each test asks for a lower one, and a member of rank
-        lo ends the walk."""
-        flips, rows = [], [0] * len(self._cells)
-        for b in range(self.m):
-            rows = [
-                row ^ sum((cell >> b & 1) << j for j, cell in enumerate(cells))
-                for row, cells in zip(rows, self._cells)
-            ]
-            flips.append(rows)
-        best_rank, best = len(rows) + 1, None
-        rows = [0] * len(rows)
-        for c in range(1, 1 << self.m):
-            rows = list(map(xor, rows, flips[(c & -c).bit_length() - 1]))
+    def scan(self, basis, lo, hi=None):
+        """(rank, coefficients) of the least member of least rank among the
+        nonzero combinations of basis, a list of solutions in the order
+        solutions() gives them; lo is a rank no member goes below, and
+        with hi only ranks up to hi count, (hi + 1, None) when no member
+        has one.  Counting c up walks the combinations in order.  The step
+        c - 1 -> c flips bits 0..t, t the trailing zeros of c, so the
+        member's rows change by the XOR of the expansions of basis vectors
+        0..t, each the sum of its coordinates' spots.  The first member
+        found at a rank is the least of that rank, so each test asks for a
+        lower one, and a member of rank lo ends the walk."""
+        flips, rows, step = [], [0] * len(self._cells), 0
+        for b in basis:
+            rows = rows[:]
+            y = self._y(b)
+            while y:
+                low = y & -y
+                for i, mask in self._spots[low.bit_length() - 1]:
+                    rows[i] ^= mask
+                y ^= low
+            step ^= b
+            flips.append((rows, step))
+        best_rank, best = (len(rows) if hi is None else hi) + 1, None
+        rows, x = [0] * len(rows), 0
+        for c in range(1, 1 << len(basis)):
+            flip, step = flips[(c & -c).bit_length() - 1]
+            rows = list(map(xor, rows, flip))
+            x ^= step
             rank = packed_rank(rows, best_rank - 1)
             if rank is not None:
-                best_rank, best = rank, c
+                best_rank, best = rank, x
                 if rank == lo:
                     break
         return best_rank, best
 
-    def member(self, coefficients):
+    def _y(self, coefficients):
         y = 0
         for j, vec in enumerate(self._kernel_y):
             if coefficients >> j & 1:
                 y ^= vec
+        return y
+
+    def member(self, coefficients):
+        y = self._y(coefficients)
         return tuple((y >> c) & 1 for c in range(self._coord_count))
 
 
@@ -294,37 +328,44 @@ class _TableSystem:
             return None
         return pivots
 
-    def least(self, pivots):
-        """As _PackedSystem.least, the lowest free column set to 1."""
+    def solutions(self, pivots):
+        """As _PackedSystem.solutions."""
         add, sub, mul, _ = self._tables
-        free = next(c for c in range(self.m) if c not in pivots)
-        x = [0] * self.m
-        x[free] = 1
-        for col in sorted((col for col in pivots if col < free), reverse=True):
-            acc = 0
-            for a, v in zip(pivots[col][col + 1:free + 1], x[col + 1:free + 1]):
-                acc = add[acc][mul[a][v]]
-            x[col] = sub[0][acc]
-        return tuple(reversed(x))
+        order = sorted(pivots, reverse=True)
+        for free in range(self.m):
+            if free in pivots:
+                continue
+            x = [0] * self.m
+            x[free] = 1
+            for col in order:
+                if col < free:
+                    acc = 0
+                    for a, v in zip(pivots[col][col + 1:free + 1], x[col + 1:free + 1]):
+                        acc = add[acc][mul[a][v]]
+                    x[col] = sub[0][acc]
+            yield tuple(reversed(x))
 
-    def scan(self, lo):
-        """As _PackedSystem.scan, counting up the coefficients as base-q
-        digits, first coefficient fastest.  Each expansion cell copies one
-        coordinate, so a digit change rewrites only the cells of the
-        coordinates its kernel vector touches."""
+    def scan(self, basis, lo, hi=None):
+        """As _PackedSystem.scan, counting up the combinations' coefficients
+        as base-q digits, first basis vector fastest, through only those
+        whose last nonzero digit is 1: λy has y's rank, and the y with
+        leading coefficient 1 is the least of its multiples.  Each
+        expansion cell copies one coordinate, so a digit change rewrites
+        only the cells of the coordinates its basis vector's member
+        touches."""
         tables = self._tables
         add, sub, mul, _ = tables
         top = self._q - 1
-        # the scale that moves a digit up from each value, and back from the top
+        # the scale that moves a digit up from each value, and back to 0
         up = [mul[sub[v + 1][v]] for v in range(top)]
-        wrap = mul[sub[0][top]]
+        down = [mul[sub[0][v]] for v in range(self._q)]
         y = [0] * len(self._kernel[0])
         rows = [[0] * len(prow) for prow in self._positions]
         cells = [[] for _ in y]
         for row, prow in zip(rows, self._positions):
             for j, c in enumerate(prow):
                 cells[c].append((row, j))
-        support = [[(c, v) for c, v in enumerate(vec) if v] for vec in self._kernel]
+        support = [[(c, v) for c, v in enumerate(self.member(b)) if v] for b in basis]
 
         def move(b, scale):
             for c, v in support[b]:
@@ -332,36 +373,60 @@ class _TableSystem:
                 for row, j in cells[c]:
                     row[j] = value
 
-        digits = [0] * self.m
-        best_rank, best = len(rows) + 1, None
-        for _ in range(self._q**self.m - 1):
-            b = 0
-            while digits[b] == top:
-                digits[b] = 0
-                move(b, wrap)
-                b += 1
-            move(b, up[digits[b]])
-            digits[b] += 1
+        digits = [1] + [0] * (len(basis) - 1)
+        move(0, up[0])
+        lead = 0
+        best_rank, best = (len(rows) if hi is None else hi) + 1, None
+        while True:
             rank = table_rank(tables, rows, best_rank - 1)
             if rank is not None:
-                best_rank, best = rank, tuple(reversed(digits))
+                best_rank, best = rank, self._combine(digits, basis)
                 if rank == lo:
                     break
+            # digits at the top below the lead wrap to 0 and carry; a carry
+            # into the lead clears it and sets the next digit to 1
+            b = 0
+            while b < lead and digits[b] == top:
+                digits[b] = 0
+                move(b, down[top])
+                b += 1
+            if b == lead:
+                digits[b] = 0
+                move(b, down[1])
+                b = lead = lead + 1
+                if lead == len(basis):
+                    break
+            move(b, up[digits[b]])
+            digits[b] += 1
         return best_rank, best
 
-    def member(self, coefficients):
+    def _combine(self, coefficients, vectors):
         add, _, mul, _ = self._tables
-        y = [0] * len(self._kernel[0])
-        for v, vec in zip(reversed(coefficients), self._kernel):
+        x = [0] * len(vectors[0])
+        for v, vec in zip(coefficients, vectors):
             if v:
                 scale = mul[v]
-                y = [add[a][scale[c]] for a, c in zip(y, vec)]
-        return tuple(y)
+                x = [add[a][scale[c]] for a, c in zip(x, vec)]
+        return tuple(x)
+
+    def member(self, coefficients):
+        return self._combine(reversed(coefficients), self._kernel)
+
+
+def _candidates(q: int, side: int, k: int, t: int, first: int) -> int:
+    """How many candidates of k rows grow from a node of the candidate
+    pass that has taken t rows, the last with its pivot at first: the
+    k - t rows still to come form one of [first, k - t]_q echelon forms
+    left of first, and each is free on the side - first - t columns right
+    of first that no pivot takes.  At the root, t = 0 and first = side,
+    this is [side, k]_q = [side, side - k]_q."""
+    return _subspace_count(first, k - t, q) * q ** ((k - t) * (side - first - t))
 
 
 def _candidate_pass(system, q: int, side: int, r: int):
     """The least nonzero solution, in the system's form, whose member has
-    rank at most r, or None when no member does.
+    rank at most r, or None when no member does.  No member may rank
+    below r: the caller has ruled the lower ranks out.
 
     A symmetric side x side member has rank at most r exactly when some
     (side - r)-dimensional P has P . M = 0, which is linear in the kernel
@@ -371,19 +436,33 @@ def _candidate_pass(system, q: int, side: int, r: int):
     only add equations, so a partial P is pruned with everything grown
     from it once they force the zero vector, or once its least solution
     is no less than the best found.
+
+    A node whose solutions S are fewer than the candidates below it (the
+    rule that sends a whole level to the scan, at the root) scans S's
+    members instead, in increasing order, up to the first of rank at most
+    r, which it offers as a leaf offers its least solution.  That keeps
+    the answer: whatever the subtree could offer lies in S and has rank at
+    most r, so the scan's member is no greater, and it is a real member
+    of rank at most r (exactly r, since none ranks lower).
     """
     k = side - r
     best = None
 
     def grow(pivots, taken, first):
         nonlocal best
-        least = system.least(pivots)
+        least = next(system.solutions(pivots))
         if best is not None and not least < best:
             return
-        if len(taken) == k:
+        t = len(taken)
+        if t == k:
             best = least
             return
-        for j in range(k - len(taken) - 1, first):
+        if q ** (system.m - len(pivots)) - 1 <= _candidates(q, side, k, t, first):
+            found = system.scan(list(system.solutions(pivots)), r, r)[1]
+            if found is not None and (best is None or found < best):
+                best = found
+            return
+        for j in range(k - t - 1, first):
             free = [c for c in range(j + 1, side) if c not in taken]
             for values in product(range(q), repeat=len(free)):
                 p = [0] * side
@@ -467,12 +546,12 @@ def minrank_bruteforce(
     the members; its witness is the least rank-one member, and when it
     finds none the search goes on from rank 2.  Otherwise a rank whose
     [N, r]_q candidate annihilators are fewer than the members goes to
-    _candidate_pass; the first rank that does not is handed, with every
-    rank above it, to the system's scan, which knows no member ranks
-    lower.  Both name members by their coefficients, which compare as the
-    members' coordinates do, so the witness is the lexicographically
-    smallest coordinate vector among the rank minimizers whichever
-    decides.  The kernel's echelon form, the layout of H and the system
+    _candidate_pass, whose nodes make the same choice; the first rank
+    that does not is handed, with every rank above it, to the system's
+    scan over the unit basis, which knows no member ranks lower.  Both
+    name members by their coefficients, which compare as the members'
+    coordinates do, so the witness is the lexicographically smallest
+    coordinate vector among the rank minimizers whichever decides.  The kernel's echelon form, the layout of H and the system
     are built only when the pass or the scan runs.  The search runs in
     one process.
     """
@@ -523,13 +602,13 @@ def minrank_bruteforce(
         # direct instances with N = 5 to 7 over GF(2), GF(3) and GF(4), 0.04
         # to 0.7 at levels 2 and 3, where the choice falls, and 0.4 to 10 at
         # level 1, which has a few hundred candidates at most
-        while _subspace_count(side, best_rank, q) < total - 1:
+        while _candidates(q, side, side - best_rank, 0, side) < total - 1:
             least = _candidate_pass(system, q, side, best_rank)
             if least is not None:
                 break
             best_rank += 1
         if least is None:
-            best_rank, least = system.scan(best_rank)
+            best_rank, least = system.scan(list(system.solutions({})), best_rank)
         witness = system.member(least)
     checked = len(space.vector(witness).independent_sets(level))
     if checked != best_rank:

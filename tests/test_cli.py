@@ -433,6 +433,12 @@ def test_minrank_worker_counts_agree(tmp_path, capsys, monkeypatch):
     assert (code, stdout, err) == (2, "", "error: worker count must be positive\n")
 
 
+def test_minrank_checks_workers_before_reading_the_instance(tmp_path, capsys):
+    missing = str(tmp_path / "missing.subspace.json")
+    code, stdout, err = run(capsys, "minrank", "--input", missing, "--workers", "0")
+    assert (code, stdout, err) == (2, "", "error: worker count must be positive\n")
+
+
 def test_reruns_are_byte_identical(tmp_path, capsys):
     src = write(tmp_path, "line.qe", LINE_SRC)
     first = tmp_path / "a.json"

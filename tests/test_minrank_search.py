@@ -12,6 +12,7 @@ The lemma the points rest on, that the rank-one members at level d are
 the multiples of honest vectors in the space, is checked the same way.
 """
 
+import random
 from collections import Counter
 from itertools import product
 
@@ -187,7 +188,8 @@ def test_rank_one_members_are_the_member_multiples_of_honest_vectors(space):
 def routes(monkeypatch):
     """A count of which route decided each minrank call: the points, the
     candidate pass, or each class's scan, stopped at its lower bound or
-    run through every member."""
+    run through every member; and of each node scan inside the pass,
+    which finds a member of rank at most its bound or none."""
     calls = Counter()
     real_points = oracles._honest_member
     real_pass = oracles._candidate_pass
@@ -207,9 +209,12 @@ def routes(monkeypatch):
     for system in (oracles._PackedSystem, oracles._TableSystem):
         real_scan = system.scan
 
-        def counted_scan(self, lo, real_scan=real_scan, name=system.__name__):
-            rank, least = real_scan(self, lo)
-            calls[name, "stopped early" if rank == lo else "walked every member"] += 1
+        def counted_scan(self, basis, lo, hi=None, real_scan=real_scan, name=system.__name__):
+            rank, least = real_scan(self, basis, lo, hi)
+            if hi is not None:
+                calls[name, "node found a member" if least is not None else "node found none"] += 1
+            else:
+                calls[name, "stopped early" if rank == lo else "walked every member"] += 1
             return rank, least
 
         monkeypatch.setattr(system, "scan", counted_scan)
@@ -256,7 +261,10 @@ def test_search_matches_scan(routes):
 
     check()
     # every route is reached, each class's scan both ways; no benchmark
-    # workload runs the packed scan, so this is its guard
+    # workload runs the packed scan, so this is its guard.  The pass's
+    # node scans are rare here and reach one outcome per class;
+    # test_node_scans_refute_and_the_pass_keeps_its_answer reaches both
+    # outcomes of both classes
     assert set(routes) == {
         "points decided",
         "points ruled out",
@@ -264,6 +272,8 @@ def test_search_matches_scan(routes):
         "pass ruled out",
         *((name, outcome) for name in ("_PackedSystem", "_TableSystem")
           for outcome in ("stopped early", "walked every member")),
+        ("_PackedSystem", "node found none"),
+        ("_TableSystem", "node found a member"),
     }, routes
 
 
@@ -275,3 +285,46 @@ def test_minrank_on_gf2_u_spaces(routes):
 
     check()
     assert {"points decided", "points ruled out"} <= set(routes), routes
+
+
+def unsat_direct_space(rng, field, n, m):
+    """A direct space at k = 1 of m equations, each nonzero on a random
+    half of the monomials, drawn again until no Boolean point is a common
+    zero: rank one is then ruled out and the pass runs from rank 2, as on
+    the unsatisfiable instances of the benchmark."""
+    masks = basis_make(n, 2, "V").masks
+    points = list(product((0, 1), repeat=n))
+    while True:
+        equations = tuple(
+            SquarefreePoly(field, {
+                mask: rng.randrange(1, field.q) for mask in masks if rng.random() < 0.5
+            })
+            for _ in range(m)
+        )
+        if not any(all(f.evaluate(z, first_var=1) == 0 for f in equations) for z in points):
+            return build_moment_subspace(QuadSystemSource(field, n, equations), 1)
+
+
+# (p, e, n, m, instances): kernels of 5 over GF(3) and GF(4) at n = 3 and
+# 7 over GF(3) at n = 4.  GF(2) takes a kernel of 10 at n = 5: with 5 to 8
+# the rank-2 level goes straight to the scan or its node scans all find a
+# member, while 1,023 members outnumber the [6, 2]_2 = 651 candidates
+UNSAT_CLASSES = [(2, 1, 5, 6, 12), (3, 1, 3, 2, 10), (3, 1, 4, 4, 4), (2, 2, 3, 2, 10)]
+
+
+def test_node_scans_refute_and_the_pass_keeps_its_answer(routes):
+    """On unsat-like direct spaces, nodes of the rank-2 candidate pass
+    scan their solutions, and some of those scans find no member of rank
+    at most 2; the search must still give the naive minrank and least
+    minimizer."""
+    for p, e, n, m, count in UNSAT_CLASSES:
+        field = make_field(p, e)
+        rng = random.Random(f"node scans/{field.q}/{n}/{m}")
+        for _ in range(count):
+            space = unsat_direct_space(rng, field, n, m)
+            report = oracles.minrank_bruteforce(space)
+            assert (report.minrank, report.witness) == naive_minrank(space, space.d, naive_members(space))
+    assert {
+        (name, outcome) for name in ("_PackedSystem", "_TableSystem")
+        for outcome in ("node found a member", "node found none")
+    } <= set(routes), routes

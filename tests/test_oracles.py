@@ -213,8 +213,9 @@ def test_gray_walk_visits_every_nonzero_vector_once(q, m, monkeypatch):
     # the name is the Gray walk's, which the ascending walk replaced.  Over
     # m unit kernel vectors, handed over reversed as minrank does, each
     # member is its own coefficient vector; one 1 x m row ranks every
-    # member 1, so lo = 0 is never reached and the walk must rank each of
-    # the q^m - 1 nonzero vectors once, in increasing order
+    # member 1, so lo = 0 is never reached and the walk must rank once, in
+    # increasing order, each nonzero vector whose first nonzero entry is 1
+    # (a multiple λy has y's rank and comes after y): all q^m - 1 over GF(2)
     field = make_field(*{4: (2, 2)}.get(q, (q,)))
     if m == 0:
         # no nonzero vector: minrank reports the empty space, walking nothing
@@ -233,8 +234,10 @@ def test_gray_walk_visits_every_nonzero_vector_once(q, m, monkeypatch):
         return real_rank(*args)
 
     monkeypatch.setattr(oracles, real_rank.__name__, recording_rank)
-    rank, least = system.scan(0)
-    assert ranked == sorted(product(range(q), repeat=m))[1:]
+    rank, least = system.scan(list(system.solutions({})), 0)
+    monic = [v for v in sorted(product(range(q), repeat=m))[1:] if next(filter(None, v)) == 1]
+    assert len(monic) == (q**m - 1) // (q - 1)
+    assert ranked == monic
     assert (rank, system.member(least)) == (1, (0,) * (m - 1) + (1,))
 
 
@@ -269,14 +272,17 @@ def test_scan_ranks_members_in_increasing_order(q, monkeypatch):
     members = sorted(y for _, y in naive_members(space))
     best, minimizers = naive_minimizers(space)
     assert len(members) == q ** len(kernel) - 1 and best > 0
-    # below the minimum rank, every member is ranked once, in order
-    rank, least = system.scan(best - 1)
-    assert ranked == members
+    # below the minimum rank, every member whose first nonzero coordinate
+    # is 1 is ranked once, in order: the others are multiples of these
+    monic = [y for y in members if next(filter(None, y)) == 1]
+    unit = list(system.solutions({}))
+    rank, least = system.scan(unit, best - 1)
+    assert ranked == monic
     assert (rank, system.member(least)) == (best, minimizers[0])
     # from the minimum rank, the walk ends at the least minimizer
     ranked.clear()
-    rank, least = system.scan(best)
-    assert ranked == members[:members.index(minimizers[0]) + 1]
+    rank, least = system.scan(unit, best)
+    assert ranked == monic[:monic.index(minimizers[0]) + 1]
     assert (rank, system.member(least)) == (best, minimizers[0])
 
 
@@ -289,7 +295,7 @@ def test_minrank_rechecks_its_witness(monkeypatch):
     assert space.dimension() == 1
     real_scan = _TableSystem.scan
     with monkeypatch.context() as patch:
-        patch.setattr(_TableSystem, "scan", lambda self, lo: (0, real_scan(self, lo)[1]))
+        patch.setattr(_TableSystem, "scan", lambda self, *args: (0, real_scan(self, *args)[1]))
         with pytest.raises(InternalConsistencyError, match="witness"):
             minrank_bruteforce(space)
     # below level d, the candidate pass decides rank 0 of every space with

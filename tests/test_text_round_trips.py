@@ -2,11 +2,13 @@
 same bytes again: polynomials, matrices (plain and hex), instance files
 and DIMACS."""
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
-from rankgap.boolalg import SquarefreePoly, basis_make, format_poly, parse_poly
+from rankgap.boolalg import SquarefreePoly, basis_make, format_monomial, format_poly, parse_poly
 from rankgap.frontends import CnfFormula, QuadSystemSource, parse_dimacs
-from rankgap.gfarith import make_field
+from rankgap.gfarith import format_field, make_field
 from rankgap.gflinalg import FFMatrix
 from rankgap.moment import build_moment_subspace
 from rankgap.subspace import SubspaceSpec
@@ -38,6 +40,48 @@ def test_poly_text_round_trip(case):
     text = format_poly(poly)
     assert parse_poly(text, field) == poly
     assert format_poly(parse_poly(text, field)) == text
+
+
+def per_term_text(f):
+    """A polynomial's text written one term at a time, each term placed by
+    terms() and each monomial written by format_monomial: the writer that
+    format_poly and QuadSystemSource.to_text must agree with."""
+    parts = []
+    for mask, c in f.terms():
+        if mask == 0:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(format_monomial(mask))
+        else:
+            parts.append(f"{c}*{format_monomial(mask)}")
+    return " + ".join(parts) if parts else "0"
+
+
+def test_source_text_is_the_per_term_text():
+    """to_text sorts and writes each distinct monomial once for the whole
+    system; on random systems over GF(2), GF(3), GF(4) and GF(5), zero
+    equations included, it gives the per-term bytes, and so does
+    format_poly on polynomials of any degree."""
+    rng = random.Random(43)
+    for field in FIELDS[:4]:
+        for _ in range(50):
+            n = rng.randint(1, 6)
+            masks = [0, *basis_make(n, 2, "V").masks]
+            equations = tuple(
+                SquarefreePoly(field, {
+                    mask: rng.randrange(field.q)
+                    for mask in rng.sample(masks, rng.randint(0, len(masks)))
+                })
+                for _ in range(rng.randint(1, 5))
+            )
+            source = QuadSystemSource(field, n, equations)
+            lines = [f"field: {format_field(field)}", f"n: {n}", *map(per_term_text, equations)]
+            assert source.to_text() == "\n".join(lines) + "\n"
+            wide = [0, *basis_make(n + 1, n + 1, "U").masks]
+            poly = SquarefreePoly(field, {
+                mask: rng.randrange(field.q) for mask in rng.sample(wide, min(8, len(wide)))
+            })
+            assert format_poly(poly) == per_term_text(poly)
 
 
 @st.composite
