@@ -3,9 +3,11 @@ eliminates.
 
 Each field kind has one elimination by row insertion: a row is reduced
 against the pivot rows found so far, keyed by leading column, and what is
-left becomes a pivot row.  GF(2) rows are bit-packed ints (bit j = column
-j) reduced by XOR; every other field reduces int lists through its
-operation tables (FieldSpec.tables()) and scales pivot rows to a leading 1.
+left becomes a pivot row.  GF(2) rows are bit-packed ints reduced by XOR,
+leading column first: column j of an ncols-wide row is bit ncols - 1 - j,
+so a row's leading column is its top bit and bit_length() finds it.  Every
+other field reduces int lists through its operation tables
+(FieldSpec.tables()) and scales pivot rows to a leading 1.
 Each has a rank that stops once it would pass a limit (packed_rank,
 table_rank) and a reduced echelon form that back-substitutes the pivot rows
 from the highest pivot down.  That form is unique for a row space, so
@@ -56,23 +58,24 @@ _GF2 = make_field(2)
 def packed_rank(
     rows: Iterable[int], limit: int | None = None, pivots: dict[int, int] | None = None
 ) -> int | None:
-    """Rank of a GF(2) matrix given as bit-packed rows (bit j = column j).
+    """Rank of a GF(2) matrix given as bit-packed rows, leading column in
+    the top bit (column j of an ncols-wide row at bit ncols - 1 - j).
 
     With a limit, elimination stops as soon as the rank would pass it and
     the answer is None.  pivots, when given, holds the pivot rows of rows
-    inserted earlier, keyed by lowest set bit, and receives the new ones;
-    the rank then counts them all.
+    inserted earlier, keyed by bit_length() (ncols - j for a pivot at
+    column j), and receives the new ones; the rank then counts them all.
     """
     if pivots is None:
         pivots = {}
     for row in rows:
         while row:
-            low = row & -row
-            other = pivots.get(low)
+            top = row.bit_length()
+            other = pivots.get(top)
             if other is None:
                 if len(pivots) == limit:
                     return None
-                pivots[low] = row
+                pivots[top] = row
                 break
             row ^= other
     return len(pivots)
@@ -82,55 +85,58 @@ def _packed_rref(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]
     """Reduced row echelon form; returns (rows, pivot column indices).
 
     Rows must have no bits at or above ncols.  packed_rank inserts each
-    row against the pivot rows found so far, keyed by their lowest set bit,
-    then the pivot rows are back-substituted from the highest pivot down.
+    row against the pivot rows found so far, keyed by their top bit, then
+    the pivot rows are back-substituted from the highest pivot column (the
+    lowest bit) down.
     """
     pivots: dict[int, int] = {}
     packed_rank(rows, pivots=pivots)
-    # a pivot row holds no pivot bit below its own, and every pivot row
-    # above it is already reduced: one XOR per pivot bit clears it.  The
-    # keys are distinct single bits, so their sum is their union.
-    pivot_bits = sum(pivots)
+    # a pivot row holds no bit above its own top bit, and every pivot row
+    # below it is already reduced: one XOR per pivot bit clears it
+    pivot_bits = sum(1 << (top - 1) for top in pivots)
     order = sorted(pivots)
-    for low in reversed(order):
-        row = pivots[low]
-        hits = (row & pivot_bits) ^ low
+    for top in order:
+        row = pivots[top]
+        hits = (row & pivot_bits) ^ (1 << (top - 1))
         while hits:
-            bit = hits & -hits
-            row ^= pivots[bit]
-            hits ^= bit
-        pivots[low] = row
-    return [pivots[low] for low in order], [low.bit_length() - 1 for low in order]
+            hit = hits.bit_length()
+            row ^= pivots[hit]
+            hits ^= 1 << (hit - 1)
+        pivots[top] = row
+    order.reverse()
+    return [pivots[top] for top in order], [ncols - top for top in order]
 
 
 def packed_kernel_basis(rows: Sequence[int], ncols: int) -> list[int]:
     """Right-kernel basis of a packed GF(2) matrix, one packed vector per
-    free column, ordered by free column index."""
+    free column, ordered by free column index; vectors are packed as rows
+    are, column j at bit ncols - 1 - j."""
     rref, pivots = _packed_rref(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = 1 << free
-        fbit = 1 << free
+        vec = fbit = 1 << (ncols - 1 - free)
         for prow, pcol in zip(rref, pivots):
             if prow & fbit:
-                vec |= 1 << pcol
+                vec |= 1 << (ncols - 1 - pcol)
         basis.append(vec)
     return basis
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _pack_row(entries: Sequence[int]) -> int:
-    """GF(2) entries as an int, bit j = entry j."""
-    return int(b"0" + bytes(reversed(entries)).translate(_BIT_DIGITS), 2)
+    """GF(2) entries as an int, entry j at bit len(entries) - 1 - j."""
+    return int(b"0" + bytes(entries).translate(_BIT_DIGITS), 2)
 
 
 def _unpack_row(mask: int, ncols: int) -> tuple[int, ...]:
-    return tuple((mask >> j) & 1 for j in range(ncols))
+    # a marker bit at ncols keeps the leading zeros, and makes ncols = 0 give ()
+    return tuple(format(mask | 1 << ncols, "b")[1:].encode().translate(_DIGIT_BITS))
 
 
 # -- table-driven elimination over any field ---------------------------------
@@ -253,7 +259,8 @@ def sparse_kernel_basis(
     coefficient is 1 and a row packs straight into an int; other fields
     eliminate plain int lists.  Same basis as FFMatrix.kernel_basis."""
     if field.q == 2:
-        return _unpacked_kernel([sum(1 << pos for pos, _ in row) for row in rows], ncols)
+        top = ncols - 1
+        return _unpacked_kernel([sum(1 << (top - pos) for pos, _ in row) for row in rows], ncols)
     return _table_kernel(field.tables(), _dense_rows(rows, ncols), ncols)
 
 
@@ -265,7 +272,8 @@ def sparse_rank(field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]]) -> 
     column = {pos: j for j, pos in enumerate(sorted({pos for row in rows for pos, _ in row}))}
     rows = [[(column[pos], coeff) for pos, coeff in row] for row in rows]
     if field.q == 2:
-        return packed_rank(sum(1 << pos for pos, _ in row) for row in rows)
+        top = len(column) - 1
+        return packed_rank(sum(1 << (top - pos) for pos, _ in row) for row in rows)
     return table_rank(field.tables(), _dense_rows(rows, len(column)))
 
 
@@ -346,6 +354,7 @@ class FFMatrix:
         )
 
     def packed_rows(self) -> list[int]:
+        """The rows as packed_rank takes them: column j at bit ncols - 1 - j."""
         if self.field.q != 2:
             raise PreconditionError("packed rows only exist over GF(2)")
         return [_pack_row(r) for r in self.rows]
@@ -447,8 +456,8 @@ class FFMatrix:
             list(self.rows[i]) + [t[i] for t in targets] for i in range(self.nrows)
         ]
         if self.field.q == 2:
-            packed = [_pack_row(r) for r in aug_rows]
-            rref, pivots = _packed_rref(packed, self.ncols + k)
+            rref, pivots = _packed_rref([_pack_row(r) for r in aug_rows], self.ncols + k)
+            rref = [_unpack_row(r, self.ncols + k) for r in rref]
         else:
             rref, pivots = _table_rref(self.field.tables(), aug_rows)
         if any(p >= self.ncols for p in pivots):
@@ -457,7 +466,7 @@ class FFMatrix:
         for tcol in range(self.ncols, self.ncols + k):
             x = [0] * self.ncols
             for prow, pcol in zip(rref, pivots):
-                x[pcol] = (prow >> tcol) & 1 if self.field.q == 2 else prow[tcol]
+                x[pcol] = prow[tcol]
             out.append(tuple(x))
         return out
 
@@ -466,15 +475,16 @@ class FFMatrix:
     def to_text(self, packed: bool = False) -> str:
         """Header "nrows ncols GF(...)" then one line per row.  Entries are
         comma-joined coefficient digits, high degree first (a single digit
-        for prime fields).  packed=True writes GF(2) rows as hex words."""
+        for prime fields).  packed=True writes GF(2) rows as hex words, bit j
+        holding column j: the reverse of the packing elimination uses."""
         header = f"{self.nrows} {self.ncols} {format_field(self.field)}"
         lines = [header + (" hex" if packed else "")]
         if packed:
             if self.field.q != 2:
                 raise PreconditionError("hex packing is a GF(2) form")
             width = max(1, (self.ncols + 3) // 4)
-            for mask in self.packed_rows():
-                lines.append(format(mask, f"0{width}x"))
+            for row in self.rows:
+                lines.append(format(_pack_row(row[::-1]), f"0{width}x"))
         else:
             for row in self.rows:
                 lines.append(
@@ -521,7 +531,7 @@ class FFMatrix:
                     raise ParseError(f"bad hex row {ln!r}", line=lineno) from exc
                 if mask >> ncols:
                     raise ParseError(f"row has bits beyond column {ncols}", line=lineno)
-                rows.append(_unpack_row(mask, ncols))
+                rows.append(_unpack_row(mask, ncols)[::-1])
                 continue
             entries = []
             toks = ln.split()
@@ -583,11 +593,12 @@ def symmetric_rank_one_decomposition(matrix: FFMatrix) -> RankOneDecomposition:
     vectors: list[int] = []
 
     def peel_outer(u: int, v: int) -> None:
-        # add u v^T + v u^T (or u u^T when u == v) to the residue
+        # add u v^T + v u^T (or u u^T when u == v) to the residue; entry i
+        # of a packed vector is bit n - 1 - i
         for i in range(n):
-            if (u >> i) & 1:
+            if (u >> (n - 1 - i)) & 1:
                 rows[i] ^= v
-            if u != v and (v >> i) & 1:
+            if u != v and (v >> (n - 1 - i)) & 1:
                 rows[i] ^= u
 
     steps = 0
@@ -595,14 +606,14 @@ def symmetric_rank_one_decomposition(matrix: FFMatrix) -> RankOneDecomposition:
         steps += 1
         if steps > n + 1:
             raise InternalConsistencyError("peeling failed to drain the matrix")
-        diag = next((i for i in range(n) if (rows[i] >> i) & 1), None)
+        diag = next((i for i in range(n) if (rows[i] >> (n - 1 - i)) & 1), None)
         if diag is not None:
             u = rows[diag]
             vectors.append(u)
             peel_outer(u, u)
             continue
         i = next(i for i in range(n) if rows[i])
-        j = (rows[i] & -rows[i]).bit_length() - 1
+        j = n - rows[i].bit_length()
         u, v = rows[i], rows[j]
         vectors.extend((u, v, u ^ v))
         peel_outer(u, v)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import xor
 
@@ -45,7 +46,9 @@ from .errors import BudgetExceededError, InternalConsistencyError, PreconditionE
 from .gfarith import make_field
 from .gflinalg import (
     FFMatrix,
+    _pack_row,
     _packed_rref,
+    _unpack_row,
     packed_kernel_basis,
     packed_rank,
     sparse_rank,
@@ -186,26 +189,39 @@ class _PackedSystem:
     kernel[j], and so is the column of each matrix cell: cell (i, j) of the
     member is the dot product of the coefficients with cells[i][j].  The
     caller orders the kernel so that packed coefficients compare as their
-    members do."""
+    members do.  A member's rows are packed as gflinalg packs rows, for
+    packed_rank: column j of row i at bit len(positions[i]) - 1 - j.
+
+    The candidate pass reads only the cells and the scan only the spots,
+    so each is built when first asked for."""
 
     def __init__(self, field, kernel, positions):
         self.m = len(kernel)
-        columns = [sum(v << b for b, v in enumerate(col)) for col in zip(*kernel)]
-        self._cells = [[columns[c] for c in prow] for prow in positions]
+        self._kernel = kernel
+        self._positions = positions
         self._kernel_y = [sum(v << c for c, v in enumerate(vec)) for vec in kernel]
         self._coord_count = len(kernel[0])
-        # where each coordinate sits in the member's rows: (row, packed
-        # columns) pairs, from one pass over the cells
-        self._spots = [[] for _ in range(self._coord_count)]
-        for i, prow in enumerate(positions):
+        self._products = {}
+
+    @cached_property
+    def _cells(self):
+        columns = [sum(v << b for b, v in enumerate(col)) for col in zip(*self._kernel)]
+        return [[columns[c] for c in prow] for prow in self._positions]
+
+    @cached_property
+    def _spots(self):
+        """Where each coordinate sits in the member's rows: (row, packed
+        columns) pairs, from one pass over the cells."""
+        spots = [[] for _ in range(self._coord_count)]
+        for i, prow in enumerate(self._positions):
             masks = dict.fromkeys(prow, 0)
             bit = 1
-            for c in prow:
+            for c in reversed(prow):
                 masks[c] |= bit
                 bit <<= 1
             for c, mask in masks.items():
-                self._spots[c].append((i, mask))
-        self._products = {}
+                spots[c].append((i, mask))
+        return spots
 
     def products(self, p):
         """The equations p . M(coefficients) = 0, one per column, built once
@@ -221,10 +237,20 @@ class _PackedSystem:
 
     def extend(self, pivots, p):
         """The elimination state with p's equations added, or None once only
-        the zero coefficient vector solves them."""
+        the zero coefficient vector solves them.  Pivots are keyed by their
+        lowest bit, not by packed_rank's top bit: solutions() counts up in
+        member order only because each pivot bit is fixed by higher bits."""
         pivots = dict(pivots)
-        if packed_rank(self.products(p), self.m - 1, pivots) is None:
-            return None
+        for row in self.products(p):
+            while row:
+                low = row & -row
+                other = pivots.get(low)
+                if other is None:
+                    if len(pivots) == self.m - 1:
+                        return None
+                    pivots[low] = row
+                    break
+                row ^= other
         return pivots
 
     def solutions(self, pivots):
@@ -255,7 +281,7 @@ class _PackedSystem:
         0..t, each the sum of its coordinates' spots.  The first member
         found at a rank is the least of that rank, so each test asks for a
         lower one, and a member of rank lo ends the walk."""
-        flips, rows, step = [], [0] * len(self._cells), 0
+        flips, rows, step = [], [0] * len(self._positions), 0
         for b in basis:
             rows = rows[:]
             y = self._y(b)
@@ -484,7 +510,10 @@ def _honest_member(space: SubspaceSpec):
     row's value at h(z).  The points go in lexicographic order of their
     bits, which is the order of their honest vectors, since in both
     variants the coordinates start with the singletons (after the empty
-    set, 1 throughout, in V) and the rest are products of them.
+    set, 1 throughout, in V) and the rest are products of them.  The row
+    that refuted the last point is tried first on the next: a point passes
+    only when every row vanishes, so the order of the rows does not change
+    the answer, and a row that refutes one point tends to refute the next.
 
     At level d the nonzero members of rank one are exactly the multiples
     λh(z) in the space, in the two cases this is called for.  Each
@@ -514,12 +543,14 @@ def _honest_member(space: SubspaceSpec):
         outside = ~mask_of(i for i, b in zip(symbols, bits) if b)
         if outside == -1 and space.variant == "U":
             continue  # h(0) is the zero vector in U
-        for row in rows:
+        for k, row in enumerate(rows):
             acc = 0
             for mask, coeff in row:
                 if not mask & outside:
                     acc = add[acc][coeff]
             if acc:
+                if k:
+                    rows.insert(0, rows.pop(k))
                 break
         else:
             return honest_moment_vector(space.field, bits, space.n, 2 * space.d, space.variant).values
@@ -762,22 +793,23 @@ def _support_lex_min(particular: int, kernel: list[int], width: int) -> int:
     vector whose support sequence (sorted list of nonzero positions) is
     lexicographically smallest.
 
-    Scans positions left to right keeping the kernel reduced so that all
-    its vectors live in the unscanned suffix.  At each position: stop if
-    the rest of the suffix can be cancelled entirely, otherwise take a
-    nonzero entry whenever one is available.  Any basis of the kernel
-    gives the same answer; one in echelon form (distinct lowest bits)
-    keeps each span test linear in the kernel dimension.
+    Vectors are packed as gflinalg packs rows, position j at bit
+    width - 1 - j.  Scans positions left to right keeping the kernel
+    reduced so that all its vectors live in the unscanned suffix.  At each
+    position: stop if the rest of the suffix can be cancelled entirely,
+    otherwise take a nonzero entry whenever one is available.  Any basis
+    of the kernel gives the same answer; one in echelon form (distinct top
+    bits) keeps each span test linear in the kernel dimension.
     """
     ks = [k for k in kernel if k]
     p = particular
     for j in range(width):
+        bit = 1 << (width - 1 - j)
         # the kernel vectors stay independent, so the rank passes len(ks)
         # exactly when the tail is outside their span
-        tail = (p >> j) << j
+        tail = p & ((bit << 1) - 1)
         if packed_rank([*ks, tail], len(ks)) is not None:
-            return p & ((1 << j) - 1)
-        bit = 1 << j
+            return p ^ tail
         pivot = None
         rest = []
         for k in ks:
@@ -822,12 +854,12 @@ def point_isolator(points: PointSet, target, rho: int) -> SquarefreePoly:
         raise InternalConsistencyError(
             "the isolation system is infeasible, which the size bound rules out"
         )
-    # echelon rows have distinct lowest bits, so each span test in
+    # echelon rows have distinct top bits, so each span test in
     # _support_lex_min inserts them without a single reduction step
     width = len(monomials)
     kernel = _packed_rref(packed_kernel_basis(system.packed_rows(), width), width)[0]
-    chosen = _support_lex_min(_point_ones(particular), kernel, width)
-    coeffs = {mask: 1 for i, mask in enumerate(monomials) if chosen >> i & 1}
+    chosen = _support_lex_min(_pack_row(particular), kernel, width)
+    coeffs = {mask: 1 for mask, v in zip(monomials, _unpack_row(chosen, width)) if v}
     q = SquarefreePoly(_GF2, coeffs)
     if q.degree > rho:
         raise InternalConsistencyError("isolator degree escaped the bound")

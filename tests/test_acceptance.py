@@ -267,16 +267,12 @@ def test_criterion_5_rank_descent():
                 )
                 for _ in range(rng.randint(1, 3))
             ]
-        span_rows = [
-            sum(
-                bit << pos
-                for pos, bit in enumerate(v for row in b.rows for v in row)
-            )
-            for b in basis
-        ]
+        # packed rows hold column j at bit width - 1 - j: binary digits in order
+        width = size * size
+        span_rows = [int("".join(str(v) for row in b.rows for v in row), 2) for b in basis]
         cons = [
-            [(packed >> pos) & 1 for pos in range(size * size)]
-            for packed in packed_kernel_basis(span_rows, size * size)
+            [int(bit) for bit in format(packed, f"0{width}b")]
+            for packed in packed_kernel_basis(span_rows, width)
         ]
         while True:
             rows = [[0] * size for _ in range(size)]

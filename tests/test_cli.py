@@ -3,11 +3,13 @@
 import argparse
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 import threading
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -300,6 +302,29 @@ def test_minrank_empty_subspace(tmp_path, capsys):
     code, stdout, _ = run(capsys, "minrank", "--input", out)
     assert code == 0
     assert stdout.splitlines()[0] == "empty subspace"
+
+
+def test_minrank_of_an_unsatisfiable_n8_cnf(tmp_path, capsys):
+    # the first space here whose member rows pass 256 bits: at n = 8, d = 8
+    # the reduction has 511 coordinates and a 510-side expansion.  No point
+    # satisfies this seeded 3-CNF, so the kernel is one vector, the
+    # coordinate of the top monomial, and its expansion has full rank
+    rng = random.Random(0)
+    clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 9), 3)]
+               for _ in range(80)]
+    assert not any(all(any(point[abs(lit) - 1] == (lit > 0) for lit in clause) for clause in clauses)
+                   for point in product((0, 1), repeat=8))
+    src = write(tmp_path, "unsat8.cnf",
+                "p cnf 8 80\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses))
+    inst = str(tmp_path / "unsat8.subspace.json")
+    assert run(capsys, "reduce", "--mode", "superposition", "--input", src, "--output", inst)[0] == 0
+    code, stdout, _ = run(capsys, "minrank", "--input", inst)
+    assert code == 0
+    lines = stdout.splitlines()
+    assert lines[0] == "minrank 510 over 1 members"
+    doc = json.loads("\n".join(lines[1:]))
+    assert (doc["kernel_dimension"], doc["minrank"]) == (1, 510)
+    assert doc["witness"] == [0] * 510 + [1]
 
 
 # -- decode -------------------------------------------------------------------

@@ -255,6 +255,20 @@ def test_text_round_trip():
     assert "hex" in g.to_text(packed=True).splitlines()[0]
 
 
+def test_packed_text_is_frozen():
+    # the hex form holds column j at bit j, whatever order elimination
+    # packs rows in: column 0 alone is the low digit, column 69 the high one
+    rows = [
+        [int(j == 0) for j in range(70)],
+        [int(j == 69) for j in range(70)],
+        [int((j * j + 3 * j) % 7 < 3) for j in range(70)],
+    ]
+    m = FFMatrix(GF2, rows)
+    text = "3 70 GF(2) hex\n000000000000000001\n200000000000000000\n089122448912244891\n"
+    assert m.to_text(packed=True) == text
+    assert FFMatrix.from_text(text) == m
+
+
 def test_text_errors():
     with pytest.raises(ParseError):
         FFMatrix.from_text("")

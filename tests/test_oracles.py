@@ -230,7 +230,8 @@ def test_gray_walk_visits_every_nonzero_vector_once(q, m, monkeypatch):
 
     def recording_rank(*args):
         (row,) = args[-2]
-        ranked.append(tuple(row >> j & 1 for j in range(m)) if q == 2 else tuple(row))
+        # packed rows hold column j at bit m - 1 - j
+        ranked.append(tuple(row >> (m - 1 - j) & 1 for j in range(m)) if q == 2 else tuple(row))
         return real_rank(*args)
 
     monkeypatch.setattr(oracles, real_rank.__name__, recording_rank)
@@ -264,7 +265,7 @@ def test_scan_ranks_members_in_increasing_order(q, monkeypatch):
         y = [None] * space.coord_count
         for row, prow in zip(args[-2], positions):
             for j, c in enumerate(prow):
-                y[c] = row >> j & 1 if q == 2 else row[j]
+                y[c] = row >> (len(prow) - 1 - j) & 1 if q == 2 else row[j]
         ranked.append(tuple(y))
         return real_rank(*args)
 
@@ -284,6 +285,20 @@ def test_scan_ranks_members_in_increasing_order(q, monkeypatch):
     rank, least = system.scan(unit, best)
     assert ranked == monic[:monic.index(minimizers[0]) + 1]
     assert (rank, system.member(least)) == (best, minimizers[0])
+
+
+def test_packed_system_builds_only_what_its_route_reads():
+    # the scan reads the coordinate spots, the candidate pass the cells;
+    # a system that one route decides builds nothing for the other
+    space = build_moment_subspace(parse_quadeq(SCAN_SPACES[2]), 1)
+    kernel = FFMatrix(GF2, space.kernel_basis(), space.coord_count).rref()[0].rows[::-1]
+    positions = expansion_positions(space.coords, space.index.masks)
+    scanned = _PackedSystem(GF2, kernel, positions)
+    scanned.scan(list(scanned.solutions({})), 0)
+    assert "_spots" in vars(scanned) and "_cells" not in vars(scanned)
+    passed = _PackedSystem(GF2, kernel, positions)
+    passed.extend({}, (1,) + (0,) * (len(positions) - 1))
+    assert "_cells" in vars(passed) and "_spots" not in vars(passed)
 
 
 def test_minrank_rechecks_its_witness(monkeypatch):

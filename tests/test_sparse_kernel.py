@@ -28,13 +28,14 @@ SHAPES = [(v, n, d) for v in "UV" for n in (2, 3, 4) for d in (1, 2)]
 
 
 def column_sweep_rref(rows, ncols):
-    """Reference echelon form: for each column in turn, pivot on the first
-    remaining row with that bit and clear it from every other row."""
+    """Reference echelon form of packed rows, column j at bit ncols - 1 - j:
+    for each column in turn, pivot on the first remaining row with that bit
+    and clear it from every other row."""
     work = list(rows)
     pivots = []
     r = 0
     for col in range(ncols):
-        bit = 1 << col
+        bit = 1 << (ncols - 1 - col)
         sel = next((i for i in range(r, len(work)) if work[i] & bit), None)
         if sel is None:
             continue
@@ -290,6 +291,6 @@ def test_packed_rref_edge_shapes():
     assert _packed_rref([0, 0, 0], 0) == ([], [])
     assert _packed_rref([0, 0], 5) == ([], [])
     tall = [0b111, 0b011, 0b110, 0b101, 0b001, 0b111]
-    assert _packed_rref(tall, 3) == column_sweep_rref(tall, 3) == ([1, 2, 4], [0, 1, 2])
+    assert _packed_rref(tall, 3) == column_sweep_rref(tall, 3) == ([4, 2, 1], [0, 1, 2])
     wide = [0b1010_0000, 0b1000_0110]
     assert _packed_rref(wide, 8) == column_sweep_rref(wide, 8)
