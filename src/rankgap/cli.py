@@ -202,6 +202,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"ranking the member reads {side} x {side} matrix entries, "
                 f"budget allows {args.budget}"
             )
+        # eliminating through the field's tables takes up to side^3 steps
+        if space.field.q != 2 and side**3 > args.budget:
+            raise BudgetExceededError(
+                f"ranking the member takes up to {side}^3 = {side**3} elimination steps, "
+                f"budget allows {args.budget}"
+            )
         rank = len(vector.independent_sets(space.d))
     doc.update({"ok": report.ok, "violated_row": report.violated_row, "rank": rank, "zero": zero})
     if not report.ok:
@@ -381,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assignment", help="comma separated bits; checks the honest vector")
     p.add_argument("--vector", help="file of comma separated coordinates to check")
     p.add_argument("--budget", type=int, default=1 << 20,
-                   help="refuse more coordinates, or member rank entries, than this")
+                   help="refuse more coordinates than this, or a member whose rank "
+                   "reads more entries (side^2) or, over q > 2, takes more steps (side^3)")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_verify)
 

@@ -304,10 +304,6 @@ class FFMatrix:
     # -- constructors --
 
     @classmethod
-    def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "FFMatrix":
-        return cls(field, [[0] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "FFMatrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
@@ -319,9 +315,6 @@ class FFMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -391,20 +384,6 @@ class FFMatrix:
                     acc = f.add(acc, f.mul(a, v))
             out.append(acc)
         return tuple(out)
-
-    def transpose(self) -> "FFMatrix":
-        return FFMatrix(
-            self.field,
-            [self.column(j) for j in range(self.ncols)],
-            self.nrows,
-        )
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "FFMatrix":
-        return FFMatrix(
-            self.field,
-            [[self.rows[i][j] for j in col_idx] for i in row_idx],
-            len(col_idx),
-        )
 
     def lifted(self, big: FieldSpec) -> "FFMatrix":
         """Reinterpret a prime-field matrix inside an extension of the same

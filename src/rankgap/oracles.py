@@ -12,19 +12,19 @@ Minrank goes level by level.  At the full level d, where no nonzero
 member has rank 0, rank one is decided from the Boolean points when they
 are fewer than the members: there the rank-one members are the multiples
 of honest vectors in the space (_honest_member), in V over every field
-and in U over GF(2).  Any other low level is decided by a candidate pass:
+and in U over GF(2).  Every other level r is decided by a candidate pass:
 a member has rank at most r exactly when some space of dimension N - r
 annihilates it, which is linear in the kernel coefficients once the space
-is fixed, so each candidate space costs one small elimination.  The first
-level with more candidates than members goes to a scan that counts up
-through the kernel coefficients, which visits the members in increasing
-order, and stops at the first member of the lowest rank the points and
-the pass did not rule out.  The pass makes the same choice at each node
-of its search: a node whose solutions are no more than the candidates
-below it hands them to the same scan, bounded by the level's rank.  The
-winning witness is re-ranked from its coordinates
-(PseudoMomentVector.independent_sets) before it is reported, and one
-from the points is checked against every row as well.
+is fixed, so each candidate space costs one small elimination.  Each
+node of the pass, its root included, weighs its solutions against the
+candidates below it, and a node whose solutions are no more hands them
+to a scan that counts up through their coefficients, which visits the
+members in increasing order.  The root's scan holds every member and
+settles every level at once: it stops at the first member of rank r, or
+else returns the least member of least rank.  The winning witness is
+re-ranked from its coordinates (PseudoMomentVector.independent_sets)
+before it is reported, and one from the points is checked against every
+row as well.
 
 Budgets are hard limits: when an enumeration would exceed one, the answer
 is a refusal (BudgetExceededError), not a subsample.  check_kernel_budget
@@ -87,9 +87,6 @@ def subspace_digest(space: SubspaceSpec) -> str:
 class MembershipReport:
     ok: bool
     violated_row: int | None
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "violated_row": self.violated_row}
 
 
 def check_membership(values, space: SubspaceSpec) -> MembershipReport:
@@ -445,14 +442,22 @@ def _candidates(q: int, side: int, k: int, t: int, first: int) -> int:
     k - t rows still to come form one of [first, k - t]_q echelon forms
     left of first, and each is free on the side - first - t columns right
     of first that no pivot takes.  At the root, t = 0 and first = side,
-    this is [side, k]_q = [side, side - k]_q."""
+    this is [side, k]_q = [side, side - k]_q.
+
+    The pass weighs this count against a node's members one for one,
+    since one candidate costs about one member rank test of the scan:
+    measured per candidate, pruning included (Python 3.11, 2 cores), on
+    direct instances with N = 5 to 7 over GF(2), GF(3) and GF(4), 0.04 to
+    0.7 at levels 2 and 3, where the choice falls, and 0.4 to 10 at level
+    1, which has a few hundred candidates at most."""
     return _subspace_count(first, k - t, q) * q ** ((k - t) * (side - first - t))
 
 
 def _candidate_pass(system, q: int, side: int, r: int):
-    """The least nonzero solution, in the system's form, whose member has
-    rank at most r, or None when no member does.  No member may rank
-    below r: the caller has ruled the lower ranks out.
+    """(rank, coefficients) of the least member of least rank, in the
+    system's form, when some member has rank at most r, and (r, None)
+    when none does.  No member may rank below r: the caller has ruled the
+    lower ranks out.
 
     A symmetric side x side member has rank at most r exactly when some
     (side - r)-dimensional P has P . M = 0, which is linear in the kernel
@@ -463,19 +468,21 @@ def _candidate_pass(system, q: int, side: int, r: int):
     from it once they force the zero vector, or once its least solution
     is no less than the best found.
 
-    A node whose solutions S are fewer than the candidates below it (the
-    rule that sends a whole level to the scan, at the root) scans S's
-    members instead, in increasing order, up to the first of rank at most
-    r, which it offers as a leaf offers its least solution.  That keeps
-    the answer: whatever the subtree could offer lies in S and has rank at
+    A node whose solutions S are no more than the candidates below it
+    scans S's members instead, in increasing order.  At the root S holds
+    every member, so its scan has no upper bound and its answer, the
+    least member of least rank, is the pass's, whatever that rank.
+    Below the root the scan stops at the first member of rank at most r,
+    which it offers as a leaf offers its least solution.  That keeps the
+    answer: whatever the subtree could offer lies in S and has rank at
     most r, so the scan's member is no greater, and it is a real member
     of rank at most r (exactly r, since none ranks lower).
     """
     k = side - r
-    best = None
+    best_rank, best = r, None
 
     def grow(pivots, taken, first):
-        nonlocal best
+        nonlocal best_rank, best
         least = next(system.solutions(pivots))
         if best is not None and not least < best:
             return
@@ -484,9 +491,9 @@ def _candidate_pass(system, q: int, side: int, r: int):
             best = least
             return
         if q ** (system.m - len(pivots)) - 1 <= _candidates(q, side, k, t, first):
-            found = system.scan(list(system.solutions(pivots)), r, r)[1]
+            rank, found = system.scan(list(system.solutions(pivots)), r, r if t else None)
             if found is not None and (best is None or found < best):
-                best = found
+                best_rank, best = rank, found
             return
         for j in range(k - t - 1, first):
             free = [c for c in range(j + 1, side) if c not in taken]
@@ -500,7 +507,7 @@ def _candidate_pass(system, q: int, side: int, r: int):
                     grow(child, taken | {j}, j)
 
     grow({}, frozenset(), side)
-    return best
+    return best_rank, best
 
 
 def _honest_member(space: SubspaceSpec):
@@ -575,16 +582,14 @@ def minrank_bruteforce(
     where only the zero vector has rank 0.  At level d, in V and in U over
     GF(2), rank one goes to _honest_member when the points are fewer than
     the members; its witness is the least rank-one member, and when it
-    finds none the search goes on from rank 2.  Otherwise a rank whose
-    [N, r]_q candidate annihilators are fewer than the members goes to
-    _candidate_pass, whose nodes make the same choice; the first rank
-    that does not is handed, with every rank above it, to the system's
-    scan over the unit basis, which knows no member ranks lower.  Both
-    name members by their coefficients, which compare as the members'
-    coordinates do, so the witness is the lexicographically smallest
-    coordinate vector among the rank minimizers whichever decides.  The kernel's echelon form, the layout of H and the system
-    are built only when the pass or the scan runs.  The search runs in
-    one process.
+    finds none the search goes on from rank 2.  Every other rank goes to
+    _candidate_pass, which rules it out or returns the least member of
+    least rank, the rank r or, when its root scans, any rank from r up.
+    Both name members by their coefficients, which compare as the
+    members' coordinates do, so the witness is the lexicographically
+    smallest coordinate vector among the rank minimizers whichever
+    decides.  The kernel's echelon form, the layout of H and the system
+    are built only when the pass runs.  The search runs in one process.
     """
     if level is None:
         level = space.d
@@ -628,18 +633,10 @@ def minrank_bruteforce(
         side = len(positions)
         system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel, positions)
         least = None
-        # one candidate costs the pass about one member rank test of the scan:
-        # measured per candidate, pruning included (Python 3.11, 2 cores), on
-        # direct instances with N = 5 to 7 over GF(2), GF(3) and GF(4), 0.04
-        # to 0.7 at levels 2 and 3, where the choice falls, and 0.4 to 10 at
-        # level 1, which has a few hundred candidates at most
-        while _candidates(q, side, side - best_rank, 0, side) < total - 1:
-            least = _candidate_pass(system, q, side, best_rank)
-            if least is not None:
-                break
-            best_rank += 1
-        if least is None:
-            best_rank, least = system.scan(list(system.solutions({})), best_rank)
+        while least is None:
+            best_rank, least = _candidate_pass(system, q, side, best_rank)
+            if least is None:
+                best_rank += 1
         witness = system.member(least)
     checked = len(space.vector(witness).independent_sets(level))
     if checked != best_rank:
@@ -656,9 +653,6 @@ def minrank_bruteforce(
 class SuperpositionReport:
     ok: bool
     violated_equation: int | None
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "violated_equation": self.violated_equation}
 
 
 def superposition_check(assignments, quad: MonomialQuadSystem) -> SuperpositionReport:
@@ -773,17 +767,6 @@ class MonomialAssignment:
                 acc ^= self.value(mask)
         return acc
 
-    @classmethod
-    def from_point(cls, point, d: int) -> "MonomialAssignment":
-        """Honest evaluations x^S = prod_{i in S} point_i."""
-        pt = tuple(point)
-        if not pt or any(v not in (0, 1) for v in pt):
-            raise PreconditionError("need a nonempty bit point")
-        n = len(pt) - 1
-        ones = _point_ones(pt)
-        basis = basis_make(n, d, "U")
-        return cls(n, d, tuple(1 if mask & ~ones == 0 else 0 for mask in basis.masks))
-
 
 # -- point isolation ----------------------------------------------------------
 
@@ -841,13 +824,10 @@ def point_isolator(points: PointSet, target, rho: int) -> SquarefreePoly:
             f"isolation needs |T| < 2^rho: got {len(points)} points at rho={rho}"
         )
     n = points.n
-    monomials = [0] + list(basis_make(n, min(rho, n + 1), "U").masks)
-    rows = []
-    targets = []
-    for b in points:
-        ones = _point_ones(b)
-        rows.append([1 if mask & ~ones == 0 else 0 for mask in monomials])
-        targets.append(1 if b == a else 0)
+    degree = min(rho, n + 1)
+    monomials = [0] + list(basis_make(n, degree, "U").masks)
+    rows = [(1, *honest_moment_vector(_GF2, b, n, degree, "U").values) for b in points]
+    targets = [1 if b == a else 0 for b in points]
     system = FFMatrix(_GF2, rows, ncols=len(monomials))
     particular = system.solve(targets)
     if particular is None:

@@ -206,6 +206,36 @@ def test_verify_bounds_the_rank_of_a_vector(tmp_path, capsys):
     assert err == "error: ranking the member reads 3 x 3 matrix entries, budget allows 8\n"
 
 
+def test_verify_bounds_the_elimination_over_gf3(tmp_path, capsys):
+    """Over q > 2 the rank eliminates through the field's tables, up to
+    side^3 steps, so a member is refused when that passes the budget even
+    where its side^2 entries do not; over GF(2) side^2 stays the bound."""
+    src = write(tmp_path, "equal.qe", "field: GF(3)\nx1 + 2*x2\n")
+    inst = str(tmp_path / "equal.subspace.json")
+    assert run(capsys, "reduce", "--mode", "direct", "--input", src, "--output", inst)[0] == 0
+    # the honest vector of (1, 1) has side 3: 9 entries, 27 steps
+    for args in (("--assignment", "1,1"), ("--vector", write(tmp_path, "honest.vec", "1,1,1,1\n"))):
+        code, stdout, err = run(capsys, "verify", "--input", inst, *args, "--budget", "26")
+        assert (code, stdout) == (3, "")
+        assert err == "error: ranking the member takes up to 3^3 = 27 elimination steps, budget allows 26\n"
+        code, stdout, _ = run(capsys, "verify", "--input", inst, *args, "--budget", "27")
+        assert code == 0 and stdout.splitlines()[0] == "member, rank 1"
+    gf2 = instance(tmp_path, capsys)
+    code, stdout, _ = run(capsys, "verify", "--input", gf2, "--assignment", "1,1", "--budget", "9")
+    assert code == 0 and stdout.splitlines()[0] == "member, rank 1"
+    # no rows over GF(3) at n = 18, d = 3, and a random vector: side 988,
+    # whose 976,144 entries the default budget allows, but whose rank
+    # would take about 15 s of table elimination (2 cores)
+    wide = SubspaceSpec(make_field(3), "V", 18, 3, ())
+    rng = random.Random(18)
+    write(tmp_path, "wide.json", wide.to_text())
+    write(tmp_path, "wide.vec", ",".join(str(rng.randrange(3)) for _ in range(wide.coord_count)))
+    code, stdout, err, _ = run_capped(tmp_path, "verify", "--input", "wide.json", "--vector", "wide.vec")
+    assert (code, stdout) == (3, "")
+    assert err == ("error: ranking the member takes up to 988^3 = 964430272 elimination steps, "
+                   "budget allows 1048576\n")
+
+
 def test_verify_needs_exactly_one_mode(tmp_path, capsys):
     inst = instance(tmp_path, capsys)
     code, _, err = run(capsys, "verify", "--input", inst)

@@ -223,7 +223,7 @@ def test_eigenvector_identity_and_zero_operators():
     assert a == (1, 1)
     assert v == (1, 0, 0)
 
-    zero = FFMatrix.zeros(GF3, 3, 3)
+    zero = FFMatrix(GF3, [[0] * 3] * 3)
     v, a = common_eigenvector(make_ops(GF3, [zero, zero]))
     assert a == (0, 0)
     assert v == (1, 0, 0)

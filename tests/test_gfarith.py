@@ -63,6 +63,17 @@ def test_fields_past_2_to_the_24_are_refused_before_any_search():
         parse_field_descriptor("GF(" + "7" * 5000 + ")")
 
 
+@pytest.mark.parametrize("p, e", [(2, 9), (3, 6)])
+def test_inverses_past_the_table_limit(p, e):
+    """Fields of more than 256 elements keep no tables: inv goes through
+    pow, and the rows tables() hands out call into the field."""
+    field = make_field(p, e)
+    inv = field.tables()[3]
+    for a in range(1, field.q):
+        b = field.inv(a)
+        assert field.mul(a, b) == 1 and inv[a] == b
+
+
 def test_inverse_of_zero():
     for field in (GF2, GF4, GF5):
         with pytest.raises(ZeroDivisionError):

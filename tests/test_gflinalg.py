@@ -6,14 +6,16 @@ import random
 import pytest
 
 from rankgap.errors import ParseError, PreconditionError
-from rankgap.gfarith import make_field
+from rankgap.gfarith import format_field, make_field
 from rankgap.gflinalg import (
     FFMatrix,
     independent_rows,
     packed_kernel_basis,
     packed_rank,
     rank_descent,
+    sparse_kernel_basis,
     symmetric_rank_one_decomposition,
+    table_rank,
 )
 
 GF2 = make_field(2)
@@ -35,7 +37,7 @@ def test_rank_frozen():
     assert FFMatrix(GF2, [[0, 1], [1, 0]]).rank() == 2
     assert FFMatrix(GF2, [[1, 1], [1, 1]]).rank() == 1
     assert FFMatrix.identity(GF5, 4).rank() == 4
-    assert FFMatrix.zeros(GF3, 3, 5).rank() == 0
+    assert FFMatrix(GF3, [[0] * 5] * 3).rank() == 0
 
 
 def test_rank_equals_transpose_rank():
@@ -43,7 +45,7 @@ def test_rank_equals_transpose_rank():
     for field in FIELDS:
         for _ in range(20):
             m = rand_matrix(rng, field, rng.randrange(1, 7), rng.randrange(1, 7))
-            assert m.rank() == m.transpose().rank()
+            assert m.rank() == FFMatrix.from_columns(field, m.rows).rank()
 
 
 def test_rank_subadditivity():
@@ -100,8 +102,8 @@ def test_rref_pivots():
     # over the columns
     dup = FFMatrix(GF5, [[2, 2, 1], [1, 1, 0]])
     assert dup.rref()[1] == (0, 2)
-    assert independent_rows(GF5, dup.transpose().rows) == [0, 2]
-    assert independent_rows(GF2, m.transpose().rows) == [0, 2]
+    assert independent_rows(GF5, zip(*dup.rows)) == [0, 2]
+    assert independent_rows(GF2, zip(*m.rows)) == [0, 2]
     assert independent_rows(GF2, []) == independent_rows(GF5, [(0, 0)]) == []
 
 
@@ -129,6 +131,32 @@ def test_solve_columns_multi():
     assert sols is not None
     for x, b in zip(sols, [(2, 1), (0, 0)]):
         assert m.mat_vec(x) == b
+
+
+@pytest.mark.parametrize("field", [make_field(2, 9), make_field(3, 6)], ids=format_field)
+def test_elimination_past_the_table_limit(field):
+    """table_rank, sparse_kernel_basis and solve_columns over fields too
+    large for operation tables, on seeded products of two random factors:
+    rank + nullity is the width, the kernel vectors are independent and
+    vanish under the matrix, and every solution substitutes back."""
+    rng = random.Random(f"past the table limit/{field.q}")
+    tables = field.tables()
+    for _ in range(8):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        inner = rng.randint(1, min(nrows, ncols))
+        m = rand_matrix(rng, field, nrows, inner) @ rand_matrix(rng, field, inner, ncols)
+        rank = table_rank(tables, m.rows)
+        assert rank <= inner and rank == table_rank(tables, zip(*m.rows))
+        sparse = [[(j, v) for j, v in enumerate(row) if v] for row in m.rows]
+        kernel = sparse_kernel_basis(field, sparse, ncols)
+        assert rank + len(kernel) == ncols
+        assert table_rank(tables, kernel) == len(kernel)
+        assert all(not any(m.mat_vec(x)) for x in kernel)
+        targets = [m.mat_vec([rng.randrange(field.q) for _ in range(ncols)]) for _ in range(2)]
+        assert [m.mat_vec(x) for x in m.solve_columns(targets)] == targets
+        # a zero row with a nonzero target is inconsistent
+        padded = FFMatrix(field, [*m.rows, [0] * ncols])
+        assert padded.solve_columns([[*targets[0], 1]]) is None
 
 
 def test_matmul_identity():
@@ -209,7 +237,7 @@ def test_rank_descent_gf2_is_identity():
 
 def test_rank_descent_errors():
     with pytest.raises(PreconditionError, match="nonzero"):
-        rank_descent(FFMatrix.zeros(GF4, 2, 2), [])
+        rank_descent(FFMatrix(GF4, [[0, 0], [0, 0]]), [])
     with pytest.raises(PreconditionError, match="constraint 1"):
         # A00 = A01 holds, A00 = A10 fails
         rank_descent(FFMatrix(GF4, [[2, 2], [1, 2]]), ENTRIES_EQUAL)
@@ -280,12 +308,12 @@ def test_text_errors():
         FFMatrix(GF4, [[1, 2], [3, 4]])
 
 
-def test_entry_access_and_submatrix():
+def test_entry_access_and_from_columns():
     m = FFMatrix(GF5, [[1, 2, 3], [4, 0, 1]])
     assert m.entry(1, 2) == 1 and m.entry(0, 1) == 2
-    assert m.column(2) == (3, 1)
-    assert m.submatrix([1], [0, 2]).rows == ((4, 1),)
-    assert m.transpose().shape == (3, 2)
+    # the rows taken as columns give the transpose
+    assert FFMatrix.from_columns(GF5, m.rows) == FFMatrix(GF5, [[1, 4], [2, 0], [3, 1]])
+    assert FFMatrix.from_columns(GF5, []).shape == (0, 0)
 
 
 def test_entries_checked_per_row_keep_validate_semantics():

@@ -1,17 +1,19 @@
 """The level-by-level minrank search against a naive enumeration.
 
 minrank_bruteforce decides rank one at level d from the Boolean points
-when they are fewer than the members, decides other low levels with the
-candidate pass, and hands the rest to the scan with a lower bound.  On
-random small specs its answer must equal the one read straight off the
-definition: every nonzero combination of the kernel vectors, ranked by
-plain Gaussian elimination over the field, the least coordinate vector
-winning among the rank minimizers.  The reference checks the kernel it
-is handed and shares nothing with the search but the field arithmetic.
+when they are fewer than the members and every other level with the
+candidate pass, whose root hands every member to the scan when they are
+no more than its candidates.  On random small specs its answer must
+equal the one read straight off the definition: every nonzero
+combination of the kernel vectors, ranked by plain Gaussian elimination
+over the field, the least coordinate vector winning among the rank
+minimizers.  The reference checks the kernel it is handed and shares
+nothing with the search but the field arithmetic.
 The lemma the points rest on, that the rank-one members at level d are
 the multiples of honest vectors in the space, is checked the same way.
 """
 
+import json
 import random
 from collections import Counter
 from itertools import product
@@ -21,11 +23,13 @@ from hypothesis import given, settings, strategies as st
 
 import rankgap.oracles as oracles
 from rankgap.boolalg import SquarefreePoly, basis_make
+from rankgap.cli import main
 from rankgap.errors import BudgetExceededError
 from rankgap.frontends import QuadSystemSource
 from rankgap.gfarith import make_field
+from rankgap.gflinalg import FFMatrix
 from rankgap.moment import build_moment_subspace
-from rankgap.subspace import SubspaceSpec
+from rankgap.subspace import SubspaceSpec, expansion_positions
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
 GF2 = make_field(2)
@@ -189,10 +193,12 @@ def routes(monkeypatch):
     """A count of which route decided each minrank call: the points, the
     candidate pass, or each class's scan, stopped at its lower bound or
     run through every member; and of each node scan inside the pass,
-    which finds a member of rank at most its bound or none."""
+    which finds a member of rank at most its bound or none.  A pass whose
+    root scans counts as that scan, not as a pass."""
     calls = Counter()
     real_points = oracles._honest_member
     real_pass = oracles._candidate_pass
+    root_scans = 0
 
     def counted_points(space):
         witness = real_points(space)
@@ -200,9 +206,11 @@ def routes(monkeypatch):
         return witness
 
     def counted_pass(*args):
-        least = real_pass(*args)
-        calls["pass decided" if least is not None else "pass ruled out"] += 1
-        return least
+        before = root_scans
+        rank, least = real_pass(*args)
+        if root_scans == before:
+            calls["pass decided" if least is not None else "pass ruled out"] += 1
+        return rank, least
 
     monkeypatch.setattr(oracles, "_honest_member", counted_points)
     monkeypatch.setattr(oracles, "_candidate_pass", counted_pass)
@@ -210,10 +218,12 @@ def routes(monkeypatch):
         real_scan = system.scan
 
         def counted_scan(self, basis, lo, hi=None, real_scan=real_scan, name=system.__name__):
+            nonlocal root_scans
             rank, least = real_scan(self, basis, lo, hi)
             if hi is not None:
                 calls[name, "node found a member" if least is not None else "node found none"] += 1
             else:
+                root_scans += 1
                 calls[name, "stopped early" if rank == lo else "walked every member"] += 1
             return rank, least
 
@@ -328,3 +338,60 @@ def test_node_scans_refute_and_the_pass_keeps_its_answer(routes):
         (name, outcome) for name in ("_PackedSystem", "_TableSystem")
         for outcome in ("node found a member", "node found none")
     } <= set(routes), routes
+
+
+def search_system(space, level):
+    """The system minrank_bruteforce searches at the level, and the side
+    of H."""
+    field = space.field
+    kernel = FFMatrix(field, space.kernel_basis(), space.coord_count).rref()[0].rows[::-1]
+    positions = expansion_positions(space.coords, basis_make(space.n, level, space.variant).masks)
+    system = (oracles._PackedSystem if field.q == 2 else oracles._TableSystem)(field, kernel, positions)
+    return system, len(positions)
+
+
+def test_a_pass_whose_root_scans_settles_every_higher_rank():
+    """At rank 1 on these unsat-like spaces the members are no more than
+    the root's candidates, so the root scans, with no upper bound, and no
+    member has rank 1.  The pass must still give the least member of
+    least rank, which the naive enumeration puts at rank 2 or 3."""
+    ranks = set()
+    for p, n, m, count in [(2, 3, 3, 3), (3, 2, 3, 8)]:
+        field = make_field(p)
+        rng = random.Random(f"root scans/{p}/{n}/{m}")
+        for _ in range(count):
+            space = unsat_direct_space(rng, field, n, m)
+            system, side = search_system(space, space.d)
+            assert p ** system.m - 1 <= oracles._candidates(p, side, side - 1, 0, side)
+            rank, least = oracles._candidate_pass(system, p, side, 1)
+            minrank, witness = naive_minrank(space, space.d, naive_members(space))
+            assert (rank, system.member(least)) == (minrank, witness) and minrank > 1
+            ranks.add(rank)
+    assert ranks == {2, 3}
+
+
+# kernels of one vector over fields too large for operation tables: at
+# level 1 the points rule rank one out and the root scans every member,
+# at level 0 the pass eliminates its candidates' equations
+LARGE_FIELD_SYSTEMS = [
+    ("GF(2^9)", "x1 + 3*x2 + 5\nx1*x2 + 2\n7*x1 + x2\n"),
+    ("GF(3^6)", "x1 + x2\nx1*x2 + x1\nx2 + 1\n"),
+]
+
+
+@pytest.mark.parametrize("field, equations", LARGE_FIELD_SYSTEMS, ids=[f for f, _ in LARGE_FIELD_SYSTEMS])
+def test_minrank_past_the_table_limit(tmp_path, capsys, field, equations):
+    """reduce --mode direct, then minrank at each level, against the naive
+    minrank and least minimizer."""
+    src, inst = tmp_path / "tiny.qe", tmp_path / "tiny.json"
+    src.write_text(f"field: {field}\nn: 2\n{equations}")
+    assert main(["reduce", "--mode", "direct", "--input", str(src), "--output", str(inst)]) == 0
+    space = SubspaceSpec.from_text(inst.read_text())
+    members = naive_members(space)
+    assert len(members) == space.field.q - 1
+    for level in range(space.d + 1):
+        report = tmp_path / f"level{level}.json"
+        argv = ["minrank", "--input", str(inst), "--level", str(level), "--output", str(report)]
+        assert main(argv) == 0
+        doc = json.loads(report.read_text())
+        assert (doc["minrank"], tuple(doc["witness"])) == naive_minrank(space, level, members)

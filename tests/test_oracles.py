@@ -528,7 +528,7 @@ def test_isolator_support_is_minimal_on_small_instances():
 
 
 def test_sum_of_points_frozen_examples():
-    honest = MonomialAssignment.from_point((1, 0, 1), 2)
+    honest = MonomialAssignment(2, 2, honest_moment_vector(GF2, (1, 0, 1), 2, 2, "U").values)
     beta = sum_of_points(honest)
     for mask in [0] + list(honest.basis.masks):
         acc = 0
@@ -544,7 +544,7 @@ def test_sum_of_points_frozen_examples():
     beta = sum_of_points(twisted)
     assert beta == PointSet(1, ((0, 0), (1, 0), (1, 1)))
     for pt in product((0, 1), repeat=2):
-        single = MonomialAssignment.from_point(pt, 2)
+        single = MonomialAssignment(1, 2, honest_moment_vector(GF2, pt, 1, 2, "U").values)
         assert single != twisted
 
 
@@ -607,7 +607,7 @@ def test_monomial_assignment_validation():
         MonomialAssignment(1, 2, (1, 0))
     with pytest.raises(PreconditionError, match="bits"):
         MonomialAssignment(1, 2, (1, 0, 2))
-    sigma = MonomialAssignment.from_point((1, 1, 0), 2)
+    sigma = MonomialAssignment(2, 2, honest_moment_vector(GF2, (1, 1, 0), 2, 2, "U").values)
     assert sigma.value(0) == 1
     assert sigma.value(mask_of([0, 1])) == 1
     assert sigma.value(mask_of([2])) == 0
