@@ -47,6 +47,10 @@ from .superposition import (
 )
 
 
+# the default --budget, and the fixed one of decode, which has no option
+_BUDGET = 1 << 20
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -260,6 +264,12 @@ def cmd_decode(args: argparse.Namespace) -> int:
     want = basis_size(src.n, 2 * d, "V")
     if len(values) != want:
         raise PreconditionError(f"vector has {len(values)} coordinates, degree {d} needs {want}")
+    # decoding rebuilds the instance, so it refuses what reduce refuses by default
+    rows = localizing_row_count(src.n, src.m, d)
+    if rows > _BUDGET:
+        raise BudgetExceededError(
+            f"decoding rebuilds {rows} localizing rows, budget allows {_BUDGET}"
+        )
     basis = basis_make(src.n, 2 * d, "V")
     vector = PseudoMomentVector(src.field, basis, tuple(values))
     report = decode_assignment(vector, src, d)
@@ -378,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, help="override the chosen degree d")
     p.add_argument("--relaxed", action="store_true",
                    help="permit degrees below the faithful floor")
-    p.add_argument("--budget", type=int, default=1 << 20,
+    p.add_argument("--budget", type=int, default=_BUDGET,
                    help="refuse instances whose size estimate exceeds this")
     p.set_defaults(func=cmd_reduce)
 
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="instance file")
     p.add_argument("--assignment", help="comma separated bits; checks the honest vector")
     p.add_argument("--vector", help="file of comma separated coordinates to check")
-    p.add_argument("--budget", type=int, default=1 << 20,
+    p.add_argument("--budget", type=int, default=_BUDGET,
                    help="refuse more coordinates than this, or a member whose rank "
                    "reads more entries (side^2) or, over q > 2, takes more steps (side^3)")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
@@ -394,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minrank", help="exhaustive minimum rank over the subspace")
     p.add_argument("--input", required=True, help="instance file")
-    p.add_argument("--budget", type=int, default=1 << 20,
+    p.add_argument("--budget", type=int, default=_BUDGET,
                    help="refuse kernels with more members than this")
     p.add_argument("--level", type=int, default=None, help="expansion level (default d)")
     p.add_argument("--workers", type=int, default=1,

@@ -15,6 +15,9 @@ ranks, kernels and solutions do not depend on the order rows arrive in.
 
 FFMatrix is an immutable dense matrix of validated int-encoded entries;
 sparse_kernel_basis takes trusted sparse rows to a kernel without one.
+Both return the kernel's reduced echelon basis, from one elimination that
+starts at the last column; packed_kernel_basis keeps the free-column basis
+of the rows as given.
 
 Also here: the symmetric rank-one decomposition over GF(2) with its 3k/2
 length guarantee, and the entrywise-functional rank descent that carries a
@@ -222,8 +225,16 @@ def _table_kernel(
     return basis
 
 
-def _unpacked_kernel(rows: Sequence[int], ncols: int) -> list[tuple[int, ...]]:
-    return [_unpack_row(v, ncols) for v in packed_kernel_basis(rows, ncols)]
+def _echelon_kernel(field: FieldSpec, rows: Sequence, ncols: int, packed: bool = False) -> list:
+    """Reduced echelon basis of the right kernel, leading columns increasing,
+    of rows laid out last column first: GF(2) rows packed with column j at
+    bit j (as the vectors stay with packed=True), other fields' int lists
+    reversed.  Eliminated from the last column, each free column's vector
+    is 0 left of it, so the free-column basis, reversed, is that form."""
+    if field.q != 2:
+        return [v[::-1] for v in reversed(_table_kernel(field.tables(), rows, ncols))]
+    kernel = packed_kernel_basis(rows, ncols)[::-1]
+    return kernel if packed else [_unpack_row(v, ncols)[::-1] for v in kernel]
 
 
 def _dense_rows(rows: Iterable[Sequence[tuple[int, int]]], ncols: int) -> list[list[int]]:
@@ -254,14 +265,14 @@ def independent_rows(field: FieldSpec, rows: Iterable[Sequence[int]]) -> list[in
 def sparse_kernel_basis(
     field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]], ncols: int
 ) -> list[tuple[int, ...]]:
-    """Right kernel of sparse rows, each a sequence of (column, nonzero
-    coefficient) pairs the caller has already validated.  Over GF(2) every
-    coefficient is 1 and a row packs straight into an int; other fields
-    eliminate plain int lists.  Same basis as FFMatrix.kernel_basis."""
+    """Reduced echelon basis of the right kernel of sparse rows, each a
+    sequence of (column, nonzero coefficient) pairs the caller has already
+    validated.  Over GF(2) every coefficient is 1 and a row packs straight
+    into an int; other fields eliminate plain int lists.  Same basis as
+    FFMatrix.kernel_basis."""
     if field.q == 2:
-        top = ncols - 1
-        return _unpacked_kernel([sum(1 << (top - pos) for pos, _ in row) for row in rows], ncols)
-    return _table_kernel(field.tables(), _dense_rows(rows, ncols), ncols)
+        return _echelon_kernel(field, [sum(1 << pos for pos, _ in row) for row in rows], ncols)
+    return _echelon_kernel(field, [row[::-1] for row in _dense_rows(rows, ncols)], ncols)
 
 
 def sparse_rank(field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]]) -> int:
@@ -410,12 +421,15 @@ class FFMatrix:
             rows, pivots = _table_rref(self.field.tables(), self.rows)
         return FFMatrix(self.field, rows, self.ncols), tuple(pivots)
 
-    def kernel_basis(self) -> list[tuple[int, ...]]:
-        """Right kernel, one basis vector per free column of the reduced
-        echelon form, ordered by free column index."""
+    def kernel_basis(self, packed: bool = False) -> list:
+        """Reduced echelon basis of the right kernel, leading columns
+        increasing: each vector has a leading 1, where the others have 0.
+        packed=True gives GF(2) vectors as ints, bit j holding column j."""
         if self.field.q == 2:
-            return _unpacked_kernel(self.packed_rows(), self.ncols)
-        return _table_kernel(self.field.tables(), self.rows, self.ncols)
+            return _echelon_kernel(self.field, [_pack_row(r[::-1]) for r in self.rows], self.ncols, packed)
+        if packed:
+            raise PreconditionError("packed vectors only exist over GF(2)")
+        return _echelon_kernel(self.field, [r[::-1] for r in self.rows], self.ncols)
 
     def solve(self, rhs: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of self @ x = rhs (free variables set to zero), or

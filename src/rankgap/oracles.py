@@ -6,7 +6,8 @@ member within an explicit budget, point isolation solves its defining
 linear system, and a sum of points is the GF(2) superset Möbius transform
 of the assignment, checked against the equations it must meet.  The
 pipeline is validated against these routines, never the other way around.
-Every rank and echelon form comes from gflinalg.
+Every rank and echelon form comes from gflinalg, the kernel in reduced
+echelon form, which minrank and point isolation read as it comes.
 
 Minrank goes level by level.  At the full level d, where no nonzero
 member has rank 0, rank one is decided from the Boolean points when they
@@ -44,16 +45,7 @@ from operator import xor
 from .boolalg import MonomialBasis, SquarefreePoly, basis_make, basis_size, mask_of
 from .errors import BudgetExceededError, InternalConsistencyError, PreconditionError
 from .gfarith import make_field
-from .gflinalg import (
-    FFMatrix,
-    _pack_row,
-    _packed_rref,
-    _unpack_row,
-    packed_kernel_basis,
-    packed_rank,
-    sparse_rank,
-    table_rank,
-)
+from .gflinalg import FFMatrix, _pack_row, _unpack_row, packed_rank, sparse_rank, table_rank
 from .subspace import SubspaceSpec, expansion_positions, honest_moment_vector
 from .superposition import MonomialQuadSystem
 
@@ -72,6 +64,9 @@ __all__ = [
 ]
 
 _GF2 = make_field(2)
+
+# point_isolator refuses systems with more columns than this
+_ISOLATION_MONOMIALS = 1 << 16
 
 
 def subspace_digest(space: SubspaceSpec) -> str:
@@ -588,8 +583,9 @@ def minrank_bruteforce(
     Both name members by their coefficients, which compare as the
     members' coordinates do, so the witness is the lexicographically
     smallest coordinate vector among the rank minimizers whichever
-    decides.  The kernel's echelon form, the layout of H and the system
-    are built only when the pass runs.  The search runs in one process.
+    decides.  The layout of H and the system are built only when the pass
+    runs, from the kernel in its reduced echelon form, as extracted.  The
+    search runs in one process.
     """
     if level is None:
         level = space.d
@@ -628,10 +624,9 @@ def minrank_bruteforce(
         # in reduced echelon form, the kernel coefficients order the members
         # the way their coordinates do, the first coefficient deciding first;
         # the systems eliminate from column 0, so they take the rows reversed
-        kernel = FFMatrix(field, kernel, ncoords).rref()[0].rows[::-1]
         positions = expansion_positions(space.coords, basis_make(space.n, level, space.variant).masks)
         side = len(positions)
-        system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel, positions)
+        system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel[::-1], positions)
         least = None
         while least is None:
             best_rank, least = _candidate_pass(system, q, side, best_rank)
@@ -771,40 +766,29 @@ class MonomialAssignment:
 # -- point isolation ----------------------------------------------------------
 
 
-def _support_lex_min(particular: int, kernel: list[int], width: int) -> int:
+def _support_lex_min(particular: int, kernel: list[int], rows: list[int]) -> int:
     """Pick, from the affine solution set particular + span(kernel), the
     vector whose support sequence (sorted list of nonzero positions) is
     lexicographically smallest.
 
-    Vectors are packed as gflinalg packs rows, position j at bit
-    width - 1 - j.  Scans positions left to right keeping the kernel
-    reduced so that all its vectors live in the unscanned suffix.  At each
-    position: stop if the rest of the suffix can be cancelled entirely,
-    otherwise take a nonzero entry whenever one is available.  Any basis
-    of the kernel gives the same answer; one in echelon form (distinct top
-    bits) keeps each span test linear in the kernel dimension.
+    Vectors and the system's rows are packed with position j at bit j, and
+    the kernel is its reduced echelon basis.  Scans positions left to
+    right.  At each position: stop if every row annihilates the rest of
+    the vector, its bits from there up, which the kernel then cancels;
+    otherwise take a nonzero entry whenever one is available, which is
+    when the first kernel vector not yet used has the position's bit.
     """
-    ks = [k for k in kernel if k]
-    p = particular
-    for j in range(width):
-        bit = 1 << (width - 1 - j)
-        # the kernel vectors stay independent, so the rank passes len(ks)
-        # exactly when the tail is outside their span
-        tail = p & ((bit << 1) - 1)
-        if packed_rank([*ks, tail], len(ks)) is not None:
+    p, bit, ks = particular, 1, iter(kernel)
+    lead = next(ks, 0)
+    while True:
+        tail = p & -bit
+        if not any((row & tail).bit_count() & 1 for row in rows):
             return p ^ tail
-        pivot = None
-        rest = []
-        for k in ks:
-            if pivot is None and k & bit:
-                pivot = k
-            else:
-                rest.append(k ^ pivot if (pivot is not None and k & bit) else k)
-        if pivot is not None:
-            ks = [k for k in rest if k]
+        if lead & bit:
             if not p & bit:
-                p ^= pivot
-    return p
+                p ^= lead
+            lead = next(ks, 0)
+        bit <<= 1
 
 
 def point_isolator(points: PointSet, target, rho: int) -> SquarefreePoly:
@@ -812,7 +796,11 @@ def point_isolator(points: PointSet, target, rho: int) -> SquarefreePoly:
     q = 0 on the rest of the point set.  Needs |points| < 2^rho.
 
     Among all isolators the one with the lexicographically smallest
-    support sequence (monomials in graded order) is returned.
+    support sequence (monomials in graded order) is returned, read off the
+    kernel in the reduced echelon form it comes in.  That kernel takes
+    about the square of the monomial count in bits, so a count past
+    _ISOLATION_MONOMIALS is refused (BudgetExceededError) before any basis
+    is built.
     """
     a = tuple(target)
     if a not in points:
@@ -825,21 +813,25 @@ def point_isolator(points: PointSet, target, rho: int) -> SquarefreePoly:
         )
     n = points.n
     degree = min(rho, n + 1)
+    width = basis_size(n, degree, "U") + 1
+    if width > _ISOLATION_MONOMIALS:
+        raise BudgetExceededError(
+            f"isolation at degree {degree} over {n + 1} variables needs {width} monomials, "
+            f"at most {_ISOLATION_MONOMIALS} are allowed"
+        )
     monomials = [0] + list(basis_make(n, degree, "U").masks)
     rows = [(1, *honest_moment_vector(_GF2, b, n, degree, "U").values) for b in points]
     targets = [1 if b == a else 0 for b in points]
-    system = FFMatrix(_GF2, rows, ncols=len(monomials))
+    system = FFMatrix(_GF2, rows, ncols=width)
     particular = system.solve(targets)
     if particular is None:
         raise InternalConsistencyError(
             "the isolation system is infeasible, which the size bound rules out"
         )
-    # echelon rows have distinct top bits, so each span test in
-    # _support_lex_min inserts them without a single reduction step
-    width = len(monomials)
-    kernel = _packed_rref(packed_kernel_basis(system.packed_rows(), width), width)[0]
-    chosen = _support_lex_min(_pack_row(particular), kernel, width)
-    coeffs = {mask: 1 for mask, v in zip(monomials, _unpack_row(chosen, width)) if v}
+    chosen = _support_lex_min(
+        _pack_row(particular[::-1]), system.kernel_basis(packed=True), [_pack_row(r[::-1]) for r in rows]
+    )
+    coeffs = {mask: 1 for mask, v in zip(monomials, _unpack_row(chosen, width)[::-1]) if v}
     q = SquarefreePoly(_GF2, coeffs)
     if q.degree > rho:
         raise InternalConsistencyError("isolator degree escaped the bound")

@@ -492,9 +492,9 @@ class SubspaceSpec:
         return FFMatrix(self.field, _dense_rows(self.rows, ncols), ncols)
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
-        """Coordinate vectors spanning the subspace, one per free column of
-        the reduced echelon form of the validated rows, each distinct row
-        eliminated once, in first-seen order."""
+        """The subspace's reduced echelon basis, leading coordinates
+        increasing, from one elimination of the validated rows, each
+        distinct row once, in first-seen order."""
         return sparse_kernel_basis(self.field, (r for _, r in self.distinct_rows), self.coord_count)
 
     def dimension(self) -> int:

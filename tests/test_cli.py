@@ -391,6 +391,21 @@ def test_decode_checks_the_vector_length_before_building_a_basis(tmp_path):
     assert seconds < 1.0
 
 
+def test_decode_refuses_an_instance_reduce_would_refuse(tmp_path):
+    # 2,000 equations at n = 12, d = 3 mean 2,000 x 794 localizing rows,
+    # past reduce's default budget: counted, not built
+    rng = random.Random(12)
+    equations = "".join(
+        "x{} + x{}*x{} + 1\n".format(*rng.sample(range(1, 13), 3)) for _ in range(2000)
+    )
+    src = write(tmp_path, "many.qe", "field: GF(2)\n" + equations)
+    vec = write(tmp_path, "zero.vec", ",".join("0" * basis_size(12, 6, "V")) + "\n")
+    code, stdout, err, _ = run_capped(tmp_path, "decode", "--source", src, "--vector", vec,
+                                      "--degree", "3")
+    assert (code, stdout) == (3, "")
+    assert err == f"error: decoding rebuilds {2000 * 794} localizing rows, budget allows {1 << 20}\n"
+
+
 # -- decompose / descend / isolate --------------------------------------------
 
 
@@ -448,6 +463,17 @@ def test_isolate_takes_a_huge_degree_bound(tmp_path, capsys):
                                     "1,0,1", "--rho", "100000000000")
     assert (code, err) == (0, "")
     assert huge.splitlines()[0] == stdout.splitlines()[0]
+
+
+@pytest.mark.parametrize("rho, monomials", [(4, 597_619), (12, 2_800_171_409_071)])
+def test_isolate_refuses_wide_points_before_building_a_basis(tmp_path, rho, monomials):
+    # 62 coordinates: the kernel would take about monomials^2 bits
+    pts = write(tmp_path, "wide.txt", "1" + ",0" * 61 + "\n" + ",".join("0" * 62) + "\n")
+    code, stdout, err, _ = run_capped(tmp_path, "isolate", "--points", pts, "--target",
+                                      "1" + ",0" * 61, "--rho", str(rho))
+    assert (code, stdout) == (3, "")
+    assert err == (f"error: isolation at degree {rho} over 62 variables needs {monomials} "
+                   f"monomials, at most {1 << 16} are allowed\n")
 
 
 # -- determinism and environment ----------------------------------------------

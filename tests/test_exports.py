@@ -55,3 +55,24 @@ def test_every_import_is_read(path):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unread = sorted(set(imported_names(tree)) - read - exported_names(tree))
     assert unread == [], f"{path.name} imports {unread} and never reads them"
+
+
+# the private helpers one module of the package may import from another
+SHARED_PRIVATE = {"_pack_row", "_unpack_row", "_dense_rows"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(rankgap.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_private_names_stay_in_their_module(path):
+    """A _-prefixed name imported across modules is an engine detail leaking
+    out, unless it is one of SHARED_PRIVATE."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    leaked = sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name not in SHARED_PRIVATE
+    )
+    assert leaked == [], f"{path.name} imports the private names {leaked}"

@@ -27,7 +27,6 @@ from rankgap.cli import main
 from rankgap.errors import BudgetExceededError
 from rankgap.frontends import QuadSystemSource
 from rankgap.gfarith import make_field
-from rankgap.gflinalg import FFMatrix
 from rankgap.moment import build_moment_subspace
 from rankgap.subspace import SubspaceSpec, expansion_positions
 
@@ -344,7 +343,7 @@ def search_system(space, level):
     """The system minrank_bruteforce searches at the level, and the side
     of H."""
     field = space.field
-    kernel = FFMatrix(field, space.kernel_basis(), space.coord_count).rref()[0].rows[::-1]
+    kernel = space.kernel_basis()[::-1]
     positions = expansion_positions(space.coords, basis_make(space.n, level, space.variant).masks)
     system = (oracles._PackedSystem if field.q == 2 else oracles._TableSystem)(field, kernel, positions)
     return system, len(positions)

@@ -255,7 +255,7 @@ def test_scan_ranks_members_in_increasing_order(q, monkeypatch):
     # a recording rank reads each ranked member back off its expansion
     space = build_moment_subspace(parse_quadeq(SCAN_SPACES[q]), 1)
     field = space.field
-    kernel = FFMatrix(field, space.kernel_basis(), space.coord_count).rref()[0].rows[::-1]
+    kernel = space.kernel_basis()[::-1]
     positions = expansion_positions(space.coords, space.index.masks)
     system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel, positions)
     real_rank = oracles.packed_rank if q == 2 else oracles.table_rank
@@ -291,7 +291,7 @@ def test_packed_system_builds_only_what_its_route_reads():
     # the scan reads the coordinate spots, the candidate pass the cells;
     # a system that one route decides builds nothing for the other
     space = build_moment_subspace(parse_quadeq(SCAN_SPACES[2]), 1)
-    kernel = FFMatrix(GF2, space.kernel_basis(), space.coord_count).rref()[0].rows[::-1]
+    kernel = space.kernel_basis()[::-1]
     positions = expansion_positions(space.coords, space.index.masks)
     scanned = _PackedSystem(GF2, kernel, positions)
     scanned.scan(list(scanned.solutions({})), 0)
@@ -342,7 +342,7 @@ def test_minrank_least_witness_across_candidates():
     best, minimizers = naive_minimizers(space)
     least_by_annihilator = {}
     for y in minimizers:
-        annihilator = FFMatrix(GF3, space.expand(y).kernel_basis()).rref()[0]
+        annihilator = tuple(space.expand(y).kernel_basis())
         least_by_annihilator.setdefault(annihilator, y)
     leasts = sorted(least_by_annihilator.values())
     assert (best, len(leasts)) == (1, 4)
@@ -500,15 +500,14 @@ def test_isolator_random_sweep():
 
 def test_isolator_support_is_minimal_on_small_instances():
     # exhaust all degree-bounded polynomials and confirm the returned
-    # support sequence is the lexicographic minimum
+    # support sequence is the lexicographic minimum; at n = 2 the kernel
+    # holds up to 7 vectors, among up to 2^8 candidates at rho = 3
     rng = random.Random(55)
-    for _ in range(12):
-        n = 1
+    for n, rho in [(1, 2)] * 12 + [(2, 2)] * 12 + [(2, 3)] * 12:
         universe = list(product((0, 1), repeat=n + 1))
-        size = rng.randint(1, 3)
+        size = rng.randint(1, (1 << rho) - 1)
         pts = PointSet(n, tuple(rng.sample(universe, size)))
         a = rng.choice(pts.points)
-        rho = 2
         q = point_isolator(pts, a, rho)
         monomials = [0] + list(basis_make(n, rho, "U").masks)
         got = tuple(sorted(monomials.index(m) for m in q.support()))
@@ -522,6 +521,30 @@ def test_isolator_support_is_minimal_on_small_instances():
                 if best is None or seq < best:
                     best = seq
         assert got == best
+
+
+def test_support_lex_min_from_any_solution():
+    # point_isolator starts from solve()'s particular solution; starting
+    # from any other solution must give the same least support, which
+    # needs the test of whether the rest of the vector lies in the kernel
+    rng = random.Random(56)
+    for _ in range(200):
+        width, height = rng.randint(1, 7), rng.randint(1, 5)
+        rows = [[rng.getrandbits(1) for _ in range(width)] for _ in range(height)]
+        solution = [rng.getrandbits(1) for _ in range(width)]
+        matrix = FFMatrix(GF2, rows, width)
+        target = matrix.mat_vec(solution)
+        best = min(
+            tuple(j for j, v in enumerate(x) if v)
+            for x in product((0, 1), repeat=width)
+            if matrix.mat_vec(x) == target
+        )
+        got = oracles._support_lex_min(
+            sum(v << j for j, v in enumerate(solution)),
+            matrix.kernel_basis(packed=True),
+            [sum(v << j for j, v in enumerate(row)) for row in rows],
+        )
+        assert tuple(j for j in range(width) if got >> j & 1) == best
 
 
 # -- sums of points -----------------------------------------------------------

@@ -2,7 +2,9 @@
 gflinalg twice: as bit-packed ints, leading column in the top bit, and as
 int lists eliminated through GF(2)'s FieldSpec.tables().  Both must give
 the same rank at every limit, the same reduced echelon form and pivots,
-kernel, solutions and independent rows, from dense and from sparse rows.
+free-column kernel, solutions and independent rows, from dense and from
+sparse rows, and the kernel's reduced echelon basis must match one derived
+here by a column sweep.
 The widths straddle the word and byte boundaries where a packing slip
 would show, up to rows of about a thousand bits."""
 
@@ -46,6 +48,33 @@ def random_rows(rng, width):
     return rows
 
 
+def echelon_kernel(rows, width):
+    """The kernel's reduced echelon basis, derived without gflinalg: a
+    column sweep of the rows from the last column, then each free column's
+    vector by back-substitution, 1 there, 0 at every other free column and
+    0 left of it."""
+    work = [list(row) for row in rows]
+    pivots = {}
+    for col in reversed(range(width)):
+        row = next((r for r in work if r[col]), None)
+        if row is None:
+            continue
+        work.remove(row)
+        for other in work + list(pivots.values()):
+            if other[col]:
+                other[:] = [a ^ b for a, b in zip(other, row)]
+        pivots[col] = row
+    basis = []
+    for free in range(width):
+        if free not in pivots:
+            vec = [0] * width
+            vec[free] = 1
+            for col, row in pivots.items():
+                vec[col] = row[free]
+            basis.append(tuple(vec))
+    return basis
+
+
 def table_solve(rows, width, targets):
     """solve_columns through the table engine: one elimination of the rows
     with the targets appended as columns."""
@@ -84,9 +113,11 @@ def test_packed_engine_matches_table_engine(width):
 
         kernel = _table_kernel(TABLES, rows, width)
         assert [_unpack_row(v, width) for v in packed_kernel_basis(packed, width)] == kernel
-        assert matrix.kernel_basis() == kernel
+        echelon = echelon_kernel(rows, width)
+        assert matrix.kernel_basis() == echelon
+        assert matrix.kernel_basis(packed=True) == [_pack_row(v[::-1]) for v in echelon]
         sparse = [[(j, 1) for j, v in enumerate(row) if v] for row in rows]
-        assert sparse_kernel_basis(GF2, sparse, width) == kernel
+        assert sparse_kernel_basis(GF2, sparse, width) == echelon
         assert sparse_rank(GF2, sparse) == rank
 
         pivots = {}

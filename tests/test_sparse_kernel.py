@@ -5,8 +5,10 @@ other field) against a column sweep."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rankgap.boolalg import basis_make
+from rankgap.boolalg import basis_make, basis_size
+from rankgap.errors import PreconditionError
 from rankgap.frontends import parse_dimacs
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import FFMatrix, _packed_rref, _table_rref, sparse_kernel_basis, table_rank
@@ -23,6 +25,7 @@ GF4 = make_field(2, 2)
 GF5 = make_field(5)
 GF9 = make_field(3, 2)
 GF257 = make_field(257)
+GF512 = make_field(2, 9)
 
 SHAPES = [(v, n, d) for v in "UV" for n in (2, 3, 4) for d in (1, 2)]
 
@@ -80,16 +83,20 @@ def field_column_sweep_rref(field, rows, ncols):
 
 
 def reference_kernel(field, rows, ncols):
-    rref, pivots = field_column_sweep_rref(field, rows, ncols)
+    """The kernel's reduced echelon basis, in increasing leading column:
+    the column sweep runs over the rows read right to left, and each free
+    column's vector, found by back-substitution, is 1 there, 0 at every
+    other free column and 0 left of it."""
+    rref, pivots = field_column_sweep_rref(field, [row[::-1] for row in rows], ncols)
     basis = []
-    for free in range(ncols):
+    for free in reversed(range(ncols)):
         if free in pivots:
             continue
         vec = [0] * ncols
         vec[free] = 1
         for prow, pcol in zip(rref, pivots):
             vec[pcol] = field.neg(prow[free])
-        basis.append(tuple(vec))
+        basis.append(tuple(vec[::-1]))
     return basis
 
 
@@ -201,6 +208,56 @@ def test_kernel_builds_no_dense_matrix_over_any_field(monkeypatch):
 
     monkeypatch.setattr(FFMatrix, "__init__", no_dense)
     assert [(s.kernel_basis(), s.dimension()) for s in specs] == want
+
+
+# -- one kernel contract: the reduced echelon basis ---------------------------
+
+
+@st.composite
+def sparse_spaces(draw, field):
+    """A space of one of SHAPES over the field, with up to ncols + 4 sparse
+    rows of up to six terms, some of them repeated."""
+    variant, n, d = draw(st.sampled_from(SHAPES))
+    ncols = basis_size(n, 2 * d, variant)
+    terms = st.dictionaries(st.integers(0, ncols - 1), st.integers(1, field.q - 1), max_size=6)
+    rows = draw(st.lists(terms.map(lambda row: sorted(row.items())), max_size=ncols + 4))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return spec_with_rows(variant, n, d, rows, field)
+
+
+@pytest.mark.parametrize(
+    "field", [GF2, GF3, GF4, GF5, GF512], ids=["gf2", "gf3", "gf4", "gf5", "gf512"]
+)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_bases_agree_in_reduced_echelon_form(field, data):
+    # GF(2^9) is past the operation tables' size limit, so its elimination
+    # calls into the field
+    space = data.draw(sparse_spaces(field))
+    ncols = space.coord_count
+    dense = [list(row) for row in space.dense_rows().rows]
+    matrix = FFMatrix(field, dense, ncols)
+    kernel = space.kernel_basis()
+    assert sparse_kernel_basis(field, space.rows, ncols) == kernel
+    assert matrix.kernel_basis() == kernel
+    leads = [next(j for j, v in enumerate(vec) if v) for vec in kernel]
+    assert all(a < b for a, b in zip(leads, leads[1:]))
+    for vec, lead in zip(kernel, leads):
+        assert vec[lead] == 1
+        assert all(other[lead] == 0 for other in kernel if other is not vec)
+        for row in dense:
+            acc = 0
+            for a, v in zip(row, vec):
+                acc = field.add(acc, field.mul(a, v))
+            assert acc == 0
+    assert len(kernel) == ncols - len(field_column_sweep_rref(field, dense, ncols)[0])
+    if field.q == 2:
+        packed = [sum(v << j for j, v in enumerate(vec)) for vec in kernel]
+        assert matrix.kernel_basis(packed=True) == packed
+    else:
+        with pytest.raises(PreconditionError, match="only exist over GF\\(2\\)"):
+            matrix.kernel_basis(packed=True)
 
 
 # -- table-driven elimination over fields other than GF(2) ---------------------
