@@ -17,10 +17,10 @@ forms portable across implementations.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, PreconditionError
 from .gfarith import FieldSpec

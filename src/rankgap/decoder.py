@@ -25,7 +25,6 @@ PreconditionError instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .boolalg import indices_of
 from .errors import InternalConsistencyError, PreconditionError
@@ -33,6 +32,7 @@ from .frontends import QuadSystemSource
 from .gfarith import FieldSpec
 from .gflinalg import FFMatrix, independent_rows
 from .moment import build_moment_subspace
+from .records import record
 from .subspace import PseudoMomentVector
 
 __all__ = [
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class LevelRankProfile:
     """Ranks r_0..r_d of the level matrices, with the lexicographically
     first independent column labels at each level."""
@@ -85,7 +85,7 @@ def find_flat_level(profile: LevelRankProfile) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class MultiplicationOperators:
     """Matrices T_1..T_n acting on the flat-level column space in the
     pivot-column basis: T_i sends the column of B to the column of
@@ -235,7 +235,7 @@ def common_eigenvector(
     return v, tuple(values)
 
 
-@dataclass(frozen=True)
+@record
 class DecodeReport:
     """What the rounding pipeline did, stage by stage."""
 

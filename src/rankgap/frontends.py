@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 
 from .boolalg import SquarefreePoly, format_polys, mask_of, parse_poly, read_index
 from .errors import ParseError, PreconditionError
 from .gfarith import FieldSpec, format_field, make_field, parse_field_descriptor
+from .records import record
 
 __all__ = [
     "CnfFormula",
@@ -36,7 +36,7 @@ __all__ = [
 _GF2 = make_field(2)
 
 
-@dataclass(frozen=True)
+@record
 class CnfFormula:
     """A 3SAT instance: every stored clause has exactly three literals,
     each a signed 1-based variable index."""
@@ -167,7 +167,7 @@ def booleanity_polynomial(i: int, n: int) -> SquarefreePoly:
     return SquarefreePoly(_GF2, {mask_of([i]): 1, mask_of([0, i]): 1})
 
 
-@dataclass(frozen=True)
+@record
 class QuadSystemSource:
     """A system of degree <= 2 squarefree polynomials over x_1..x_n."""
 

@@ -4,10 +4,12 @@ An element of GF(p^e) is stored as a plain int in range(p**e) whose base-p
 digits are the coefficients of the residue polynomial: digit i is the
 coefficient of alpha^i, where alpha is the class of x modulo the field's
 irreducible modulus.  For e == 1 this degenerates to ordinary mod-p ints.
-Coefficient vectors, never discrete logs, so there is no table-size ceiling;
-small fields still get lazy operation tables (add, sub, mul, inv), built once
-per field: extension-field mul and inv read them, and gflinalg's elimination
-indexes them directly.
+Arithmetic works on coefficient vectors, so no field size needs a table.
+Fields of at most _TABLE_LIMIT elements also get lazy operation tables
+(add, sub, mul, inv), built once per field: extension-field mul and inv read
+them, and gflinalg's elimination indexes them directly.  mul and inv are
+filled from the powers of a generator (discrete logs), add and sub digit by
+digit; logs are used for nothing else.
 
 The modulus may be supplied explicitly (low-to-high coefficient order) or
 omitted, in which case the lexicographically smallest irreducible monic
@@ -20,7 +22,7 @@ x^4+x+1 for GF(16), ...).
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import ParseError, PreconditionError
 
@@ -109,6 +111,20 @@ def _undigits(digs: Sequence[int], p: int) -> int:
     return v
 
 
+def _digitwise(p: int, e: int, op) -> list[list[int]]:
+    """table[a][b] == the element whose base-p digits are op(a_i, b_i) for
+    the digits a_i, b_i of a and b.  An element of p^k digits is its low
+    digit plus p times the rest, so each digit added takes one pass over
+    the table built so far."""
+    low = [[op(a, b) for b in range(p)] for a in range(p)]
+    table = low
+    for _ in range(e - 1):
+        table = [
+            [p * h + x for h in high for x in row] for high in table for row in low
+        ]
+    return table
+
+
 class _OpRow:
     """row[b] == op(a, b) without storing the row.  A whole table too large
     to build is a row of rows: _OpRow(_OpRow, op)[a][b] == op(a, b)."""
@@ -161,6 +177,16 @@ class FieldSpec:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
             raise PreconditionError(f"{a!r} is not an element of {format_field(self)}")
         return a
+
+    def validate_all(self, values) -> tuple[int, ...]:
+        """tuple(values), each checked as validate checks one: one pass for
+        plain ints, and validate names the first bad value."""
+        values = tuple(values)
+        q = self.q
+        if not all(type(v) is int and 0 <= v < q for v in values):
+            for v in values:
+                self.validate(v)
+        return values
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of a, low degree first, length e."""
@@ -243,13 +269,24 @@ class FieldSpec:
             ops = (_OpRow(_OpRow, op) for op in (self.add, self.sub, self.mul))
             self._tables = (*ops, _OpRow(self.div, 1))
             return self._tables
-        elems = range(self.q)
-        mul = [[self._mul_poly(a, b) for b in elems] for a in elems]
+        q, p = self.q, self.p
+        # powers of a generator g: exp[k] == g^k, log[exp[k]] == k
+        for g in range(1, q):
+            exp = [1]
+            while len(exp) < q - 1 and (x := self._mul_poly(exp[-1], g)) != 1:
+                exp.append(x)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for k, x in enumerate(exp):
+            log[x] = k
+        exp += exp
+        logs = log[1:]
         self._tables = (
-            [[self.add(a, b) for b in elems] for a in elems],
-            [[self.sub(a, b) for b in elems] for a in elems],
-            mul,
-            [0] + [row.index(1) for row in mul[1:]],
+            _digitwise(p, self.e, lambda a, b: (a + b) % p),
+            _digitwise(p, self.e, lambda a, b: (a - b) % p),
+            [[0] * q] + [[0] + [exp[k + j] for j in logs] for k in logs],
+            [0] + [exp[q - 1 - k] for k in logs],
         )
         return self._tables
 

@@ -26,9 +26,8 @@ matrix over GF(2^r) down to GF(2) without leaving a GF(2)-defined subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import partial
-from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError, ParseError, PreconditionError
 from .gfarith import (
@@ -38,6 +37,7 @@ from .gfarith import (
     make_linear_functional,
     parse_field_descriptor,
 )
+from .records import record
 
 __all__ = [
     "FFMatrix",
@@ -294,13 +294,7 @@ class FFMatrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: FieldSpec, rows: Iterable[Iterable[int]], ncols: int | None = None):
-        # one pass per row for plain ints; validate names the first bad entry
-        q = field.q
-        mat = tuple(
-            row if all(type(v) is int and 0 <= v < q for v in row)
-            else tuple(field.validate(v) for v in row)
-            for row in map(tuple, rows)
-        )
+        mat = tuple(map(field.validate_all, rows))
         if mat:
             ncols = len(mat[0])
             if any(len(r) != ncols for r in mat):
@@ -546,7 +540,7 @@ class FFMatrix:
 # -- symmetric rank-one decomposition over GF(2) -----------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RankOneDecomposition:
     """Vectors u with A = sum of u u^T over GF(2), in emission order."""
 

@@ -37,7 +37,6 @@ basis is built, and then to the kernel itself.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import xor
@@ -46,6 +45,7 @@ from .boolalg import MonomialBasis, SquarefreePoly, basis_make, basis_size, mask
 from .errors import BudgetExceededError, InternalConsistencyError, PreconditionError
 from .gfarith import make_field
 from .gflinalg import FFMatrix, _pack_row, _unpack_row, packed_rank, sparse_rank, table_rank
+from .records import record
 from .subspace import SubspaceSpec, expansion_positions, honest_moment_vector
 from .superposition import MonomialQuadSystem
 
@@ -78,7 +78,7 @@ def subspace_digest(space: SubspaceSpec) -> str:
 # -- membership ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class MembershipReport:
     ok: bool
     violated_row: int | None
@@ -91,7 +91,7 @@ def check_membership(values, space: SubspaceSpec) -> MembershipReport:
     the vector over its nonzero coordinates.  A violated row is named where
     it first appears, as its repeats give the same value."""
     f = space.field
-    vec = tuple(f.validate(v) for v in values)
+    vec = f.validate_all(values)
     ncols = space.coord_count
     if len(vec) != ncols:
         raise PreconditionError(
@@ -114,7 +114,7 @@ def check_membership(values, space: SubspaceSpec) -> MembershipReport:
 # -- minrank by exhaustion ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class MinrankReport:
     """Outcome of a minrank search over every nonzero kernel member.
 
@@ -644,7 +644,7 @@ def minrank_bruteforce(
 # -- superposition ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SuperpositionReport:
     ok: bool
     violated_equation: int | None
@@ -685,7 +685,7 @@ def superposition_check(assignments, quad: MonomialQuadSystem) -> SuperpositionR
 # -- points and monomial assignments ------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PointSet:
     """Finite subset of GF(2)^{n+1}, stored sorted."""
 
@@ -722,7 +722,7 @@ def _point_ones(point) -> int:
     return mask_of(i for i, v in enumerate(point) if v)
 
 
-@dataclass(frozen=True)
+@record
 class MonomialAssignment:
     """GF(2) value for every monomial of degree 1..d over x_0..x_n.
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import marshal
-from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property, reduce
 from itertools import accumulate, chain
 from operator import itemgetter
@@ -48,6 +47,7 @@ from .boolalg import MonomialBasis, basis_make, basis_size, format_monomial, ind
 from .errors import ParseError, PreconditionError
 from .gfarith import FieldSpec, format_field, parse_field_descriptor
 from .gflinalg import FFMatrix, _dense_rows, independent_rows, sparse_kernel_basis
+from .records import record, uncompared
 
 __all__ = [
     "PseudoMomentVector",
@@ -258,7 +258,7 @@ def _row_value(field: FieldSpec, row, values) -> int:
     return acc
 
 
-@dataclass(frozen=True)
+@record
 class PseudoMomentVector:
     """Coordinate values y_R over a union-set basis, typically degree 2d."""
 
@@ -271,8 +271,7 @@ class PseudoMomentVector:
             raise PreconditionError(
                 f"{len(self.values)} values for a basis of size {len(self.basis)}"
             )
-        for v in self.values:
-            self.field.validate(v)
+        self.field.validate_all(self.values)
 
     @property
     def n(self) -> int:
@@ -348,7 +347,7 @@ class PseudoMomentVector:
         )
 
 
-@dataclass(frozen=True)
+@record
 class SubspaceSpec:
     """A subspace of symmetric matrices in quotient coordinates.
 
@@ -367,7 +366,7 @@ class SubspaceSpec:
     n: int
     d: int
     rows: tuple[tuple[tuple[int, int], ...], ...]
-    provenance: dict = dc_field(default_factory=dict, compare=False)
+    provenance: dict = uncompared(dict)
 
     def __post_init__(self):
         if self.d < 1:
@@ -421,7 +420,7 @@ class SubspaceSpec:
         return self.membership_violation(values) is None
 
     def _validated(self, values) -> tuple[int, ...]:
-        return self._sized(tuple(self.field.validate(v) for v in values))
+        return self._sized(self.field.validate_all(values))
 
     def _sized(self, vals: tuple) -> tuple:
         if len(vals) != self.coord_count:

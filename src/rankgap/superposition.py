@@ -27,17 +27,17 @@ nonzero member read off its first nonzero coordinate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import cached_property, reduce
 from itertools import chain
 from operator import or_
-from typing import Iterator
 
 from .boolalg import MonomialBasis, SquarefreePoly, basis_make, basis_size
 from .errors import InternalConsistencyError, PreconditionError
 from .frontends import CnfFormula, booleanity_polynomial, clause_polynomial
 from .gfarith import FieldSpec, make_field
 from .gflinalg import symmetric_rank_one_decomposition
+from .records import record
 from .subspace import PseudoMomentVector, SubspaceSpec, localizing_rows
 
 __all__ = [
@@ -82,7 +82,7 @@ def degree_regime(d: int, k0: int) -> str:
     return "relaxed"
 
 
-@dataclass(frozen=True)
+@record
 class DegreeChoice:
     """Degree selection for a target rank gap k over GF(2^r).
 
@@ -124,7 +124,7 @@ def choose_degree(k: int, r: int = 1, c: float = 4.0) -> DegreeChoice:
 # -- the constant-free polynomial system --------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ShiftedEquations:
     """Each source polynomial times x^w for each of its shift masks w, in
     order, produced on iteration; len counts the shifts."""
@@ -138,7 +138,7 @@ class ShiftedEquations:
         return (f.shift(w) for f, shifts in self.sources for w in shifts)
 
 
-@dataclass(frozen=True)
+@record
 class ConstantFreeSystem:
     """Degree-at-most-d polynomials over GF(2) in x_0..x_n without a
     constant term: each (polynomial, shift masks) source stands for the
@@ -199,7 +199,7 @@ def build_constant_free_system(cnf: CnfFormula, d: int) -> ConstantFreeSystem:
 # -- linearization ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class QuadEquation:
     """One equation over monomial variables: sum of coeff*u_S*u_T over quad
     plus sum of coeff*u_R over linear, equated to zero in GF(2).  Masks are
@@ -219,7 +219,7 @@ class QuadEquation:
         return acc
 
 
-@dataclass(frozen=True)
+@record
 class MultiplicativityEquations:
     """u_S*u_T = u_{S union T} for every unordered pair of sets in a U
     basis, diagonal included, whose union stays within its degree.
@@ -246,7 +246,7 @@ class MultiplicativityEquations:
                     yield QuadEquation(quad=((s, t, 1),), linear=((union, 1),))
 
 
-@dataclass(frozen=True)
+@record
 class MonomialQuadSystem:
     """The linearized system of a constant-free system: one variable per
     index set in U_{n,d}.
@@ -316,7 +316,7 @@ def build_matrix_subspace(
 # -- soundness-facing utilities ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SuperpositionWitness:
     """A family of 0/1 assignments to the monomial variables whose
     per-equation evaluation sums all vanish, plus their coordinatewise
@@ -362,7 +362,7 @@ def low_rank_to_superposition(
     )
 
 
-@dataclass(frozen=True)
+@record
 class RankCertificate:
     """Lower bound on the rank of the expanded matrix of a nonzero
     coordinate vector, read off a minimum-size set with nonzero

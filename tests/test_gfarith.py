@@ -138,6 +138,20 @@ def test_field_laws_exhaustive(p, e):
         assert field.add(a, field.neg(a)) == 0
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (7, 2), (5, 3), (3, 5), (2, 8)])
+def test_operation_tables_match_the_field(p, e):
+    """Every table entry equals the operation it stands for, products
+    formed by polynomial multiplication."""
+    field = make_field(p, e)
+    add, sub, mul, inv = field.tables()
+    elems = range(field.q)
+    assert add == [[field.add(a, b) for b in elems] for a in elems]
+    assert sub == [[field.sub(a, b) for b in elems] for a in elems]
+    assert mul == [[field._mul_poly(a, b) for b in elems] for a in elems]
+    assert inv[0] == 0
+    assert all(mul[a][inv[a]] == 1 for a in elems[1:])
+
+
 def test_functional_keyed_to_lowest_nonzero_coordinate():
     # alpha's coefficient vector is (0, 1): the functional extracts coeff 2
     phi = make_linear_functional(GF4, 2)

@@ -7,6 +7,7 @@ import pytest
 
 from rankgap import boolalg, subspace
 from rankgap.boolalg import basis_make, basis_size, mask_of
+from rankgap.cli import main
 from rankgap.errors import ParseError, PreconditionError
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import FFMatrix, rank_descent
@@ -250,3 +251,31 @@ def test_loading_builds_no_basis(monkeypatch):
     space = SubspaceSpec.from_text(text)
     assert (space.coord_count, space.matrix_side) == (1 << 40, basis_size(40, 20, "V"))
     assert json.loads(space.to_text())["matrix_side"] == space.matrix_side
+
+
+@pytest.mark.parametrize(
+    "bad, verify_message",
+    [
+        (True, "bad vector entry 'True'"),
+        (2, "2 is not an element of GF(2)"),
+        (-1, "-1 is not an element of GF(2)"),
+        (1.0, "bad vector entry '1.0'"),
+    ],
+)
+def test_every_coordinate_check_names_the_bad_value(tmp_path, capsys, bad, verify_message):
+    """verify --vector reads integers from text, so True and 1.0 fail to
+    parse there; the library checks name the value itself."""
+    spec = tiny_spec()
+    values = (1, bad, 0, 0)
+    message = f"{bad!r} is not an element of GF(2)"
+    with pytest.raises(PreconditionError) as exc:
+        spec.contains(values)
+    assert str(exc.value) == message
+    with pytest.raises(PreconditionError) as exc:
+        PseudoMomentVector(GF2, spec.coords, values)
+    assert str(exc.value) == message
+    inst, vec = tmp_path / "space.json", tmp_path / "member.vec"
+    inst.write_text(spec.to_text())
+    vec.write_text(f"1,{bad},0,0\n")
+    assert main(["verify", "--input", str(inst), "--vector", str(vec)]) == 2
+    assert capsys.readouterr().err == f"error: {verify_message}\n"
