@@ -22,7 +22,6 @@ import functools
 import hashlib
 import json
 import sys
-from pathlib import Path
 
 from .boolalg import basis_make, basis_size, format_poly, indices_of
 from .decoder import decode_assignment
@@ -53,9 +52,15 @@ _BUDGET = 1 << 20
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except OSError as exc:
         raise PreconditionError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _sha(text: str) -> str:
@@ -81,7 +86,7 @@ def _emit(args: argparse.Namespace, summary: list[str], doc: dict) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     output = getattr(args, "output", None)
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        _write(output, text)
     else:
         print(text, end="")
 
@@ -159,7 +164,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         space, d = _reduce_superposition(args, text)
     else:
         space, d = _reduce_direct(args, text)
-    Path(args.output).write_text(space.to_text(), encoding="utf-8")
+    _write(args.output, space.to_text())
     print(f"coordinates: {space.coord_count}")
     print(f"constraints: {len(space.rows)}")
     print(f"d: {d}")

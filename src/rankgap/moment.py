@@ -49,7 +49,7 @@ def build_moment_subspace(
     if d < 1:
         raise PreconditionError(f"the matrix degree must be at least 1, got {d}")
     shifts = basis_make(src.n, 2 * d - 2, "V").masks
-    rows = localizing_rows(basis_make(src.n, 2 * d, "V"), [(f, shifts) for f in src.equations])
+    rows, distinct = localizing_rows(basis_make(src.n, 2 * d, "V"), [(f, shifts) for f in src.equations])
     if len(rows) != localizing_row_count(src.n, src.m, d):
         raise InternalConsistencyError("localizing row enumeration drifted from the formula")
     base = {
@@ -62,4 +62,4 @@ def build_moment_subspace(
     if d != k:
         base["degree_override"] = True
     base.update(provenance or {})
-    return SubspaceSpec(src.field, "V", src.n, d, rows, base)
+    return SubspaceSpec._seeded(distinct, src.field, "V", src.n, d, rows, base)

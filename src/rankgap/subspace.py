@@ -10,9 +10,10 @@ H[S][T] = y_{S ∪ T}.  The ties then hold identically and membership in
 the subspace is a homogeneous linear condition on y alone.  Both
 reductions write those conditions with localizing_rows: one row per
 source polynomial f and shift x^W, the terms of f * x^W read as y's.
-Each distinct row is built once, per (product of f with the part of W on
-f's variables S, part of W outside S) pair, so f is multiplied at most
-2^|S| times however many shifts it has.
+A row is ranked once per (product of f with the part of W on f's
+variables S, part of W outside S) pair, so f is multiplied at most
+2^|S| times however many shifts it has, and each product is sorted into
+coordinate order once, since the part outside S never changes that order.
 
 SubspaceSpec is a shape (variant, n, d) and sparse constraint rows over
 the coordinates.  Its two bases, the coordinates (degree 2d) and the
@@ -22,8 +23,10 @@ writing an instance builds neither.  Its kernel comes from the sparse
 rows through gflinalg, over every field, without a dense matrix;
 dense_rows() is only a reference form.  Every row is kept, since row
 indices name violated constraints, but the CNF reduction repeats most of
-them: loading and localizing_rows share one tuple among equal rows, and
-each distinct row is checked, evaluated, eliminated and rendered once.
+them: loading and localizing_rows share one tuple among equal rows,
+localizing_rows and the canonical reader hand the space the index where
+each distinct row first appears, and each distinct row is checked,
+evaluated, eliminated and rendered once.
 from_text reads a text laid out as to_text writes it, with rows that
 mostly repeat, by parsing each distinct row text once (_canonical_parts).
 It accepts the text only when writing back what it parsed gives the text
@@ -116,26 +119,22 @@ _ROWS_CLOSE = '\n  ],\n  "variant": '
 _ROW_SEP = ",\n    ["  # between rows: inside one, ",\n" is followed by 6 or 8 spaces
 # the fewest rows _canonical_parts reads itself
 _CANONICAL_ROWS = 64
-# distinct rows parsed per json.loads: one text of all 920 distinct rows of
-# an n = 7 CNF instance raised the benchmark's peak RSS from 31.4 to 34-35 MB
+# distinct rows parsed per json.loads, and rendered per % in to_text: one
+# text of all 920 distinct rows of an n = 7 CNF instance raised the
+# benchmark's peak RSS from 31.4 to 34-35 MB, and rendering all 874 of
+# another at once raised that of repeated reduces by 2 MB
 _PARSE_ROWS = 256
-
-
-def _row_text(row) -> str:
-    """One constraint row as json.dumps(indent=2) writes it inside "rows"."""
-    if not row:
-        return "[]"
-    pairs = ",\n".join(
-        f"      [\n        {pos},\n        {coeff}\n      ]" for pos, coeff in row
-    )
-    return f"[\n{pairs}\n    ]"
 
 
 @cache
 def _row_layout(size: int) -> str:
-    """_row_text's layout of a row of size pairs as a %-template: %d writes
-    an int as _row_text does, and 1.0 or True not as json.dumps does."""
-    return _row_text((("%d", "%d"),) * size)
+    """A constraint row of size pairs as json.dumps(indent=2) writes it
+    inside "rows", as a %-template over its positions and coefficients in
+    order: %d writes an int as json.dumps does, and 1.0 or True not."""
+    if not size:
+        return "[]"
+    pairs = ",\n".join(["      [\n        %d,\n        %d\n      ]"] * size)
+    return f"[\n{pairs}\n    ]"
 
 
 def _read_rows(texts) -> list:
@@ -206,37 +205,95 @@ def _canonical_parts(text: str):
     return head, rows, tuple(zip(starts, distinct))
 
 
-def localizing_rows(coords: MonomialBasis, sources) -> tuple:
-    """One row per (polynomial f, shift masks) source and shift w: the terms
-    of f * x^w ranked into coords, sorted by position.  Terms that cancel
-    are dropped, so a row may be empty.  Equal rows are one shared tuple.
+def localizing_rows(coords: MonomialBasis, sources) -> tuple[tuple, tuple]:
+    """(rows, distinct).  rows holds one row per (polynomial f, shift masks)
+    source and shift w: the terms of f * x^w ranked into coords, sorted by
+    position.  Terms that cancel are dropped, so a row may be empty.  Equal
+    rows are one shared tuple, and distinct lists (index of first
+    appearance, row) for each, in order, as SubspaceSpec.distinct_rows
+    does.
 
     Each distinct row is built once.  With S the union of f's monomials,
     f * x^w = (f * x^inner) * x^outer for inner = w & S and outer = w & ~S,
     and the outer part only ORs onto each term: no two terms meet, none
     cancels, and the terms keep their order.  So f is multiplied once per
-    distinct inner, at most 2^|S| times; equal products share one term
-    tuple, and a row is ranked and sorted only the first time its (product,
-    outer) pair appears."""
-    rank, shared, products, built = coords.rank, {}, {}, {}
-    out = []
+    distinct inner, at most 2^|S| times.  A product is kept as x^c times
+    the terms left when c, the monomial all its terms share, is taken out
+    of each; c joins the outer part.  Equal term tuples share one _Product,
+    so equal polynomials from other sources and shifts mostly meet under
+    one (product, outer) pair, and a row is ranked only the first time its
+    pair appears.
+
+    Each product is sorted once.  basis_make orders coordinates by size,
+    then lexicographically: of two equal-size sets, the one holding the
+    least element of their symmetric difference comes first.  An outer o
+    is disjoint from every term, so adding it to each moves all sizes by
+    |o| and leaves each symmetric difference as it was: the terms m | o
+    rank in the same order for every o.  A product's first row ranks its
+    terms in the product's own order, so an out-of-range term raises the
+    error the plain loop would, and fixes the order the product's later
+    rows are ranked in."""
+    shared, products, out, distinct = {}, {}, [], []
     for f, shifts in sources:
         own = reduce(int.__or__, f.coeffs, 0)
-        inner_terms: dict[int, tuple] = {}
+        by_inner: dict[int, tuple[_Product, int]] = {}
         for w in shifts:
             inner = w & own
-            terms = inner_terms.get(inner)
-            if terms is None:
-                terms = tuple(f.shift(inner).coeffs.items())
-                terms = inner_terms[inner] = products.setdefault(terms, terms)
-            outer = w ^ inner
-            key = (id(terms), outer)
-            row = built.get(key)
+            found = by_inner.get(inner)
+            if found is None:
+                found = by_inner[inner] = _Product.factored(f.shift(inner).coeffs, products)
+            product, common = found
+            outer = (w ^ inner) | common
+            row = product.rows.get(outer)
             if row is None:
-                row = tuple(sorted([(rank(m | outer), c) for m, c in terms]))
-                row = built[key] = shared.setdefault(row, row)
+                row = product.ranked(coords, outer)
+                seen = shared.get(row)
+                if seen is None:
+                    shared[row] = row
+                    distinct.append((len(out), row))
+                else:
+                    row = seen
+                product.rows[outer] = row
             out.append(row)
-    return tuple(out)
+    return tuple(out), tuple(distinct)
+
+
+class _Product:
+    """A product's terms with their common monomial taken out: terms in the
+    product's own order, and masks and coeffs in coordinate order, read off
+    its first row once a second is needed; rows maps an outer shift to its
+    row, in the order they were ranked."""
+
+    __slots__ = ("terms", "masks", "coeffs", "rows")
+
+    def __init__(self, terms: tuple):
+        self.terms, self.masks, self.coeffs, self.rows = terms, None, None, {}
+
+    @classmethod
+    def factored(cls, coeffs: dict, products: dict) -> tuple["_Product", int]:
+        """(product, c) with coeffs = x^c times product, the one in products
+        with those terms."""
+        common = reduce(int.__and__, coeffs, -1) if coeffs else 0
+        terms = tuple([(m ^ common, c) for m, c in coeffs.items()] if common else coeffs.items())
+        product = products.get(terms)
+        if product is None:
+            product = products[terms] = cls(terms)
+        return product, common
+
+    def ranked(self, coords: MonomialBasis, outer: int) -> tuple:
+        """The row of this product times x^outer, sorted by position."""
+        if self.masks is None and self.rows:  # a second row: keep the first one's order
+            first_outer, first = next(iter(self.rows.items()))
+            # each term is its coordinate's set less the outer part, which it misses
+            self.masks = [coords.masks[r] ^ first_outer for r, _ in first]
+            self.coeffs = [c for _, c in first]
+        index = coords._rank
+        try:
+            if self.masks is not None:
+                return tuple(zip([index[m | outer] for m in self.masks], self.coeffs))
+            return tuple(sorted([(index[m | outer], c) for m, c in self.terms]))
+        except KeyError:  # rank() names the term the product's own order meets first
+            return tuple(sorted([(coords.rank(m | outer), c) for m, c in self.terms]))
 
 
 def _shared_rows(raw):
@@ -377,7 +434,8 @@ class SubspaceSpec:
     def distinct_rows(self) -> tuple:
         """(index of first appearance, row) for each distinct row object, in
         order.  Identity, not ==, tells rows apart, since 1.0 and True equal 1.
-        from_text fills this in as it reads a canonical text."""
+        from_text fills this in as it reads a canonical text, and both
+        builders as localizing_rows shares the rows."""
         first: dict[int, tuple] = {}
         for k, row in enumerate(self.rows):
             if id(row) not in first:
@@ -522,11 +580,18 @@ class SubspaceSpec:
     def to_text(self) -> str:
         """json.dumps(self.to_json(), indent=2, sort_keys=True) and a
         newline, byte for byte.  The encoder writes the head; the rows are
-        laid out here, each distinct row rendered once, and go in front of
+        laid out here, each distinct row rendered once through _row_layout,
+        the template from_text checks against, and go in front of
         "variant", the one key that sorts after "rows"."""
         head = json.dumps(self._head(), indent=2, sort_keys=True)
         cut = head.rindex('\n  "variant": ')
-        rendered = {id(row): _row_text(row) for _, row in self.distinct_rows}
+        distinct, texts = [row for _, row in self.distinct_rows], []
+        for at in range(0, len(distinct), _PARSE_ROWS):
+            # one % per batch, as _read_rows checks them; no row text holds "|"
+            batch = distinct[at : at + _PARSE_ROWS]
+            layouts = "|".join(map(_row_layout, map(len, batch)))
+            texts += (layouts % tuple(chain.from_iterable(chain.from_iterable(batch)))).split("|")
+        rendered = dict(zip(map(id, distinct), texts))
         rows = ",\n    ".join(map(rendered.__getitem__, map(id, self.rows)))
         rows = f"[\n    {rows}\n  ]" if self.rows else "[]"
         return f'{head[:cut]}\n  "rows": {rows},{head[cut:]}\n'
@@ -570,10 +635,17 @@ class SubspaceSpec:
                     f"{key} says {value}, the ({variant}, n={n}, d={d}) "
                     f"families give {size}"
                 )
+        return cls._seeded(distinct_rows, field, variant, n, d, rows, provenance)
+
+    @classmethod
+    def _seeded(cls, distinct_rows, *fields) -> "SubspaceSpec":
+        """cls(*fields), with distinct_rows, when given, as that property's
+        value: the first appearances a loader or builder saw as it shared
+        the rows."""
         space = cls.__new__(cls)
         if distinct_rows is not None:  # seen before __init__ checks the rows
             space.__dict__["distinct_rows"] = distinct_rows
-        space.__init__(field, variant, n, d, rows, provenance)
+        space.__init__(*fields)
         return space
 
     @classmethod

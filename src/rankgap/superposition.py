@@ -11,12 +11,16 @@ direct construction shares, writes one row per polynomial and shift
 straight from the sources: a subspace of symmetric matrices in quotient
 coordinates.  It builds each distinct row once: a source is multiplied
 only on its own variables S, at most 2^|S| times (16 for a clause, 4 for
-a booleanity polynomial), and a row once per (product, outer shift) pair;
-8,299 rows at n = 7, m = 30, d = 8 take at most 508 products.  The
-multiplicativity equations cancel identically there: both sides of
-u_S*u_T = u_{S union T} land on the coordinate of the union with
-coefficient 1 + 1 = 0.  So they, and the products and their linearized
-images, are produced only when a check iterates over them.
+a booleanity polynomial), each product is sorted into coordinate order
+once, and a row is ranked once per (product, outer shift) pair; 8,299
+rows at n = 7, m = 30, d = 8 take at most 508 products.  It reports where
+each distinct row first appears, so the space does not walk its rows to
+find them.  The multiplicativity equations cancel identically in those
+coordinates: both sides of u_S*u_T = u_{S union T} land on the coordinate
+of the union with coefficient 1 + 1 = 0.  So they, and the products and
+their linearized images, are produced only when a check iterates over
+them.  The sources share two shift tuples, and the constant-free system
+checks each tuple once, not once per source.
 
 Two soundness-facing utilities live here as well: the decomposition of a
 low-rank member into a family of assignments that satisfies every
@@ -149,15 +153,19 @@ class ConstantFreeSystem:
     sources: tuple[tuple[SquarefreePoly, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        reach: dict[int, tuple[int, int]] = {}  # per shift tuple: largest size, union
         for k, (f, shifts) in enumerate(self.sources):
             if f.field != _GF2:
                 raise PreconditionError(f"source {k} is not over GF(2)")
             if f.constant_term() != 0:
                 raise InternalConsistencyError(f"source {k} has a constant term")
-            top = f.degree + max(map(int.bit_count, shifts), default=0)
+            widest, union = reach.get(id(shifts)) or reach.setdefault(
+                id(shifts), (max(map(int.bit_count, shifts), default=0), reduce(or_, shifts, 0))
+            )
+            top = f.degree + widest
             if top > self.d:
                 raise InternalConsistencyError(f"source {k} reaches degree {top} > {self.d}")
-            if reduce(or_, chain(f.coeffs, shifts), 0) >> (self.n + 1):
+            if reduce(or_, f.coeffs, union) >> (self.n + 1):
                 raise PreconditionError(f"source {k} mentions a variable beyond x{self.n}")
 
     @property
@@ -302,7 +310,7 @@ def build_matrix_subspace(
     if field.p != 2:
         raise PreconditionError("the subspace constraints need characteristic two")
     n, d = quad.system.n, quad.system.d
-    rows = localizing_rows(basis_make(n, 2 * d, "U"), quad.system.sources)
+    rows, distinct = localizing_rows(basis_make(n, 2 * d, "U"), quad.system.sources)
     base = {
         "construction": "superposition",
         "n": n,
@@ -310,7 +318,7 @@ def build_matrix_subspace(
         "multiplicativity_cancelled": len(quad.multiplicativity),
     }
     base.update(provenance or {})
-    return SubspaceSpec(field, "U", n, d, rows, base)
+    return SubspaceSpec._seeded(distinct, field, "U", n, d, rows, base)
 
 
 # -- soundness-facing utilities ----------------------------------------------

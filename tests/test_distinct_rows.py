@@ -6,7 +6,9 @@ lists each row object once with the index where it first appears:
 construction checks, check_membership and membership_violation evaluate,
 kernel_basis eliminates and to_text renders each distinct row once.  Here
 each is held to the all-rows form it replaces, on spaces whose rows are
-drawn from a small pool with empty rows mixed in.
+drawn from a small pool with empty rows mixed in.  The two builders hand
+over the first appearances localizing_rows saw, and those are held to the
+walk the property makes over the rows.
 """
 
 import json
@@ -15,12 +17,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rankgap.gflinalg
-from rankgap.boolalg import basis_size
+from rankgap.boolalg import SquarefreePoly, basis_make, basis_size
 from rankgap.cli import main
 from rankgap.errors import ParseError, PreconditionError
+from rankgap.frontends import CnfFormula, QuadSystemSource
 from rankgap.gfarith import make_field
+from rankgap.moment import build_moment_subspace
 from rankgap.oracles import check_membership
 from rankgap.subspace import SubspaceSpec
+from rankgap.superposition import (
+    build_constant_free_system,
+    build_matrix_subspace,
+    build_monomial_quad_system,
+)
 
 FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5)]
 
@@ -204,3 +213,52 @@ def test_membership_oracles_agree_on_sparse_and_dense_supports(space, rng):
         for values in (sparse, dense):
             assert check_membership(values, space).violated_row == space.membership_violation(values)
             assert space.membership_violation(values) == first_violated_row(space, values)
+
+
+@st.composite
+def built_spaces(draw):
+    """A space from either builder: a direct quadratic system at k = 1 or
+    2, or a 3-CNF at d = 3 or 4.  Both give empty rows: a booleanity
+    polynomial times x_0 cancels, and so do direct products such as
+    (x1 + 2 x1 x2) x2 over GF(3)."""
+    if draw(st.booleans()):
+        field = draw(st.sampled_from(FIELDS))
+        n = draw(st.integers(1, 3))
+        support = basis_make(n, 2, "V").masks
+        poly = st.dictionaries(st.sampled_from(support), st.integers(1, field.q - 1), max_size=4)
+        equations = draw(st.lists(poly, min_size=1, max_size=3))
+        src = QuadSystemSource(field, n, tuple(SquarefreePoly(field, c) for c in equations))
+        return build_moment_subspace(src, draw(st.integers(1, 2)))
+    n = draw(st.integers(3, 4))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.lists(literal, min_size=3, max_size=3, unique_by=abs).map(tuple)
+    cnf = CnfFormula(n, tuple(draw(st.lists(clause, min_size=1, max_size=3))))
+    system = build_constant_free_system(cnf, draw(st.integers(3, 4)))
+    return build_matrix_subspace(build_monomial_quad_system(system), draw(st.sampled_from([None, FIELDS[2]])))
+
+
+def assert_handed_over_as_walked(space):
+    """The first appearances a builder handed over are those the property
+    finds walking a fresh space's rows: same indices, same row objects."""
+    walked = SubspaceSpec(space.field, space.variant, space.n, space.d, space.rows, space.provenance).distinct_rows
+    assert [k for k, _ in space.distinct_rows] == [k for k, _ in walked]
+    assert all(a is b for (_, a), (_, b) in zip(space.distinct_rows, walked))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(built_spaces())
+def test_builders_hand_over_the_first_appearances_a_walk_finds(space):
+    assert_handed_over_as_walked(space)
+
+
+@pytest.mark.parametrize("build", ["direct", "superposition"])
+def test_handed_over_first_appearances_include_the_empty_row(build):
+    if build == "direct":
+        x1, x12 = 1 << 1, (1 << 1) | (1 << 2)
+        f = SquarefreePoly(GF3, {x1: 1, x12: 2})
+        space = build_moment_subspace(QuadSystemSource(GF3, 2, (f,)), 2)
+    else:
+        system = build_constant_free_system(CnfFormula(3, ((1, -2, 3),)), 4)
+        space = build_matrix_subspace(build_monomial_quad_system(system))
+    assert () in space.rows
+    assert_handed_over_as_walked(space)

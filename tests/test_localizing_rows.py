@@ -6,14 +6,15 @@ of its shifts, ranks and sorts every product and then shares equal rows.
 localizing_rows multiplies a source only on its own variables and reuses
 a row whose (product, outer shift) pair it has seen.  Both must give the
 same rows in the same order, the same sharing of row objects, and the
-same first error on a term outside the coordinates.
+same first error on a term outside the coordinates; localizing_rows also
+reports where each distinct row first appears.
 """
 
 from functools import reduce
 from operator import or_
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rankgap.boolalg import SquarefreePoly, basis_make, mask_of
 from rankgap.errors import PreconditionError
@@ -51,11 +52,15 @@ def outcome(build, coords, sources):
 
 def assert_same_rows(coords, sources):
     expected, expected_error = outcome(reference_rows, coords, sources)
-    got, error = outcome(localizing_rows, coords, sources)
+    built, error = outcome(localizing_rows, coords, sources)
     assert error == expected_error
     if expected is not None:
+        got, distinct = built
         assert got == expected
         assert sharing(got) == sharing(expected)
+        first = sorted(set(sharing(got)))
+        assert [k for k, _ in distinct] == first
+        assert all(row is got[k] for k, row in distinct)
 
 
 @st.composite
@@ -126,7 +131,7 @@ def test_each_source_is_multiplied_only_on_its_own_variables(case):
 def test_cancelled_products_are_empty_rows(field, variant, n, coeffs, shifts):
     coords = basis_make(n, 4, variant)
     f = SquarefreePoly(field, coeffs)
-    rows = localizing_rows(coords, [(f, shifts), (f, shifts[::-1])])
+    rows, _ = localizing_rows(coords, [(f, shifts), (f, shifts[::-1])])
     assert () in rows
     assert_same_rows(coords, [(f, shifts), (f, shifts[::-1])])
 
@@ -141,3 +146,39 @@ def test_first_out_of_range_term_is_named():
         localizing_rows(coords, [(f, (mask_of([3]), 0))])
     assert_same_rows(coords, [(f, (mask_of([3]), 0))])
     assert_same_rows(coords, [(f, (mask_of([0]), mask_of([0, 3]), mask_of([1, 3])))])
+
+
+def test_a_later_row_names_the_first_bad_term_in_product_order():
+    """A product's later row ranks in coordinate order, where x0 x1 x3
+    comes before x0 x1 x2 x3; the plain loop meets x0 x1 x2 x3 first."""
+    g = SquarefreePoly(GF2, {mask_of([1, 2]): 1, mask_of([1]): 1})
+    coords = basis_make(3, 2, "U")
+    with pytest.raises(PreconditionError, match="x0\\*x1\\*x2\\*x3"):
+        localizing_rows(coords, [(g, (0, mask_of([0, 3])))])
+    assert_same_rows(coords, [(g, (0, mask_of([0, 3])))])
+
+
+@st.composite
+def disjoint_shifts(draw):
+    """A whole basis_make family, two distinct masks m and m' inside a set
+    S of at least two symbols, and a mask o outside S; every m is in the
+    family (nonempty in U)."""
+    variant = draw(st.sampled_from("UV"))
+    n = draw(st.integers(2, 6))
+    symbols = list(range(n + 1)) if variant == "U" else list(range(1, n + 1))
+    inside = draw(st.lists(st.sampled_from(symbols), min_size=2, max_size=len(symbols), unique=True))
+    outside = [s for s in symbols if s not in inside]
+    subsets = st.lists(st.sampled_from(inside), min_size=variant == "U", unique=True).map(mask_of)
+    m, m2 = draw(subsets), draw(subsets)
+    assume(m != m2)
+    o = mask_of(draw(st.lists(st.sampled_from(outside), unique=True)) if outside else [])
+    return basis_make(n, len(symbols), variant), m, m2, o
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(disjoint_shifts())
+def test_a_disjoint_shift_keeps_the_coordinate_order(case):
+    """The lemma localizing_rows sorts each product by once: m | o and
+    m' | o rank in the order m and m' do when o misses both."""
+    coords, m, m2, o = case
+    assert (coords.rank(m) < coords.rank(m2)) == (coords.rank(m | o) < coords.rank(m2 | o))

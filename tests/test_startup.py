@@ -12,8 +12,9 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "rankgap"
 
-# modules whose import took a third of rankgap's own import time
-HEAVY = ("dataclasses", "inspect", "typing")
+# modules whose import took a third of rankgap's own import time, and
+# pathlib, which brings urllib.parse, ipaddress and fnmatch with it
+HEAVY = ("dataclasses", "inspect", "pathlib", "typing")
 
 
 def test_importing_the_cli_loads_no_heavy_module():

@@ -145,6 +145,38 @@ def test_constant_free_system_checks_each_source():
         ConstantFreeSystem(n=1, d=4, sources=((SquarefreePoly(GF2, {x0: 1}), (mask_of([2]),)),))
 
 
+@pytest.mark.parametrize("polys, shifts, d, message", [
+    # the second source's own degree takes it past d
+    ([{mask_of([0]): 1}, {mask_of([1, 2, 3]): 1}], (0, mask_of([1, 2])), 4, "source 1 reaches degree 5 > 4"),
+    # the second source's own monomial names x4
+    ([{mask_of([0]): 1}, {mask_of([4]): 1}], (0, mask_of([1, 2])), 8, "source 1 mentions a variable beyond x3"),
+    # the shared shifts are too wide, or name x4, from the first source on
+    ([{mask_of([0]): 1}, {mask_of([1]): 1}], (0, mask_of([1, 2, 3])), 3, "source 0 reaches degree 4 > 3"),
+    ([{mask_of([0]): 1}, {mask_of([1]): 1}], (mask_of([4]), 0), 8, "source 0 mentions a variable beyond x3"),
+])
+def test_shared_shifts_give_the_errors_of_unshared_copies(polys, shifts, d, message):
+    def error(sources):
+        with pytest.raises((InternalConsistencyError, PreconditionError)) as info:
+            ConstantFreeSystem(n=3, d=d, sources=tuple(sources))
+        return type(info.value), str(info.value)
+
+    polys = [SquarefreePoly(GF2, coeffs) for coeffs in polys]
+    shared = error((f, shifts) for f in polys)
+    copies = [tuple(list(shifts)) for _ in polys]
+    assert copies[0] is not copies[1]
+    assert shared == error(zip(polys, copies))
+    assert shared[1] == message
+
+
+def test_each_shift_tuple_is_checked_on_its_own():
+    f = SquarefreePoly(GF2, {mask_of([0]): 1})
+    narrow = (0, mask_of([1]))
+    with pytest.raises(InternalConsistencyError, match="source 2 reaches degree 4 > 3"):
+        ConstantFreeSystem(n=3, d=3, sources=((f, narrow), (f, narrow), (f, (mask_of([1, 2, 3]),))))
+    with pytest.raises(PreconditionError, match="source 2 mentions a variable beyond x3"):
+        ConstantFreeSystem(n=3, d=3, sources=((f, narrow), (f, narrow), (f, (mask_of([4]),))))
+
+
 def test_equation_count_shifts_nothing(monkeypatch):
     cnf = parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n")
     system = build_constant_free_system(cnf, 8)
