@@ -13,12 +13,23 @@ changes nothing.
 
 Exit codes: 0 success, 2 bad input or violated precondition, 3 refused
 budget, 4 internal consistency violation (always a bug).
+
+main runs each command with the cyclic garbage collector paused and
+gives the caller back its own setting on every way out.  What a command
+builds (rows, bases, reports) holds no reference cycles and is freed by
+reference counting as it goes, so the collections its allocations would
+set off only walk live objects: about 7% of the time main takes on an
+n = 7 CNF's reduce, verify and minrank.  The few cycles a command does
+leave, a few hundred objects from the JSON encoder and the candidate
+pass, are collected once the caller's collector runs again, and a
+rankgap process simply exits.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import sys
@@ -457,6 +468,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    collecting = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
@@ -469,6 +482,9 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

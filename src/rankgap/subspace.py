@@ -44,7 +44,6 @@ import json
 import marshal
 from functools import cache, cached_property, reduce
 from itertools import accumulate, chain
-from operator import itemgetter
 
 from .boolalg import MonomialBasis, basis_make, basis_size, format_monomial, indices_of
 from .errors import ParseError, PreconditionError
@@ -164,14 +163,23 @@ def _canonical_parts(text: str):
     json.dumps of the parsed document, so json.loads would have returned
     that same document.
 
+    The whole text is split once on _ROW_SEP, and the head and tail are
+    trimmed off the first and last pieces, so the rows are never copied
+    out first.  No separator can straddle either boundary: the six
+    characters before the first row end in "[", and the tail starts with
+    a newline and "  ]".  A text whose head or tail holds a separator, as a top-level
+    list of lists does, is left to json.loads.  One dict over the pieces
+    gives the distinct texts in first-appearance order, and a forward
+    walk where each first appears.
+
     Texts of fewer than _CANONICAL_ROWS rows, or where fewer than half
     the rows repeat, are left to json.loads.  Timed against it on random
     rows of 2 and 10 pairs, this route breaks even at 50-65% distinct rows
     on texts of 512 rows or more; below 64 rows its fixed cost, 30-60 us
     for the separate head, loses at any share.  Finding that share, a
-    split and a set over the rows, costs a text sent to json.loads 8-10%
-    of its load, so the first _CANONICAL_ROWS separators are looked for
-    first."""
+    split and a dict over the rows, costs a text sent to json.loads
+    12-20% of its load (512 or 4,096 distinct rows of 2 or 10 pairs), so
+    the first _CANONICAL_ROWS separators are looked for first."""
     start, end = text.find(_ROWS_OPEN), text.rfind(_ROWS_CLOSE)
     body = start + len(_ROWS_OPEN)
     if start < 0 or end < body or text[body] != "[" or text[-1:] != "\n":
@@ -182,11 +190,19 @@ def _canonical_parts(text: str):
         if at < 0:
             return None
         at += len(_ROW_SEP)
-    pieces = text[body + 1 : end].split(_ROW_SEP)  # each row text but its "["
-    if 2 * len(set(pieces)) > len(pieces):
+    pieces = text.split(_ROW_SEP)
+    tail = len(text) - end
+    if len(pieces[0]) < body or len(pieces[-1]) < tail:
+        return None  # a separator in the head or the tail
+    pieces[0] = pieces[0][body + 1 :]  # each row text but its "["
+    pieces[-1] = pieces[-1][:-tail]
+    first = dict.fromkeys(pieces)
+    if 2 * len(first) > len(pieces):
         return None
-    first = dict(zip(reversed(pieces), range(len(pieces) - 1, -1, -1)))
-    texts, starts = zip(*sorted(first.items(), key=itemgetter(1)))
+    texts, starts, k = tuple(first), [], -1
+    for row_text in texts:  # first appearances increase in this order
+        k = pieces.index(row_text, k + 1)
+        starts.append(k)
     head_text = text[:start] + text[end + 5 : -1]  # less "\n  ]," and the last newline
     try:
         head = json.loads(head_text)
@@ -582,9 +598,13 @@ class SubspaceSpec:
         newline, byte for byte.  The encoder writes the head; the rows are
         laid out here, each distinct row rendered once through _row_layout,
         the template from_text checks against, and go in front of
-        "variant", the one key that sorts after "rows"."""
+        "variant", the one key that sorts after "rows".  The head and
+        '"rows": [' go in front of the first row's text, and "]" and the
+        tail after the last one's, so one join builds the document."""
         head = json.dumps(self._head(), indent=2, sort_keys=True)
         cut = head.rindex('\n  "variant": ')
+        if not self.rows:
+            return f'{head[:cut]}\n  "rows": [],{head[cut:]}\n'
         distinct, texts = [row for _, row in self.distinct_rows], []
         for at in range(0, len(distinct), _PARSE_ROWS):
             # one % per batch, as _read_rows checks them; no row text holds "|"
@@ -592,9 +612,10 @@ class SubspaceSpec:
             layouts = "|".join(map(_row_layout, map(len, batch)))
             texts += (layouts % tuple(chain.from_iterable(chain.from_iterable(batch)))).split("|")
         rendered = dict(zip(map(id, distinct), texts))
-        rows = ",\n    ".join(map(rendered.__getitem__, map(id, self.rows)))
-        rows = f"[\n    {rows}\n  ]" if self.rows else "[]"
-        return f'{head[:cut]}\n  "rows": {rows},{head[cut:]}\n'
+        pieces = list(map(rendered.__getitem__, map(id, self.rows)))
+        pieces[0] = head[:cut] + _ROWS_OPEN + pieces[0]
+        pieces[-1] = f"{pieces[-1]}\n  ],{head[cut:]}\n"
+        return ",\n    ".join(pieces)
 
     @classmethod
     def from_json(cls, doc: dict) -> "SubspaceSpec":

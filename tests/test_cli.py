@@ -1,6 +1,8 @@
 """Command-line surface: subcommand behavior, exit codes, determinism."""
 
 import argparse
+import gc
+import importlib.util
 import json
 import os
 import random
@@ -14,10 +16,12 @@ from pathlib import Path
 
 import pytest
 
+import rankgap.cli
 import rankgap.moment
 import rankgap.oracles
 from rankgap.boolalg import basis_size
 from rankgap.cli import main
+from rankgap.errors import InternalConsistencyError
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import FFMatrix
 from rankgap.subspace import SubspaceSpec
@@ -765,3 +769,89 @@ def test_main_reuses_one_parser_with_the_bytes_of_fresh_runs(tmp_path, capsys, m
                          *((fresh / name).read_bytes() for name in outputs if (fresh / name).exists())))
     assert in_process == separate
     assert [result[0] for result in separate] == [2, 0, 2, 2, 0, 0]
+
+
+# -- the cyclic collector -------------------------------------------------------
+
+
+LINE_REDUCE = ["reduce", "--mode", "direct", "--input", "line.qe", "--output", "line.json"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, raises, outcome", [
+    (LINE_REDUCE, None, 0),
+    (["verify", "--input", "missing.json", "--assignment", "1"], None, 2),
+    ([*LINE_REDUCE, "--budget", "3"], None, 3),
+    (["minrank", "--input", "line.json"], InternalConsistencyError("drifted"), 4),
+    (["minrank", "--input", "line.json"], RuntimeError("escapes main"), RuntimeError),
+    (["minrank", "--bogus"], None, SystemExit),
+], ids=["exit-0", "exit-2", "exit-3", "exit-4", "runtime-error", "usage-error"])
+def test_main_gives_the_caller_back_its_collector_setting(tmp_path, capsys, monkeypatch,
+                                                         enabled, argv, raises, outcome):
+    """main runs a command with the collector paused and leaves
+    gc.isenabled() as it found it, on every exit code and on an exception
+    that escapes it."""
+    (tmp_path / "line.qe").write_text(LINE_SRC)
+    monkeypatch.chdir(tmp_path)
+    assert main(LINE_REDUCE) == 0
+    seen = []
+
+    def failing(*args, **kwargs):
+        seen.append(gc.isenabled())
+        raise raises
+
+    if raises is not None:
+        monkeypatch.setattr(rankgap.cli, "minrank_bruteforce", failing)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([False] if raises is not None else [])
+
+
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # pipeline's "from corpus import" looks it up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_commands_leave_few_objects_in_cycles(tmp_path):
+    """Every command of the benchmark's three pipelines, at smoke sizes,
+    leaves fewer than 1,000 objects that only the cyclic collector can
+    free (at most a few hundred: JSON encoder closures and the candidate
+    pass), so a cycle of two objects made per row of the 672-row CNF
+    instance would show here and not hide behind the paused collector."""
+    corpus, pipeline = _load_perfbench("corpus"), _load_perfbench("pipeline")
+    left = []
+
+    class Counting:
+        def main(self, argv):
+            gc.collect()
+            code = main(argv)
+            left.append((argv[0], gc.collect()))
+            return code
+
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for work in corpus.WORKLOADS.values():
+            runner = pipeline.Runner(Counting(), tmp_path, repeats=1)
+            for index in range(len(work.smoke_classes)):
+                inst = work.instance(corpus.DEFAULT_SEED, index, smoke=True)
+                out = pipeline.run_instance(runner, work, inst, f"{work.name}{index}")
+                assert out.errors == {}
+    finally:
+        if was:
+            gc.enable()
+    assert {command for command, _ in left} == {"reduce", "verify", "minrank", "decode"}
+    assert max(count for _, count in left) < 1000, left

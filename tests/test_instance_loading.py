@@ -13,15 +13,23 @@ type and message.
 import json
 import random
 import re
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import rankgap.subspace
 from rankgap.boolalg import basis_size
 from rankgap.cli import main
 from rankgap.errors import ParseError
+from rankgap.frontends import CnfFormula
 from rankgap.gfarith import make_field
 from rankgap.subspace import SubspaceSpec
+from rankgap.superposition import (
+    build_constant_free_system,
+    build_matrix_subspace,
+    build_monomial_quad_system,
+)
 
 FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5)]
 
@@ -306,3 +314,52 @@ def test_a_reduced_cnf_is_parsed_once_per_distinct_row(tmp_path, monkeypatch):
     assert [tuple(map(tuple, row)) for row in row_texts] == [row for _, row in space.distinct_rows]
     assert space == reference_from_text(text)
     assert sharing(space) == sharing(reference_from_text(text))
+
+
+@pytest.mark.parametrize("key, side", [("a", "head"), ("w", "tail")])
+def test_a_list_of_lists_beside_the_rows_is_left_to_json_loads(key, side):
+    """A top-level list of lists is written with the row separator in it.
+    Before "rows" it lies in the head the reader trims off the first row,
+    after "variant" in the tail it trims off the last; either way the text
+    goes to json.loads and loads as it does there."""
+    rows = (((0, 1),),) * 40 + (((1, 1), (3, 1)),) * 40
+    assert len(rows) >= rankgap.subspace._CANONICAL_ROWS
+    doc = SubspaceSpec(make_field(2), "V", 2, 1, rows, {"k": 1}).to_json()
+    doc[key] = [[1], [2]]
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    cut = text.index('"rows"') if side == "head" else text.index('"variant"')
+    assert rankgap.subspace._ROW_SEP in (text[:cut] if side == "head" else text[cut:])
+    assert assert_same_load(text)[0] == "ok"
+    assert rankgap.subspace._canonical_parts(text) is None
+
+
+def test_writing_and_reading_a_cnf_instance_keep_their_memory_bounds():
+    """Peak traced memory of to_text and from_text on an n = 7, m = 30,
+    d = 8 CNF instance (8,299 rows, 0.6 MB), against the text's length.
+    Building the document in one join, and splitting the text once
+    without slicing out its rows first, keep them below these bounds;
+    building it three times, or copying the rows before splitting them,
+    does not."""
+    rng = random.Random(0)
+    z = [rng.randint(0, 1) for _ in range(7)]
+    clauses = []
+    while len(clauses) < 30:
+        clause = tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 8), 3))
+        if any((z[abs(lit) - 1] == 1) == (lit > 0) for lit in clause):
+            clauses.append(clause)
+    quad = build_monomial_quad_system(build_constant_free_system(CnfFormula(7, tuple(clauses)), 8))
+    space = build_matrix_subspace(quad, field=make_field(2), provenance={"k": 1})
+    space.to_text()  # caches the row templates
+    tracemalloc.start()
+    try:
+        text = space.to_text()
+        _, written = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        loaded = SubspaceSpec.from_text(text)
+        _, read = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(space.rows) == 8299 and loaded == space
+    assert written < 2.0 * len(text)
+    assert read - held < 2.4 * len(text)
