@@ -186,7 +186,7 @@ class SquarefreePoly:
         """Largest monomial size; -1 for the zero polynomial."""
         if not self.coeffs:
             return -1
-        return max(bin(m).count("1") for m in self.coeffs)
+        return max(map(int.bit_count, self.coeffs))
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.coeffs, key=_graded_key))
@@ -361,44 +361,37 @@ def format_polys(polys: Sequence[SquarefreePoly]) -> list[str]:
     return texts
 
 
-def parse_poly(text: str, field: FieldSpec) -> SquarefreePoly:
+def parse_poly(
+    text: str, field: FieldSpec, memo: dict[str, tuple[bool, int, int]] | None = None
+) -> SquarefreePoly:
     """Inverse of format_poly, slightly lenient: accepts "-" joiners (the
-    field's negation is applied) and arbitrary spacing."""
+    field's negation is applied) and arbitrary spacing.
+
+    memo maps each term text already read to its parse, the part that does
+    not depend on the field: (negated, mask, coefficient as written).  The
+    field's reduction and negation are applied at every use, so one memo
+    shared by the equations of a system parses each distinct term once and
+    gives the values, and the errors, that parsing each alone gives."""
     text = text.strip()
     if not text:
         raise ParseError("empty polynomial")
     if text == "0":
         return SquarefreePoly.zero(field)
+    if memo is None:
+        memo = {}
     # normalize to a list of (sign, term) with explicit leading sign
     body = text.replace("-", "+-")
     if body.startswith("+"):
         body = body[1:]
     coeffs: dict[int, int] = {}
+    q, add = field.q, field.add
     for raw in body.split("+"):
         term = raw.strip()
-        if not term:
-            raise ParseError(f"dangling operator in {text!r}")
-        negate = term.startswith("-")
-        if negate:
-            term = term[1:].strip()
-        factors = [t.strip() for t in term.split("*")]
-        coeff = 1
-        mask = 0
-        seen_coeff = False
-        for fac in factors:
-            if not fac:
-                raise ParseError(f"bad term {raw.strip()!r}")
-            if fac[0] == "x":
-                mask |= parse_monomial(fac)
-            else:
-                if seen_coeff:
-                    raise ParseError(f"two coefficients in term {raw.strip()!r}")
-                try:
-                    coeff = int(fac)
-                except ValueError as exc:
-                    raise ParseError(f"bad coefficient {fac!r}") from exc
-                seen_coeff = True
-        if not 0 <= coeff < field.q:
+        parsed = memo.get(term)
+        if parsed is None:
+            parsed = memo[term] = _parse_term(term, text, memo)
+        negate, mask, coeff = parsed
+        if not 0 <= coeff < q:
             if field.e == 1:
                 coeff %= field.p
             else:
@@ -407,5 +400,41 @@ def parse_poly(text: str, field: FieldSpec) -> SquarefreePoly:
                 )
         if negate:
             coeff = field.neg(coeff)
-        coeffs[mask] = field.add(coeffs.get(mask, 0), coeff)
-    return SquarefreePoly(field, coeffs)
+        coeffs[mask] = add(coeffs.get(mask, 0), coeff)
+    # the sums are field elements already, so they are not validated again
+    poly = SquarefreePoly(field)
+    poly.coeffs = {m: c for m, c in coeffs.items() if c}
+    return poly
+
+
+def _parse_term(
+    term: str, text: str, memo: dict[str, tuple[bool, int, int]]
+) -> tuple[bool, int, int]:
+    """(negated, mask, coefficient) of one stripped term of text; raises on
+    a malformed one.  A variable factor such as "x3" is itself a term whose
+    parse is (False, its bit, 1), so factors are read through the same memo."""
+    if not term:
+        raise ParseError(f"dangling operator in {text!r}")
+    negate = term.startswith("-")
+    body = term[1:].strip() if negate else term
+    coeff = 1
+    mask = 0
+    seen_coeff = False
+    for fac in body.split("*"):
+        fac = fac.strip()
+        if not fac:
+            raise ParseError(f"bad term {term!r}")
+        if fac[0] == "x":
+            known = memo.get(fac)
+            if known is None:
+                known = memo[fac] = (False, parse_monomial(fac), 1)
+            mask |= known[1]
+        else:
+            if seen_coeff:
+                raise ParseError(f"two coefficients in term {term!r}")
+            try:
+                coeff = int(fac)
+            except ValueError as exc:
+                raise ParseError(f"bad coefficient {fac!r}") from exc
+            seen_coeff = True
+    return negate, mask, coeff

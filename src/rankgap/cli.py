@@ -65,13 +65,16 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionError(f"cannot read {path}: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc}") from exc
 
 
 def _sha(text: str) -> str:

@@ -12,6 +12,15 @@ Quadratic systems are degree-at-most-2 squarefree polynomials over x_1..x_n
 in any GF(q), given as a field descriptor followed by polynomials separated
 by semicolons or newlines.  An optional "n: <count>" token pins the variable
 count; otherwise the largest index mentioned wins.
+
+Equations drawn at random over few variables repeat most of their terms
+("x1*x3" or "2*x4" in equation after equation), so parse_quadeq hands
+one memo to every parse_poly call of a system and each distinct term
+text, and each distinct variable factor, is parsed once.  The memo holds
+only the field-free parse and lives for one call: a cache kept between
+calls would hit where a one-command process never does (a benchmark
+running many commands in one process, decode re-reading the source that
+reduce read), and it would keep every text ever read alive.
 """
 
 from __future__ import annotations
@@ -216,6 +225,8 @@ _N_TOKEN = re.compile(r"^n\s*:\s*(\d+)$")
 
 def _split_statements(line: str) -> list[str]:
     """Split on ";" outside parentheses, so GF(p^e; ...) stays whole."""
+    if "(" not in line:
+        return line.split(";")
     parts = []
     depth = 0
     start = 0
@@ -236,10 +247,10 @@ def parse_quadeq(text: str) -> QuadSystemSource:
     "field:"), then polynomials, with ";" and newlines both accepted as
     separators."""
     tokens = [
-        t.strip()
+        t
         for chunk in text.splitlines()
-        for t in _split_statements(chunk)
-        if t.strip()
+        for t in map(str.strip, _split_statements(chunk))
+        if t
     ]
     if not tokens:
         raise ParseError("empty quadratic system")
@@ -252,21 +263,19 @@ def parse_quadeq(text: str) -> QuadSystemSource:
         raise ParseError(f"expected a field descriptor first: {exc}") from exc
     n_pin = None
     polys = []
+    memo: dict = {}
     for tok in tokens[1:]:
         m = _N_TOKEN.match(tok)
         if m:
             n_pin = read_index(m.group(1), "n")
             continue
-        polys.append(parse_poly(tok, field))
+        polys.append(parse_poly(tok, field, memo))
     if not polys:
         raise ParseError("no equations in quadratic system")
-    max_var = 0
-    for f in polys:
-        for mask in f.coeffs:
-            if mask & 1:
-                raise ParseError("x0 is reserved; quadratic systems use x1..xn")
-            if mask:
-                max_var = max(max_var, mask.bit_length() - 1)
+    used = set().union(*(f.coeffs for f in polys))
+    if any(mask & 1 for mask in used):
+        raise ParseError("x0 is reserved; quadratic systems use x1..xn")
+    max_var = max(max(used, default=0).bit_length() - 1, 0)
     n = n_pin if n_pin is not None else max(max_var, 1)
     if n < max_var:
         raise ParseError(f"n: {n} is smaller than the largest variable index {max_var}")

@@ -410,6 +410,53 @@ def test_decode_refuses_an_instance_reduce_would_refuse(tmp_path):
     assert err == f"error: decoding rebuilds {2000 * 794} localizing rows, budget allows {1 << 20}\n"
 
 
+# -- unreadable inputs and unwritable outputs -----------------------------------
+
+
+UNDECODABLE = "error: cannot read bad: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("reduce", "--mode", "direct", "--input", "bad", "--output", "out.json"),
+    ("verify", "--input", "bad", "--assignment", "1,1"),
+    ("verify", "--input", "line.json", "--vector", "bad"),
+    ("minrank", "--input", "bad"),
+    ("decode", "--source", "bad", "--vector", "honest.vec"),
+    ("decode", "--source", "line.qe", "--vector", "bad"),
+    ("decompose", "--input", "bad"),
+    ("descend", "--input", "bad"),
+    ("descend", "--input", "id.mat", "--instance", "bad"),
+    ("isolate", "--points", "bad", "--target", "1,1", "--rho", "2"),
+], ids=lambda c: f"{c[0]}{c[c.index('bad') - 1]}")
+def test_an_undecodable_input_is_refused(tmp_path, capsys, monkeypatch, command):
+    """Every file-reading option reads UTF-8 and refuses other bytes with
+    exit 2; the other files each command reads are valid."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "line.qe", LINE_SRC)
+    assert run(capsys, "reduce", "--mode", "direct", "--input", "line.qe",
+               "--output", "line.json")[0] == 0
+    write(tmp_path, "honest.vec", "1,1,1,1\n")
+    write(tmp_path, "id.mat", FFMatrix(GF2, [[1, 0], [0, 1]]).to_text())
+    (tmp_path / "bad").write_bytes(b"\xff\xfe" + "x1 + x2\n".encode("utf-16-le"))
+    assert run(capsys, *command) == (2, "", UNDECODABLE)
+
+
+@pytest.mark.parametrize("command, stdout", [
+    (("reduce", "--mode", "direct", "--input", "line.qe", "--output", "missing/out.json"), ""),
+    (("verify", "--input", "line.json", "--assignment", "1,1", "--output", "missing/out.json"),
+     "member, rank 1\n"),
+], ids=["reduce", "verify"])
+def test_an_unwritable_output_is_refused(tmp_path, capsys, command, stdout):
+    write(tmp_path, "line.qe", LINE_SRC)
+    assert run(capsys, "reduce", "--mode", "direct", "--input", str(tmp_path / "line.qe"),
+               "--output", str(tmp_path / "line.json"))[0] == 0
+    code, out, err, _ = run_capped(tmp_path, *command)
+    assert (code, out) == (2, stdout)
+    assert err == ("error: cannot write missing/out.json: [Errno 2] "
+                   "No such file or directory: 'missing/out.json'\n")
+    assert not (tmp_path / "missing").exists()
+
+
 # -- decompose / descend / isolate --------------------------------------------
 
 

@@ -15,6 +15,9 @@ Exits 1, after naming them, when the two sides' output digests differ or
 a pipeline fails its own checks.  Otherwise prints, per command and for
 the whole pipeline, each side's median time over every (round, instance)
 run, the change in percent, and in how many of those pairs NEW was faster.
+Then one line per command combines the same timings as the benchmark
+does: the median within each instance class (instance i is of class i mod
+the number of classes), then the geometric mean over the classes.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from corpus import DEFAULT_SEED, WORKLOADS  # noqa: E402
 from pipeline import Runner, run_instance  # noqa: E402
+from run import class_p50  # noqa: E402
 
 SIDES = ("a", "b")
 
@@ -58,6 +62,35 @@ def failures(outcomes: dict) -> list[str]:
     return found
 
 
+def timing(op: str):
+    """An outcome's seconds in op, None where op did not run."""
+    if op == "pipeline":
+        return lambda out: out.pipeline_s
+    return lambda out: out.seconds.get(op)
+
+
+def table(runs: dict) -> list[str]:
+    """Per command, and for the whole pipeline, each side's median ms, the
+    change and the pairs B won; then the benchmark's per-class combination.
+    runs[side] holds that side's outcomes, the same instances in the same
+    order on both sides."""
+    lines = [f"{'command':<10}{'A':>10}{'B':>10}{'change':>9}  B faster"]
+    ops = [*dict.fromkeys(op for out in runs["a"] for op in out.seconds), "pipeline"]
+    for op in ops:
+        # equal digests mean the same commands ran on both sides
+        pairs = [(x, y) for x, y in zip(*(map(timing(op), runs[side]) for side in SIDES))
+                 if x is not None]
+        ma, mb = (statistics.median(side) for side in zip(*pairs))
+        wins = sum(y < x for x, y in pairs)
+        lines.append(f"{op:<10}{ma * 1e3:>10.3f}{mb * 1e3:>10.3f}{(mb / ma - 1) * 100:>+8.1f}%"
+                     f"  {wins}/{len(pairs)}")
+    lines.append("per-class medians, geometric mean over classes, as perfbench/run.py combines them")
+    for op in ops:
+        ma, mb = (class_p50(runs[side], timing(op))[0] for side in SIDES)
+        lines.append(f"{op:<10}{ma * 1e3:>10.3f}{mb * 1e3:>10.3f}{(mb / ma - 1) * 100:>+8.1f}%")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="source checkout timed as side A")
@@ -73,7 +106,7 @@ def main(argv=None) -> int:
     work = WORKLOADS[args.workload]
     instances = [work.instance(args.seed, i, args.smoke) for i in range(args.instances)]
     order = random.Random(args.seed)
-    times: dict = {side: {} for side in SIDES}
+    runs: dict = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="abtime") as tmp:
         tmp = Path(tmp)
         sys.path.insert(0, str(tmp))
@@ -95,16 +128,9 @@ def main(argv=None) -> int:
                     print(f"instance {inst.index}:", *found, sep="\n  ")
                     return 1
                 for side, out in outcomes.items():
-                    for op, seconds in {**out.seconds, "pipeline": out.pipeline_s}.items():
-                        times[side].setdefault(op, []).append(seconds)
-    runs = args.rounds * len(instances)
-    print(f"{args.workload}: {runs} runs per side, identical outputs; median ms")
-    print(f"{'command':<10}{'A':>10}{'B':>10}{'change':>9}  B faster")
-    for op, a in times["a"].items():
-        b = times["b"][op]  # equal digests mean the same commands ran
-        ma, mb = statistics.median(a), statistics.median(b)
-        wins = sum(y < x for x, y in zip(a, b))
-        print(f"{op:<10}{ma * 1e3:>10.3f}{mb * 1e3:>10.3f}{(mb / ma - 1) * 100:>+8.1f}%  {wins}/{len(a)}")
+                    runs[side].append(out)
+    print(f"{args.workload}: {len(runs['a'])} runs per side, identical outputs; median ms")
+    print(*table(runs), sep="\n")
     return 0
 
 
