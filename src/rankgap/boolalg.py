@@ -342,10 +342,17 @@ def format_poly(f: SquarefreePoly) -> str:
 def format_polys(polys: Sequence[SquarefreePoly]) -> list[str]:
     """format_poly of each polynomial.  The graded order and the text of a
     monomial are worked out once per distinct monomial, not once per term,
-    so the equations of a system cost one sort key per monomial they use."""
-    order = sorted(set().union(*(f.coeffs for f in polys)), key=_graded_key)
+    both from one indices_of, so the equations of a system cost one sort
+    key per monomial they use."""
+    keyed = []
+    for mask in set().union(*(f.coeffs for f in polys)):
+        idx = indices_of(mask)
+        # _graded_key(mask); distinct masks never tie, so mask is not compared
+        keyed.append((len(idx), idx, mask))
+    keyed.sort()
+    order = [mask for _, _, mask in keyed]
     place = {mask: i for i, mask in enumerate(order)}
-    names = [format_monomial(mask) for mask in order]
+    names = ["*".join([f"x{i}" for i in idx]) for _, idx, _ in keyed]
     texts = []
     for f in polys:
         parts = []

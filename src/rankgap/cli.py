@@ -95,13 +95,15 @@ def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _emit(args: argparse.Namespace, summary: list[str], doc: dict) -> None:
-    for line in summary:
-        print(line)
+    """The report goes to --output before the summary is printed, so a
+    report that cannot be written leaves no summary on stdout."""
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     output = getattr(args, "output", None)
     if output:
         _write(output, text)
-    else:
+    for line in summary:
+        print(line)
+    if not output:
         print(text, end="")
 
 

@@ -271,7 +271,13 @@ def sparse_kernel_basis(
     into an int; other fields eliminate plain int lists.  Same basis as
     FFMatrix.kernel_basis."""
     if field.q == 2:
-        return _echelon_kernel(field, [sum(1 << pos for pos, _ in row) for row in rows], ncols)
+        packed = []
+        for row in rows:
+            bits = 0
+            for pos, _ in row:
+                bits |= 1 << pos
+            packed.append(bits)
+        return _echelon_kernel(field, packed, ncols)
     return _echelon_kernel(field, [row[::-1] for row in _dense_rows(rows, ncols)], ncols)
 
 
@@ -281,10 +287,16 @@ def sparse_rank(field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]]) -> 
     the space."""
     rows = list(rows)
     column = {pos: j for j, pos in enumerate(sorted({pos for row in rows for pos, _ in row}))}
-    rows = [[(column[pos], coeff) for pos, coeff in row] for row in rows]
     if field.q == 2:
         top = len(column) - 1
-        return packed_rank(sum(1 << (top - pos) for pos, _ in row) for row in rows)
+        packed = []
+        for row in rows:
+            bits = 0
+            for pos, _ in row:
+                bits |= 1 << (top - column[pos])
+            packed.append(bits)
+        return packed_rank(packed)
+    rows = [[(column[pos], coeff) for pos, coeff in row] for row in rows]
     return table_rank(field.tables(), _dense_rows(rows, len(column)))
 
 

@@ -1,11 +1,14 @@
 """Brute-force ground truth for the reduction pipeline.
 
-Membership is rechecked from a dense copy of each distinct constraint row
-dotted with the vector over its support, minrank decides every kernel
-member within an explicit budget, point isolation solves its defining
-linear system, and a sum of points is the GF(2) superset Möbius transform
-of the assignment, checked against the equations it must meet.  The
-pipeline is validated against these routines, never the other way around.
+Membership is rechecked by other arithmetic than the sparse row sums of
+SubspaceSpec.membership_violation: over GF(2) a row's value is the parity
+of its hits on the vector's support, with no field operation at all, and
+over other fields a dense copy of each distinct row is dotted with the
+vector over its support.  Minrank decides every kernel member within an
+explicit budget, point isolation solves its defining linear system, and a
+sum of points is the GF(2) superset Möbius transform of the assignment,
+checked against the equations it must meet.  The pipeline is validated
+against these routines, never the other way around.
 Every rank and echelon form comes from gflinalg, the kernel in reduced
 echelon form, which minrank and point isolation read as it comes.
 
@@ -85,11 +88,18 @@ class MembershipReport:
 
 
 def check_membership(values, space: SubspaceSpec) -> MembershipReport:
-    """Re-derive membership through dense constraint rows rather than the
-    sparse row evaluations the builders use.  Each distinct row is expanded
-    to full width on its own, so no dense matrix is held, and dotted with
-    the vector over its nonzero coordinates.  A violated row is named where
-    it first appears, as its repeats give the same value."""
+    """Re-derive membership without the field arithmetic of the sparse row
+    evaluations the builders use (SubspaceSpec.membership_violation).  A
+    violated row is named where it first appears, as its repeats give the
+    same value.
+
+    Over GF(2) every stored coefficient and every nonzero coordinate is 1,
+    so a row's value is the parity of how many of its positions lie in the
+    vector's support: the support is made a set once, each row's hits on
+    it are counted, and no field operation is called.  Over other fields
+    each distinct row is expanded to full width on its own, so no dense
+    matrix is held, and dotted with the vector over its nonzero
+    coordinates."""
     f = space.field
     vec = f.validate_all(values)
     ncols = space.coord_count
@@ -97,6 +107,16 @@ def check_membership(values, space: SubspaceSpec) -> MembershipReport:
         raise PreconditionError(
             f"vector has {len(vec)} coordinates, the subspace has {ncols}"
         )
+    if f.q == 2:
+        support = {j for j, v in enumerate(vec) if v}
+        for k, row in space.distinct_rows:
+            odd = False
+            for pos, _ in row:
+                if pos in support:
+                    odd = not odd
+            if odd:
+                return MembershipReport(False, k)
+        return MembershipReport(True, None)
     support = [(j, v) for j, v in enumerate(vec) if v]
     for k, row in space.distinct_rows:
         dense = [0] * ncols

@@ -443,8 +443,7 @@ def test_an_undecodable_input_is_refused(tmp_path, capsys, monkeypatch, command)
 
 @pytest.mark.parametrize("command, stdout", [
     (("reduce", "--mode", "direct", "--input", "line.qe", "--output", "missing/out.json"), ""),
-    (("verify", "--input", "line.json", "--assignment", "1,1", "--output", "missing/out.json"),
-     "member, rank 1\n"),
+    (("verify", "--input", "line.json", "--assignment", "1,1", "--output", "missing/out.json"), ""),
 ], ids=["reduce", "verify"])
 def test_an_unwritable_output_is_refused(tmp_path, capsys, command, stdout):
     write(tmp_path, "line.qe", LINE_SRC)

@@ -11,7 +11,14 @@ from rankgap.boolalg import basis_make, basis_size
 from rankgap.errors import PreconditionError
 from rankgap.frontends import parse_dimacs
 from rankgap.gfarith import make_field
-from rankgap.gflinalg import FFMatrix, _packed_rref, _table_rref, sparse_kernel_basis, table_rank
+from rankgap.gflinalg import (
+    FFMatrix,
+    _packed_rref,
+    _table_rref,
+    sparse_kernel_basis,
+    sparse_rank,
+    table_rank,
+)
 from rankgap.subspace import SubspaceSpec
 from rankgap.superposition import (
     build_constant_free_system,
@@ -172,6 +179,26 @@ def test_gf4_kernel_matches_gf2_kernel():
     over2 = superposition_instance(GF2)
     assert over4.kernel_basis() == over2.kernel_basis()
     assert over4.dimension() == over2.dimension()
+
+
+@st.composite
+def gf2_sparse_rows(draw):
+    """Up to twelve validated GF(2) rows over up to 70 columns, so some
+    pack past one machine word; empty rows are drawn as often as others."""
+    ncols = draw(st.integers(0, 70))
+    entries = st.sets(st.integers(0, ncols - 1), max_size=8) if ncols else st.just(set())
+    rows = draw(st.lists(st.one_of(st.just(set()), entries), max_size=12))
+    return [[(pos, 1) for pos in sorted(row)] for row in rows], ncols
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(gf2_sparse_rows())
+def test_gf2_packed_rows_match_the_dense_matrix(rows_ncols):
+    rows, ncols = rows_ncols
+    dense = FFMatrix(GF2, [[int(any(p == j for p, _ in row)) for j in range(ncols)]
+                           for row in rows], ncols)
+    assert sparse_kernel_basis(GF2, rows, ncols) == dense.kernel_basis()
+    assert sparse_rank(GF2, rows) == dense.rank()
 
 
 def test_gf2_kernel_builds_no_dense_matrix(monkeypatch):
