@@ -85,10 +85,20 @@ def _irreducible_witness(coeffs: Sequence[int], p: int) -> tuple[int, ...] | Non
     """Return a nontrivial monic factor of the monic polynomial, or None.
 
     Trial division by every monic polynomial of degree 1..deg//2 suffices:
-    any factorization contains a factor in that range.
+    any factorization contains a factor in that range.  A degree-1
+    candidate x + a divides exactly when -a is a root, so those are
+    decided by evaluating at -a mod p with Horner's rule, in the order
+    trial division tries them; only factors of degree 2 and up are divided.
     """
     deg = len(coeffs) - 1
-    for fdeg in range(1, deg // 2 + 1):
+    if deg >= 2:
+        for a in range(p):
+            root, value = -a % p, 0
+            for c in reversed(coeffs):
+                value = (value * root + c) % p
+            if not value:
+                return (a, 1)
+    for fdeg in range(2, deg // 2 + 1):
         for word in range(p**fdeg):
             cand = list(_digits(word, p, fdeg)) + [1]
             if not _poly_mod(coeffs, cand, p):

@@ -772,16 +772,6 @@ class MonomialAssignment:
             return 1
         return self.values[self.basis.rank(mask)]
 
-    def poly_value(self, f: SquarefreePoly) -> int:
-        """Apply the assignment linearly to a GF(2) polynomial."""
-        if f.field.q != 2:
-            raise PreconditionError("monomial assignments live over GF(2)")
-        acc = 0
-        for mask, c in f.terms():
-            if c:
-                acc ^= self.value(mask)
-        return acc
-
 
 # -- point isolation ----------------------------------------------------------
 

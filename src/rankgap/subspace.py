@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import marshal
+import re
 from functools import cache, cached_property, reduce
 from itertools import accumulate, chain
 
@@ -116,6 +117,8 @@ def _check_rows(field: FieldSpec, indexed_rows, ncoords: int) -> None:
 _ROWS_OPEN = '\n  "rows": [\n    '
 _ROWS_CLOSE = '\n  ],\n  "variant": '
 _ROW_SEP = ",\n    ["  # between rows: inside one, ",\n" is followed by 6 or 8 spaces
+# text.split(_ROW_SEP)'s pieces, faster (see _canonical_parts)
+_split_rows = re.compile(re.escape(_ROW_SEP)).split
 # the fewest rows _canonical_parts reads itself
 _CANONICAL_ROWS = 64
 # distinct rows parsed per json.loads, and rendered per % in to_text: one
@@ -163,14 +166,18 @@ def _canonical_parts(text: str):
     json.dumps of the parsed document, so json.loads would have returned
     that same document.
 
-    The whole text is split once on _ROW_SEP, and the head and tail are
-    trimmed off the first and last pieces, so the rows are never copied
-    out first.  No separator can straddle either boundary: the six
+    The whole text is split once on _ROW_SEP, by _split_rows: a compiled
+    literal pattern gives the pieces str.split does, and on the 8,299 rows
+    of an n = 7 CNF instance found them in 0.7-1.1 ms against 1.3-1.6 ms
+    (CPython 3.11), the largest single step of loading one.  The head and
+    tail are trimmed off the first and last pieces, so the rows are never
+    copied out first.  No separator can straddle either boundary: the six
     characters before the first row end in "[", and the tail starts with
     a newline and "  ]".  A text whose head or tail holds a separator, as a top-level
     list of lists does, is left to json.loads.  One dict over the pieces
     gives the distinct texts in first-appearance order, and a forward
-    walk where each first appears.
+    walk where each first appears; the same dict then maps each to its
+    parsed row.
 
     Texts of fewer than _CANONICAL_ROWS rows, or where fewer than half
     the rows repeat, are left to json.loads.  Timed against it on random
@@ -178,8 +185,9 @@ def _canonical_parts(text: str):
     on texts of 512 rows or more; below 64 rows its fixed cost, 30-60 us
     for the separate head, loses at any share.  Finding that share, a
     split and a dict over the rows, costs a text sent to json.loads
-    12-20% of its load (512 or 4,096 distinct rows of 2 or 10 pairs), so
-    the first _CANONICAL_ROWS separators are looked for first."""
+    10-13% of its load (512 or 4,096 distinct rows of 2 or 10 pairs;
+    12-20% with str.split), so the first _CANONICAL_ROWS separators are
+    looked for first."""
     start, end = text.find(_ROWS_OPEN), text.rfind(_ROWS_CLOSE)
     body = start + len(_ROWS_OPEN)
     if start < 0 or end < body or text[body] != "[" or text[-1:] != "\n":
@@ -190,7 +198,7 @@ def _canonical_parts(text: str):
         if at < 0:
             return None
         at += len(_ROW_SEP)
-    pieces = text.split(_ROW_SEP)
+    pieces = _split_rows(text)
     tail = len(text) - end
     if len(pieces[0]) < body or len(pieces[-1]) < tail:
         return None  # a separator in the head or the tail
@@ -217,7 +225,8 @@ def _canonical_parts(text: str):
             distinct += _read_rows(texts[at : at + _PARSE_ROWS])
     except (ValueError, TypeError, OverflowError, RecursionError):
         return None
-    rows = tuple(map(dict(zip(texts, distinct)).__getitem__, pieces))
+    first.update(zip(texts, distinct))
+    rows = tuple(map(first.__getitem__, pieces))
     return head, rows, tuple(zip(starts, distinct))
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from rankgap.errors import ParseError, PreconditionError
 from rankgap.gfarith import (
+    _irreducible_witness,
     format_field,
     make_field,
     make_linear_functional,
@@ -41,6 +42,34 @@ def test_canonical_moduli():
 def test_reducible_modulus_rejected_with_witness():
     with pytest.raises(PreconditionError, match="reducible"):
         make_field(2, 2, (1, 0, 1))  # x^2 + 1 = (x + 1)^2
+
+
+def _trial_division_witness(coeffs, p):
+    """The first monic factor of degree 1..deg//2 that divides coeffs (low
+    degree first), trying degrees in turn and, within one, the low-to-high
+    coefficient words in increasing order; None when there is none."""
+    deg = len(coeffs) - 1
+    for fdeg in range(1, deg // 2 + 1):
+        for word in range(p**fdeg):
+            den = [word // p**i % p for i in range(fdeg)] + [1]
+            rem = list(coeffs)
+            while len(rem) > fdeg:
+                lead, shift = rem.pop(), len(rem) - fdeg
+                for i, c in enumerate(den[:-1]):
+                    rem[shift + i] = (rem[shift + i] - lead * c) % p
+            if not any(rem):
+                return tuple(den)
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_witness_matches_trial_division_on_every_monic_polynomial(p):
+    # degree-1 factors are found from roots, the rest by division; both
+    # must name the factor plain trial division names first
+    for deg in range(2, 6):
+        for word in range(p**deg):
+            coeffs = tuple(word // p**i % p for i in range(deg)) + (1,)
+            assert _irreducible_witness(coeffs, p) == _trial_division_witness(coeffs, p), coeffs
 
 
 def test_modulus_must_be_monic():

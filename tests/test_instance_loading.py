@@ -16,7 +16,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rankgap.subspace
 from rankgap.boolalg import basis_size
@@ -256,6 +256,31 @@ def test_written_instances_with_repeated_rows_take_the_canonical_route(space):
         assert rankgap.subspace._canonical_parts(text) is not None
         loaded = SubspaceSpec.from_text(text)
         assert loaded.to_text() == text
+
+
+SEP = rankgap.subspace._ROW_SEP
+# pieces of to_text's layout: the separator, near misses of it with 3 and
+# 5 spaces or no "[", \r\n line ends, and the characters rows are made of
+layout_pieces = st.sampled_from(
+    [SEP, ",\n   [", ",\n     [", ",\n    ", ",\r\n    [", "\r\n",
+     "[", "]", ",", "\n", " ", "    ", "1", "\""]
+)
+layout_chars = st.text(alphabet=",[]\n\r 0123456789\"", max_size=4)
+layout_texts = st.lists(layout_pieces | layout_chars, max_size=30).map("".join)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(layout_texts)
+@example("")
+@example(SEP)
+@example(SEP + SEP)
+@example(SEP + "[1]" + SEP + SEP + "2" + SEP)
+@example(",\n   [" + SEP + ",\n     [" + ",\n    " + ",\r\n    [")
+def test_the_compiled_split_splits_as_str_split(text):
+    """The compiled pattern cuts a text into the pieces str.split does:
+    separators at either end or back to back give empty pieces, and near
+    misses cut nothing."""
+    assert rankgap.subspace._split_rows(text) == text.split(SEP)
 
 
 def test_to_text_writes_the_provenance_as_it_is_now():

@@ -577,6 +577,17 @@ def test_sum_of_points_budget():
         sum_of_points(sigma, budget=4)
 
 
+def poly_value(sigma: MonomialAssignment, f: SquarefreePoly) -> int:
+    """The reference: sigma applied linearly to a GF(2) polynomial."""
+    if f.field.q != 2:
+        raise PreconditionError("monomial assignments live over GF(2)")
+    acc = 0
+    for mask, c in f.terms():
+        if c:
+            acc ^= sigma.value(mask)
+    return acc
+
+
 def test_sum_of_points_random_sweep():
     rng = random.Random(56)
     for _ in range(40):
@@ -594,7 +605,7 @@ def test_sum_of_points_random_sweep():
                 GF2,
                 {m: rng.randint(0, 1) for m in basis.masks},
             )
-            want = sigma.poly_value(f)
+            want = poly_value(sigma, f)
             got = 0
             for b in beta:
                 got ^= f.evaluate(b)
