@@ -69,6 +69,21 @@ def _read(path: str) -> str:
         raise PreconditionError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_instance(path: str) -> str | bytes:
+    """An instance file's text for SubspaceSpec.from_text and _sha.  A file
+    that is ASCII and holds no "\r", as every file reduce writes, comes as
+    the bytes read, which are what _read's text encodes to: hashing and
+    loading them never decodes the text or encodes it again.  Any other
+    file comes from _read, with its decoding errors and newline
+    translation."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise PreconditionError(f"cannot read {path}: {exc}") from exc
+    return data if data.isascii() and b"\r" not in data else _read(path)
+
+
 def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
@@ -77,8 +92,9 @@ def _write(path: str, text: str) -> None:
         raise PreconditionError(f"cannot write {path}: {exc}") from exc
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _sha(text: str | bytes) -> str:
+    data = text.encode("utf-8") if type(text) is str else text
+    return hashlib.sha256(data).hexdigest()
 
 
 def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
@@ -201,7 +217,7 @@ def _honest_for_instance(space: SubspaceSpec, bits: tuple[int, ...]) -> PseudoMo
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    text = _read(args.input)
+    text = _read_instance(args.input)
     space = SubspaceSpec.from_text(text)
     if (args.assignment is None) == (args.vector is None):
         raise PreconditionError("verify needs exactly one of --assignment or --vector")
@@ -251,7 +267,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_minrank(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise PreconditionError("worker count must be positive")
-    text = _read(args.input)
+    text = _read_instance(args.input)
     space = SubspaceSpec.from_text(text)
     report = minrank_bruteforce(space, level=args.level, budget=args.budget)
     doc = report.to_json()
@@ -340,7 +356,7 @@ def cmd_descend(args: argparse.Namespace) -> int:
                 )
     provenance = {"command": "descend", "matrix_sha256": _sha(text)}
     if args.instance:
-        instance_text = _read(args.instance)
+        instance_text = _read_instance(args.instance)
         constraints: object = SubspaceSpec.from_text(instance_text)
         provenance["instance_sha256"] = _sha(instance_text)
     else:

@@ -776,29 +776,38 @@ class MonomialAssignment:
 # -- point isolation ----------------------------------------------------------
 
 
-def _support_lex_min(particular: int, kernel: list[int], rows: list[int]) -> int:
-    """Pick, from the affine solution set particular + span(kernel), the
-    vector whose support sequence (sorted list of nonzero positions) is
-    lexicographically smallest.
+def _support_lex_min(particular: int, kernel: list[int]) -> int:
+    """Pick, from the affine solution set particular + span(kernel) of a
+    system A x = b, the vector whose support sequence (sorted list of
+    nonzero positions) is lexicographically smallest.
 
-    Vectors and the system's rows are packed with position j at bit j, and
-    the kernel is its reduced echelon basis.  Scans positions left to
-    right.  At each position: stop if every row annihilates the rest of
-    the vector, its bits from there up, which the kernel then cancels;
-    otherwise take a nonzero entry whenever one is available, which is
-    when the first kernel vector not yet used has the position's bit.
+    Vectors are packed with position j at bit j, particular is
+    FFMatrix.solve's solution and kernel the reduced echelon basis.  Scans
+    positions left to right, and stops once the rest of the vector, its
+    bits from there up, is zero; until then it takes a nonzero entry
+    whenever one is available, which is when the first kernel vector not
+    yet used has the position's bit.
+
+    Stopping at position j is right when the rest t of the vector p lies
+    in the kernel (p - t then solves A x = b), and from solve's start t is
+    then 0.  Proof: solve sets the free variables to zero, so particular
+    lies on the pivot columns, the columns c_i of A outside the span of
+    c_0..c_(i-1), and those left of j are a basis of that prefix's span.
+    t in the kernel puts b = A (p - t) in that span, so particular, b's
+    one expression in the pivot columns, is 0 from j up.  p is particular plus kernel vectors led left of j, each 0
+    at the other vectors' leading positions, so t is 0 at every leading
+    position, and a kernel vector that is, is 0.  From another solution t
+    can be a nonzero kernel vector.
     """
     p, bit, ks = particular, 1, iter(kernel)
     lead = next(ks, 0)
-    while True:
-        tail = p & -bit
-        if not any((row & tail).bit_count() & 1 for row in rows):
-            return p ^ tail
+    while p & -bit:
         if lead & bit:
             if not p & bit:
                 p ^= lead
             lead = next(ks, 0)
         bit <<= 1
+    return p
 
 
 def point_isolator(points: PointSet, target, rho: int) -> SquarefreePoly:
@@ -838,9 +847,7 @@ def point_isolator(points: PointSet, target, rho: int) -> SquarefreePoly:
         raise InternalConsistencyError(
             "the isolation system is infeasible, which the size bound rules out"
         )
-    chosen = _support_lex_min(
-        _pack_row(particular[::-1]), system.kernel_basis(packed=True), [_pack_row(r[::-1]) for r in rows]
-    )
+    chosen = _support_lex_min(_pack_row(particular[::-1]), system.kernel_basis(packed=True))
     coeffs = {mask: 1 for mask, v in zip(monomials, _unpack_row(chosen, width)[::-1]) if v}
     q = SquarefreePoly(_GF2, coeffs)
     if q.degree > rho:

@@ -27,8 +27,9 @@ them: loading and localizing_rows share one tuple among equal rows,
 localizing_rows and the canonical reader hand the space the index where
 each distinct row first appears, and each distinct row is checked,
 evaluated, eliminated and rendered once.
-from_text reads a text laid out as to_text writes it, with rows that
-mostly repeat, by parsing each distinct row text once (_canonical_parts).
+from_text reads a text, str or bytes, laid out as to_text writes it, with
+rows that mostly repeat, by parsing each distinct row text once
+(_canonical_parts).
 It accepts the text only when writing back what it parsed gives the text
 byte for byte, so it holds what json.loads would have read; every other
 text goes through json.loads and from_json.
@@ -117,8 +118,21 @@ def _check_rows(field: FieldSpec, indexed_rows, ncoords: int) -> None:
 _ROWS_OPEN = '\n  "rows": [\n    '
 _ROWS_CLOSE = '\n  ],\n  "variant": '
 _ROW_SEP = ",\n    ["  # between rows: inside one, ",\n" is followed by 6 or 8 spaces
-# text.split(_ROW_SEP)'s pieces, faster (see _canonical_parts)
-_split_rows = re.compile(re.escape(_ROW_SEP)).split
+
+
+class _Layout:
+    """to_text's layout as the reader meets it in a text of one type: str,
+    or bytes, in which the layout is its ASCII.  cast turns a str piece of
+    the layout into that type; split(text) gives text.split(sep)'s pieces,
+    faster (see _canonical_parts)."""
+
+    def __init__(self, cast):
+        self.cast = cast
+        self.open, self.close, self.sep = map(cast, (_ROWS_OPEN, _ROWS_CLOSE, _ROW_SEP))
+        self.split = re.compile(re.escape(self.sep)).split
+
+
+_LAYOUTS = {str: _Layout(str), bytes: _Layout(str.encode)}
 # the fewest rows _canonical_parts reads itself
 _CANONICAL_ROWS = 64
 # distinct rows parsed per json.loads, and rendered per % in to_text: one
@@ -139,16 +153,18 @@ def _row_layout(size: int) -> str:
     return f"[\n{pairs}\n    ]"
 
 
-def _read_rows(texts) -> list:
-    """Row texts, each without its leading "[", parsed into tuples of
-    pairs; ValueError unless _row_layout writes the rows back byte for
-    byte, which its %d never does for 1.0, true or a string."""
-    joined = "[" + _ROW_SEP.join(texts)
-    parsed = json.loads(f"[{joined}]")
+def _read_rows(texts, layout: _Layout) -> list:
+    """Row texts of layout's type, each without its leading "[", parsed
+    into tuples of pairs; ValueError unless _row_layout writes the rows
+    back byte for byte, which its %d never does for 1.0, true or a
+    string.  A bytes template % ints renders each %d as str's does."""
+    cast = layout.cast
+    joined = cast("[") + layout.sep.join(texts)
+    parsed = json.loads(cast("[") + joined + cast("]"))
     sizes = list(map(len, parsed))
     values = tuple(chain.from_iterable(chain.from_iterable(parsed)))
     # rows start with "[" and hold no _ROW_SEP, so equal joins mean equal rows
-    if ",\n    ".join(map(_row_layout, sizes)) % values != joined:
+    if cast(",\n    ".join(map(_row_layout, sizes))) % values != joined:
         raise ValueError("rows not laid out as to_text writes them")
     pairs = iter(values)
     pairs = tuple(zip(pairs, pairs))
@@ -156,7 +172,7 @@ def _read_rows(texts) -> list:
     return list(map(pairs.__getitem__, map(slice, bounds, bounds[1:])))
 
 
-def _canonical_parts(text: str):
+def _canonical_parts(text):
     """(head, rows, distinct_rows) of a document laid out exactly as to_text
     writes one, else None.  Equal row texts share one tuple, and each
     distinct one is parsed once; for such texts, equal text means equal
@@ -166,10 +182,12 @@ def _canonical_parts(text: str):
     json.dumps of the parsed document, so json.loads would have returned
     that same document.
 
-    The whole text is split once on _ROW_SEP, by _split_rows: a compiled
-    literal pattern gives the pieces str.split does, and on the 8,299 rows
-    of an n = 7 CNF instance found them in 0.7-1.1 ms against 1.3-1.6 ms
-    (CPython 3.11), the largest single step of loading one.  The head and
+    The text is str or bytes, as the CLI reads an ASCII instance file, and
+    the layout is looked for in its type (_LAYOUTS).  It is split once on
+    _ROW_SEP by a compiled literal pattern, which gives the pieces
+    text.split does: on the bytes of the 8,299 rows of an n = 7 CNF
+    instance in 0.6-0.7 ms against 1.1-1.3 ms (str: 0.7 against 1.2 ms;
+    CPython 3.11), the largest single step of loading one.  The head and
     tail are trimmed off the first and last pieces, so the rows are never
     copied out first.  No separator can straddle either boundary: the six
     characters before the first row end in "[", and the tail starts with
@@ -188,17 +206,19 @@ def _canonical_parts(text: str):
     10-13% of its load (512 or 4,096 distinct rows of 2 or 10 pairs;
     12-20% with str.split), so the first _CANONICAL_ROWS separators are
     looked for first."""
-    start, end = text.find(_ROWS_OPEN), text.rfind(_ROWS_CLOSE)
-    body = start + len(_ROWS_OPEN)
-    if start < 0 or end < body or text[body] != "[" or text[-1:] != "\n":
+    layout = _LAYOUTS[type(text)]
+    cast, sep = layout.cast, layout.sep
+    start, end = text.find(layout.open), text.rfind(layout.close)
+    body = start + len(layout.open)
+    if start < 0 or end < body or text[body : body + 1] != cast("[") or text[-1:] != cast("\n"):
         return None
     at = body
     for _ in range(_CANONICAL_ROWS - 1):  # not count(): it reads a long text to its end
-        at = text.find(_ROW_SEP, at, end)
+        at = text.find(sep, at, end)
         if at < 0:
             return None
-        at += len(_ROW_SEP)
-    pieces = _split_rows(text)
+        at += len(sep)
+    pieces = layout.split(text)
     tail = len(text) - end
     if len(pieces[0]) < body or len(pieces[-1]) < tail:
         return None  # a separator in the head or the tail
@@ -217,12 +237,12 @@ def _canonical_parts(text: str):
         if (
             type(head) is not dict
             or "rows" in head
-            or json.dumps(head, indent=2, sort_keys=True) != head_text
+            or cast(json.dumps(head, indent=2, sort_keys=True)) != head_text
         ):
             return None
         distinct = []
         for at in range(0, len(texts), _PARSE_ROWS):
-            distinct += _read_rows(texts[at : at + _PARSE_ROWS])
+            distinct += _read_rows(texts[at : at + _PARSE_ROWS], layout)
     except (ValueError, TypeError, OverflowError, RecursionError):
         return None
     first.update(zip(texts, distinct))
@@ -679,19 +699,21 @@ class SubspaceSpec:
         return space
 
     @classmethod
-    def from_text(cls, text: str) -> "SubspaceSpec":
-        """The space an instance text describes.  A text laid out as to_text
-        writes one, whose rows mostly repeat, is read with one parse per
-        distinct row (_canonical_parts); any other goes through json.loads
-        and from_json.  Both give the same space, rows shared the same way,
-        and the same errors."""
+    def from_text(cls, text: str | bytes) -> "SubspaceSpec":
+        """The space an instance text, str or UTF-8 bytes, describes.  A text
+        laid out as to_text writes one, whose rows mostly repeat, is read
+        with one parse per distinct row (_canonical_parts), bytes as they
+        are; any other goes through json.loads and from_json, bytes decoded
+        first, since json.loads would take a NUL-led text for UTF-16.  Both
+        give the same space, rows shared the same way, and the same errors,
+        and bytes give what their decoded text gives."""
         parts = _canonical_parts(text)
         if parts is not None:
             head, rows, distinct = parts
             return cls._from_doc(head, lambda: rows, distinct)
         try:
-            doc = json.loads(text)
-        except ValueError as exc:  # a syntax error, or an integer too long to read
+            doc = json.loads(text.decode() if type(text) is bytes else text)
+        except ValueError as exc:  # bad UTF-8 or syntax, or an integer too long to read
             raise ParseError(f"bad JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError("subspace document must be a JSON object")

@@ -46,9 +46,9 @@ def test_trees_whose_reports_differ_fail(tmp_path):
 
 
 def test_the_class_lines_combine_as_the_benchmark_does():
-    """Medians within each class, then their geometric mean: class X's
-    reduce times 1, 2, 3 ms and class Y's 8 ms give 4 ms, where the median
-    over all four runs is 2.5 ms."""
+    """One line per class, then the medians within each class combined by
+    their geometric mean: class X's reduce times 1, 2, 3 ms and class Y's
+    8 ms give 4 ms, where the median over all four runs is 2.5 ms."""
     spec = importlib.util.spec_from_file_location("abtime", ROOT / "tools" / "abtime.py")
     abtime = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(abtime)
@@ -60,8 +60,15 @@ def test_the_class_lines_combine_as_the_benchmark_does():
     plan = [("X", 1), ("Y", 8), ("X", 2), ("X", 3)]
     runs = {"a": [outcome(k, ms, 1) for k, ms in plan],
             "b": [outcome(k, ms, 0.5) for k, ms in plan]}
+    runs["b"][1] = outcome("Y", 8, 2)
     lines = abtime.table(runs)
-    assert lines[1].split() == ["reduce", "2.500", "1.250", "-50.0%", "4/4"]
-    assert lines[3] == "per-class medians, geometric mean over classes, as perfbench/run.py combines them"
-    assert lines[4].split() == ["reduce", "4.000", "2.000", "-50.0%"]
-    assert lines[5].split() == ["pipeline", "4.000", "2.000", "-50.0%"]
+    assert lines[0].split() == ["command", "class", "A", "B", "change", "B", "faster"]
+    assert [line.split() for line in lines[1:5]] == [
+        ["reduce", "X", "2.000", "1.000", "-50.0%", "3/3"],
+        ["reduce", "Y", "8.000", "16.000", "+100.0%", "0/1"],
+        ["pipeline", "X", "2.000", "1.000", "-50.0%", "3/3"],
+        ["pipeline", "Y", "8.000", "16.000", "+100.0%", "0/1"],
+    ]
+    assert lines[5] == "per-class medians, geometric mean over classes, as perfbench/run.py combines them"
+    assert lines[6].split() == ["reduce", "4.000", "4.000", "+0.0%"]
+    assert lines[7].split() == ["pipeline", "4.000", "4.000", "+0.0%"]

@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import hashlib
 import importlib.util
 import json
 import os
@@ -24,7 +25,7 @@ from rankgap.cli import main
 from rankgap.errors import InternalConsistencyError
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import FFMatrix
-from rankgap.subspace import SubspaceSpec
+from rankgap.subspace import SubspaceSpec, honest_moment_vector
 
 GF2 = make_field(2)
 
@@ -454,6 +455,128 @@ def test_an_unwritable_output_is_refused(tmp_path, capsys, command, stdout):
     assert err == ("error: cannot write missing/out.json: [Errno 2] "
                    "No such file or directory: 'missing/out.json'\n")
     assert not (tmp_path / "missing").exists()
+
+
+# -- instance files that reduce does not write --------------------------------
+
+
+TWO_CLAUSES = "p cnf 3 2\n1 2 3 0\n-1 2 -3 0\n"  # 80 rows, 12 distinct: a canonical text
+INSTANCE_COMMANDS = {
+    "verify": ("verify", "--assignment", "0,1,0", "--input"),
+    "minrank": ("minrank", "--input"),
+    "descend": ("descend", "--input", "member.mat", "--instance"),
+}
+
+
+def instance_files(written: bytes) -> dict:
+    """The reduced file as written, and files made from it that reduce
+    does not write; "directory" and "missing" name no file."""
+    doc = json.loads(written)
+    doc["provenance"]["note"] = "Grüße ☃"
+    return {
+        "written": written,
+        "nul": b"\0" + written,
+        "bom": b"\xef\xbb\xbf" + written,
+        "crlf": written.replace(b"\n", b"\r\n"),
+        "cr": written.replace(b"\n", b"\r"),
+        "non-ascii": (json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode(),
+        "invalid-utf8": written.replace(b'"provenance": {', b'"provenance": {"\xff": 1,', 1),
+    }
+
+
+def instance_outcome(tmp_path, capsys, monkeypatch, command, case):
+    """(exit code, stdout, stderr, sha256 of the report or None) of command
+    given the instance file of case."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "two.cnf", TWO_CLAUSES)
+    assert run(capsys, "reduce", "--mode", "superposition", "--input", "two.cnf",
+               "--output", "two.json")[0] == 0
+    written = (tmp_path / "two.json").read_bytes()
+    space = SubspaceSpec.from_text(written.decode())
+    honest = honest_moment_vector(GF2, (1, 0, 1, 0), 3, 2 * space.d, "U")
+    write(tmp_path, "member.mat", space.expand(honest.values).to_text())
+    files = instance_files(written)
+    if case in files:
+        (tmp_path / "instance.json").write_bytes(files[case])
+    elif case == "directory":
+        (tmp_path / "instance.json").mkdir()
+    code, out, err = run(capsys, *INSTANCE_COMMANDS[command], "instance.json",
+                         "--output", "report.json")
+    report = tmp_path / "report.json"
+    digest = hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else None
+    return code, out, err, digest
+
+
+# each outcome as the commands gave it when they read every file as text
+NOT_READ, BAD_JSON = "error: cannot read instance.json: ", "error: bad JSON: "
+INSTANCE_OUTCOMES = {
+    ("verify", "written"):
+        (0, "member, rank 1\n", "", "948174d59c0f16f21df30a6fbefa10eb6b0a1426002aaecac1e89cfbb9b28171"),
+    ("verify", "nul"):
+        (2, "", BAD_JSON + "Expecting value: line 1 column 1 (char 0)\n", None),
+    ("verify", "bom"):
+        (2, "", BAD_JSON + "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n", None),
+    ("verify", "crlf"):
+        (0, "member, rank 1\n", "", "948174d59c0f16f21df30a6fbefa10eb6b0a1426002aaecac1e89cfbb9b28171"),
+    ("verify", "cr"):
+        (0, "member, rank 1\n", "", "948174d59c0f16f21df30a6fbefa10eb6b0a1426002aaecac1e89cfbb9b28171"),
+    ("verify", "non-ascii"):
+        (0, "member, rank 1\n", "", "4caabd02efeb6fa3cc62b334cb0f715b78bd2ddba85d7c55f512d9ca211ac529"),
+    ("verify", "invalid-utf8"):
+        (2, "", NOT_READ + "'utf-8' codec can't decode byte 0xff in position 126: invalid start byte\n", None),
+    ("verify", "directory"):
+        (2, "", NOT_READ + "[Errno 21] Is a directory: 'instance.json'\n", None),
+    ("verify", "missing"):
+        (2, "", NOT_READ + "[Errno 2] No such file or directory: 'instance.json'\n", None),
+    ("minrank", "written"):
+        (0, "minrank 1 over 63 members\n", "", "e436ba288d1e7701939d8bd6e973d83938aefc4c0d0c9d671f5c2619df4b2b0c"),
+    ("minrank", "nul"):
+        (2, "", BAD_JSON + "Expecting value: line 1 column 1 (char 0)\n", None),
+    ("minrank", "bom"):
+        (2, "", BAD_JSON + "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n", None),
+    ("minrank", "crlf"):
+        (0, "minrank 1 over 63 members\n", "", "e436ba288d1e7701939d8bd6e973d83938aefc4c0d0c9d671f5c2619df4b2b0c"),
+    ("minrank", "cr"):
+        (0, "minrank 1 over 63 members\n", "", "e436ba288d1e7701939d8bd6e973d83938aefc4c0d0c9d671f5c2619df4b2b0c"),
+    ("minrank", "non-ascii"):
+        (0, "minrank 1 over 63 members\n", "", "b438a2f7a35971faedc7279b7572c9a7a50f7a99b09cc514f7cf6e76b7185348"),
+    ("minrank", "invalid-utf8"):
+        (2, "", NOT_READ + "'utf-8' codec can't decode byte 0xff in position 126: invalid start byte\n", None),
+    ("minrank", "directory"):
+        (2, "", NOT_READ + "[Errno 21] Is a directory: 'instance.json'\n", None),
+    ("minrank", "missing"):
+        (2, "", NOT_READ + "[Errno 2] No such file or directory: 'instance.json'\n", None),
+    ("descend", "written"):
+        (0, "rank 1 over GF(2) descends to rank 1 over GF(2)\n", "", "7144e81ded80070eb809b7d7b9350b5bb9a18a9a0c6a8751d8585ac5daf19c4d"),
+    ("descend", "nul"):
+        (2, "", BAD_JSON + "Expecting value: line 1 column 1 (char 0)\n", None),
+    ("descend", "bom"):
+        (2, "", BAD_JSON + "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n", None),
+    ("descend", "crlf"):
+        (0, "rank 1 over GF(2) descends to rank 1 over GF(2)\n", "", "7144e81ded80070eb809b7d7b9350b5bb9a18a9a0c6a8751d8585ac5daf19c4d"),
+    ("descend", "cr"):
+        (0, "rank 1 over GF(2) descends to rank 1 over GF(2)\n", "", "7144e81ded80070eb809b7d7b9350b5bb9a18a9a0c6a8751d8585ac5daf19c4d"),
+    ("descend", "non-ascii"):
+        (0, "rank 1 over GF(2) descends to rank 1 over GF(2)\n", "", "2c494de5b97a396f0005908639ba4f193b1a1b64bcf587ee7f600d6d0e00f874"),
+    ("descend", "invalid-utf8"):
+        (2, "", NOT_READ + "'utf-8' codec can't decode byte 0xff in position 126: invalid start byte\n", None),
+    ("descend", "directory"):
+        (2, "", NOT_READ + "[Errno 21] Is a directory: 'instance.json'\n", None),
+    ("descend", "missing"):
+        (2, "", NOT_READ + "[Errno 2] No such file or directory: 'instance.json'\n", None),
+}
+
+
+@pytest.mark.parametrize("command, case", list(INSTANCE_OUTCOMES),
+                         ids=[f"{c}-{k}" for c, k in INSTANCE_OUTCOMES])
+def test_instance_files_give_the_outcomes_of_a_text_read(tmp_path, capsys, monkeypatch,
+                                                         command, case):
+    """verify, minrank and descend --instance read a file that is ASCII
+    with no carriage return as bytes, and any other as text; either way
+    each file gives the exit code, output, error and report bytes it gave
+    when every file was read as text."""
+    assert (instance_outcome(tmp_path, capsys, monkeypatch, command, case)
+            == INSTANCE_OUTCOMES[command, case])
 
 
 # -- decompose / descend / isolate --------------------------------------------

@@ -224,6 +224,35 @@ def test_long_instances_load_as_the_reference_loads_them(space, data):
     assert_same_load(text)
 
 
+def leading(text, draw):
+    """A NUL, a byte order mark, a line end or a space before the text."""
+    return draw(st.sampled_from(["\0", "\ufeff", "\r\n", "\r", " "])) + text
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(spaces() | spaces(min_rows=rankgap.subspace._CANONICAL_ROWS), st.data())
+def test_bytes_load_as_their_text_loads(space, data):
+    """from_text given a text's UTF-8 bytes takes the route the text takes
+    and gives what the text gives: an equal space with the same rows shared
+    the same way and the same distinct_rows, or the same exception type and
+    message.  The texts are written instances and their mutations, a NUL,
+    a byte order mark or a line end put in front among them."""
+    text = space.to_text()
+    for _ in range(data.draw(st.integers(0, 3))):
+        text = data.draw(st.sampled_from([*MUTATORS, leading]))(text, data.draw)
+    encoded = text.encode()
+    canonical = rankgap.subspace._canonical_parts
+    assert (canonical(encoded) is None) == (canonical(text) is None)
+    assert outcome(SubspaceSpec.from_text, encoded) == outcome(SubspaceSpec.from_text, text)
+
+
+def test_bytes_that_are_not_utf8_are_refused_as_bad_json():
+    text = SubspaceSpec(make_field(2), "V", 2, 1, (((0, 1),),) * 80, {"k": 1}).to_text()
+    assert rankgap.subspace._canonical_parts(text) is not None
+    with pytest.raises(ParseError, match="^bad JSON: 'utf-8' codec can't decode byte 0xff"):
+        SubspaceSpec.from_text(text.encode().replace(b'"k"', b'"\xff"'))
+
+
 def test_changed_rows_are_found_where_they_stand():
     """Canonical texts whose rows break a rule give the reference's error;
     the route reads those with int values, and leaves 1.0 to json.loads."""
@@ -277,10 +306,13 @@ layout_texts = st.lists(layout_pieces | layout_chars, max_size=30).map("".join)
 @example(SEP + "[1]" + SEP + SEP + "2" + SEP)
 @example(",\n   [" + SEP + ",\n     [" + ",\n    " + ",\r\n    [")
 def test_the_compiled_split_splits_as_str_split(text):
-    """The compiled pattern cuts a text into the pieces str.split does:
+    """The compiled pattern cuts a text into the pieces str.split does, and
+    its bytes pattern the text's bytes into the pieces bytes.split does:
     separators at either end or back to back give empty pieces, and near
     misses cut nothing."""
-    assert rankgap.subspace._split_rows(text) == text.split(SEP)
+    layouts = rankgap.subspace._LAYOUTS
+    assert layouts[str].split(text) == text.split(SEP)
+    assert layouts[bytes].split(text.encode()) == text.encode().split(SEP.encode())
 
 
 def test_to_text_writes_the_provenance_as_it_is_now():

@@ -523,28 +523,57 @@ def test_isolator_support_is_minimal_on_small_instances():
         assert got == best
 
 
-def test_support_lex_min_from_any_solution():
-    # point_isolator starts from solve()'s particular solution; starting
-    # from any other solution must give the same least support, which
-    # needs the test of whether the rest of the vector lies in the kernel
+def random_system(rng, max_width, max_height):
+    """A random GF(2) matrix, packed as _support_lex_min reads vectors (bit
+    j holds column j), with solve()'s solution of a consistent target."""
+    width, height = rng.randint(1, max_width), rng.randint(1, max_height)
+    rows = [[rng.getrandbits(1) for _ in range(width)] for _ in range(height)]
+    matrix = FFMatrix(GF2, rows, width)
+    target = matrix.mat_vec([rng.getrandbits(1) for _ in range(width)])
+    particular = sum(v << j for j, v in enumerate(matrix.solve(target)))
+    return matrix, target, particular
+
+
+def test_support_lex_min_from_the_particular_solution():
+    # point_isolator starts from solve()'s particular solution
     rng = random.Random(56)
     for _ in range(200):
-        width, height = rng.randint(1, 7), rng.randint(1, 5)
-        rows = [[rng.getrandbits(1) for _ in range(width)] for _ in range(height)]
-        solution = [rng.getrandbits(1) for _ in range(width)]
-        matrix = FFMatrix(GF2, rows, width)
-        target = matrix.mat_vec(solution)
+        matrix, target, particular = random_system(rng, 7, 5)
         best = min(
             tuple(j for j, v in enumerate(x) if v)
-            for x in product((0, 1), repeat=width)
+            for x in product((0, 1), repeat=matrix.ncols)
             if matrix.mat_vec(x) == target
         )
-        got = oracles._support_lex_min(
-            sum(v << j for j, v in enumerate(solution)),
-            matrix.kernel_basis(packed=True),
-            [sum(v << j for j, v in enumerate(row)) for row in rows],
-        )
-        assert tuple(j for j in range(width) if got >> j & 1) == best
+        got = oracles._support_lex_min(particular, matrix.kernel_basis(packed=True))
+        assert tuple(j for j in range(matrix.ncols) if got >> j & 1) == best
+
+
+def support_lex_min_with_span_test(particular, kernel, rows):
+    """_support_lex_min as it was before its docstring's proof: it stopped
+    once every packed row annihilated the rest of the vector."""
+    p, bit, ks = particular, 1, iter(kernel)
+    lead = next(ks, 0)
+    while True:
+        tail = p & -bit
+        if not any((row & tail).bit_count() & 1 for row in rows):
+            return p ^ tail
+        if lead & bit:
+            if not p & bit:
+                p ^= lead
+            lead = next(ks, 0)
+        bit <<= 1
+
+
+def test_support_lex_min_needs_no_span_test_from_the_particular_solution():
+    """Past the sizes brute force reaches, stopping at a zero rest gives
+    what stopping at a rest in the kernel gave."""
+    rng = random.Random(57)
+    for _ in range(3000):
+        matrix, _, particular = random_system(rng, 16, 12)
+        kernel = matrix.kernel_basis(packed=True)
+        rows = [sum(v << j for j, v in enumerate(row)) for row in matrix.rows]
+        assert (oracles._support_lex_min(particular, kernel)
+                == support_lex_min_with_span_test(particular, kernel, rows))
 
 
 # -- sums of points -----------------------------------------------------------

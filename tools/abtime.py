@@ -13,11 +13,12 @@ workloads.  Standard library only.
 
 Exits 1, after naming them, when the two sides' output digests differ or
 a pipeline fails its own checks.  Otherwise prints, per command and for
-the whole pipeline, each side's median time over every (round, instance)
-run, the change in percent, and in how many of those pairs NEW was faster.
-Then one line per command combines the same timings as the benchmark
-does: the median within each instance class (instance i is of class i mod
-the number of classes), then the geometric mean over the classes.
+the whole pipeline, one line per instance class (instance i is of class i
+mod the number of classes): each side's median time over that class's
+(round, instance) runs, the change in percent, and in how many of those
+pairs NEW was faster.  A median over every class at once would read the
+share of runs each class has, not a change.  Then one line per command
+combines the class medians as the benchmark does: their geometric mean.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from corpus import DEFAULT_SEED, WORKLOADS  # noqa: E402
 from pipeline import Runner, run_instance  # noqa: E402
-from run import class_p50  # noqa: E402
+from run import class_p50, per_class  # noqa: E402
 
 SIDES = ("a", "b")
 
@@ -70,20 +71,22 @@ def timing(op: str):
 
 
 def table(runs: dict) -> list[str]:
-    """Per command, and for the whole pipeline, each side's median ms, the
-    change and the pairs B won; then the benchmark's per-class combination.
-    runs[side] holds that side's outcomes, the same instances in the same
-    order on both sides."""
-    lines = [f"{'command':<10}{'A':>10}{'B':>10}{'change':>9}  B faster"]
+    """Per command, and for the whole pipeline, per instance class: each
+    side's median ms, the change and the pairs B won; then the benchmark's
+    combination of the classes.  runs[side] holds that side's outcomes,
+    the same instances in the same order on both sides."""
+    lines = [f"{'command':<10}{'class':<22}{'A':>10}{'B':>10}{'change':>9}  B faster"]
     ops = [*dict.fromkeys(op for out in runs["a"] for op in out.seconds), "pipeline"]
     for op in ops:
-        # equal digests mean the same commands ran on both sides
-        pairs = [(x, y) for x, y in zip(*(map(timing(op), runs[side]) for side in SIDES))
-                 if x is not None]
-        ma, mb = (statistics.median(side) for side in zip(*pairs))
-        wins = sum(y < x for x, y in pairs)
-        lines.append(f"{op:<10}{ma * 1e3:>10.3f}{mb * 1e3:>10.3f}{(mb / ma - 1) * 100:>+8.1f}%"
-                     f"  {wins}/{len(pairs)}")
+        # equal digests mean the same commands ran on both sides, so each
+        # class's timings pair up in order
+        by_a, by_b = (per_class(runs[side], timing(op)) for side in SIDES)
+        for klass, xs in by_a.items():
+            ys = by_b[klass]
+            ma, mb = statistics.median(xs), statistics.median(ys)
+            wins = sum(y < x for x, y in zip(xs, ys))
+            lines.append(f"{op:<10}{klass:<22}{ma * 1e3:>10.3f}{mb * 1e3:>10.3f}"
+                         f"{(mb / ma - 1) * 100:>+8.1f}%  {wins}/{len(xs)}")
     lines.append("per-class medians, geometric mean over classes, as perfbench/run.py combines them")
     for op in ops:
         ma, mb = (class_p50(runs[side], timing(op))[0] for side in SIDES)
