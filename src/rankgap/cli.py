@@ -298,6 +298,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     src = parse_quadeq(source_text)
     values = _parse_csv_ints(_read(args.vector), "vector")
     d = args.degree if args.degree is not None else _infer_matrix_degree(src.n, len(values))
+    if d < 1:
+        raise PreconditionError("matrix degree must be at least 1")
     want = basis_size(src.n, 2 * d, "V")
     if len(values) != want:
         raise PreconditionError(f"vector has {len(values)} coordinates, degree {d} needs {want}")

@@ -10,10 +10,10 @@ H[S][T] = y_{S ∪ T}.  The ties then hold identically and membership in
 the subspace is a homogeneous linear condition on y alone.  Both
 reductions write those conditions with localizing_rows: one row per
 source polynomial f and shift x^W, the terms of f * x^W read as y's.
-A row is ranked once per (product of f with the part of W on f's
-variables S, part of W outside S) pair, so f is multiplied at most
-2^|S| times however many shifts it has, and each product is sorted into
-coordinate order once, since the part outside S never changes that order.
+f is multiplied only by the part of W on its own variables S, at most
+2^|S| times however many shifts it has, and a row is ranked once per
+(product, part of W outside S) pair, whichever source the product came
+from.
 
 SubspaceSpec is a shape (variant, n, d) and sparse constraint rows over
 the coordinates.  Its two bases, the coordinates (degree 2d) and the
@@ -262,83 +262,38 @@ def localizing_rows(coords: MonomialBasis, sources) -> tuple[tuple, tuple]:
     f * x^w = (f * x^inner) * x^outer for inner = w & S and outer = w & ~S,
     and the outer part only ORs onto each term: no two terms meet, none
     cancels, and the terms keep their order.  So f is multiplied once per
-    distinct inner, at most 2^|S| times.  A product is kept as x^c times
-    the terms left when c, the monomial all its terms share, is taken out
-    of each; c joins the outer part.  Equal term tuples share one _Product,
-    so equal polynomials from other sources and shifts mostly meet under
-    one (product, outer) pair, and a row is ranked only the first time its
-    pair appears.
-
-    Each product is sorted once.  basis_make orders coordinates by size,
-    then lexicographically: of two equal-size sets, the one holding the
-    least element of their symmetric difference comes first.  An outer o
-    is disjoint from every term, so adding it to each moves all sizes by
-    |o| and leaves each symmetric difference as it was: the terms m | o
-    rank in the same order for every o.  A product's first row ranks its
-    terms in the product's own order, so an out-of-range term raises the
-    error the plain loop would, and fixes the order the product's later
-    rows are ranked in."""
-    shared, products, out, distinct = {}, {}, [], []
+    distinct inner, at most 2^|S| times.  Equal products, as term tuples,
+    share one cache of rows by outer shift across all sources, and a row
+    is ranked only when its (product, outer) pair is new.  A term outside
+    coords makes rank() name the first one in the product's order, the
+    error the plain loop raises."""
+    index, shared, products, out, distinct = coords._rank, {}, {}, [], []
     for f, shifts in sources:
         own = reduce(int.__or__, f.coeffs, 0)
-        by_inner: dict[int, tuple[_Product, int]] = {}
+        by_inner: dict[int, tuple[tuple, dict]] = {}
         for w in shifts:
             inner = w & own
             found = by_inner.get(inner)
             if found is None:
-                found = by_inner[inner] = _Product.factored(f.shift(inner).coeffs, products)
-            product, common = found
-            outer = (w ^ inner) | common
-            row = product.rows.get(outer)
+                terms = tuple(f.shift(inner).coeffs.items())
+                found = by_inner[inner] = terms, products.setdefault(terms, {})
+            terms, rows = found
+            outer = w ^ inner
+            row = rows.get(outer)
             if row is None:
-                row = product.ranked(coords, outer)
+                try:
+                    row = tuple(sorted([(index[m | outer], c) for m, c in terms]))
+                except KeyError:  # rank() names the term the plain loop meets first
+                    row = tuple(sorted([(coords.rank(m | outer), c) for m, c in terms]))
                 seen = shared.get(row)
                 if seen is None:
                     shared[row] = row
                     distinct.append((len(out), row))
                 else:
                     row = seen
-                product.rows[outer] = row
+                rows[outer] = row
             out.append(row)
     return tuple(out), tuple(distinct)
-
-
-class _Product:
-    """A product's terms with their common monomial taken out: terms in the
-    product's own order, and masks and coeffs in coordinate order, read off
-    its first row once a second is needed; rows maps an outer shift to its
-    row, in the order they were ranked."""
-
-    __slots__ = ("terms", "masks", "coeffs", "rows")
-
-    def __init__(self, terms: tuple):
-        self.terms, self.masks, self.coeffs, self.rows = terms, None, None, {}
-
-    @classmethod
-    def factored(cls, coeffs: dict, products: dict) -> tuple["_Product", int]:
-        """(product, c) with coeffs = x^c times product, the one in products
-        with those terms."""
-        common = reduce(int.__and__, coeffs, -1) if coeffs else 0
-        terms = tuple([(m ^ common, c) for m, c in coeffs.items()] if common else coeffs.items())
-        product = products.get(terms)
-        if product is None:
-            product = products[terms] = cls(terms)
-        return product, common
-
-    def ranked(self, coords: MonomialBasis, outer: int) -> tuple:
-        """The row of this product times x^outer, sorted by position."""
-        if self.masks is None and self.rows:  # a second row: keep the first one's order
-            first_outer, first = next(iter(self.rows.items()))
-            # each term is its coordinate's set less the outer part, which it misses
-            self.masks = [coords.masks[r] ^ first_outer for r, _ in first]
-            self.coeffs = [c for _, c in first]
-        index = coords._rank
-        try:
-            if self.masks is not None:
-                return tuple(zip([index[m | outer] for m in self.masks], self.coeffs))
-            return tuple(sorted([(index[m | outer], c) for m, c in self.terms]))
-        except KeyError:  # rank() names the term the product's own order meets first
-            return tuple(sorted([(coords.rank(m | outer), c) for m, c in self.terms]))
 
 
 def _shared_rows(raw):

@@ -385,6 +385,17 @@ def test_decode_rejects_non_member(tmp_path, capsys):
     assert "not a subspace member" in err
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+@pytest.mark.parametrize("vector", ["1\n", "1,1,1,1\n"], ids=["1-coordinate", "4-coordinates"])
+def test_decode_refuses_a_degree_below_one(tmp_path, capsys, degree, vector):
+    # degree 0 has one coordinate, so a one-coordinate vector got as far as
+    # counting the localizing rows of an internal degree of -2
+    src = write(tmp_path, "line.qe", LINE_SRC)
+    vec = write(tmp_path, "v.vec", vector)
+    code, stdout, err = run(capsys, "decode", "--source", src, "--vector", vec, "--degree", degree)
+    assert (code, stdout, err) == (2, "", "error: matrix degree must be at least 1\n")
+
+
 def test_decode_checks_the_vector_length_before_building_a_basis(tmp_path):
     # degree 20 over 40 variables means 2^40 coordinates: counted, not built
     src = write(tmp_path, "wide.qe", "field: GF(2)\nx1*x40 + 1\n")

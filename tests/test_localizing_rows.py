@@ -4,22 +4,26 @@ plain loop returns.
 The plain loop, kept here as the reference, multiplies each source by each
 of its shifts, ranks and sorts every product and then shares equal rows.
 localizing_rows multiplies a source only on its own variables and reuses
-a row whose (product, outer shift) pair it has seen.  Both must give the
+a row whose (product, outer shift) pair it has seen, from any source.
+Both must give the
 same rows in the same order, the same sharing of row objects, and the
 same first error on a term outside the coordinates; localizing_rows also
 reports where each distinct row first appears.
 """
 
+import random
 from functools import reduce
 from operator import or_
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rankgap.boolalg import SquarefreePoly, basis_make, mask_of
+from rankgap.boolalg import MonomialBasis, SquarefreePoly, basis_make, mask_of
 from rankgap.errors import PreconditionError
+from rankgap.frontends import CnfFormula
 from rankgap.gfarith import make_field
 from rankgap.subspace import localizing_rows
+from rankgap.superposition import build_constant_free_system
 
 FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5)]
 GF2, GF3 = FIELDS[:2]
@@ -122,6 +126,43 @@ def test_each_source_is_multiplied_only_on_its_own_variables(case):
     assert len(made) <= sum(2 ** own_variables(f).bit_count() for f, _ in sources)
 
 
+class CountingRanks(dict):
+    """A coordinate index that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, mask):
+        self.lookups += 1
+        return super().__getitem__(mask)
+
+
+@pytest.mark.parametrize("seed, n, m, d", [(0, 4, 12, 4), (1, 5, 20, 6), (2, 6, 24, 6)])
+def test_each_product_and_outer_shift_is_ranked_once(seed, n, m, d):
+    """On a CNF's clause and booleanity sources the coordinate index is
+    read at most once per term of each distinct (f * x^inner, outer) pair,
+    whichever source and shift it first appears under; ranking every row
+    would read it more often."""
+    rng = random.Random(seed)
+    clauses = tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(m)
+    )
+    sources = build_constant_free_system(CnfFormula(n=n, clauses=clauses), d).sources
+    plain = basis_make(n, 2 * d, "U")
+    coords = MonomialBasis("U", n, 2 * d, plain.masks)
+    coords._rank = CountingRanks(coords._rank)
+    pairs = {}
+    for f, shifts in sources:
+        own = own_variables(f)
+        for w in shifts:
+            pairs[tuple(f.shift(w & own).coeffs.items()), w & ~own] = None
+    bound = sum(len(terms) for terms, _ in pairs)
+    every = sum(len(f.shift(w).coeffs) for f, shifts in sources for w in shifts)
+    assert bound < every
+    assert localizing_rows(coords, sources) == localizing_rows(plain, sources)
+    assert coords._rank.lookups <= bound
+
+
 @pytest.mark.parametrize("field, variant, n, coeffs, shifts", [
     # (x_1 + x_0 x_1) x_0 = x_0 x_1 + x_0 x_1 = 0 over GF(2)
     (GF2, "U", 2, {mask_of([1]): 1, mask_of([0, 1]): 1}, (0, mask_of([0]), mask_of([2]), mask_of([0, 2]))),
@@ -149,8 +190,8 @@ def test_first_out_of_range_term_is_named():
 
 
 def test_a_later_row_names_the_first_bad_term_in_product_order():
-    """A product's later row ranks in coordinate order, where x0 x1 x3
-    comes before x0 x1 x2 x3; the plain loop meets x0 x1 x2 x3 first."""
+    """Ranking in coordinate order would meet x0 x1 x3 before x0 x1 x2 x3;
+    the plain loop, in the product's order, meets x0 x1 x2 x3 first."""
     g = SquarefreePoly(GF2, {mask_of([1, 2]): 1, mask_of([1]): 1})
     coords = basis_make(3, 2, "U")
     with pytest.raises(PreconditionError, match="x0\\*x1\\*x2\\*x3"):
@@ -178,7 +219,9 @@ def disjoint_shifts(draw):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(disjoint_shifts())
 def test_a_disjoint_shift_keeps_the_coordinate_order(case):
-    """The lemma localizing_rows sorts each product by once: m | o and
-    m' | o rank in the order m and m' do when o misses both."""
+    """basis_make's order, by size and then lexicographically, survives a
+    disjoint shift: m | o and m' | o rank in the order m and m' do when o
+    misses both, since o adds the same size to each and leaves their
+    symmetric difference as it was."""
     coords, m, m2, o = case
     assert (coords.rank(m) < coords.rank(m2)) == (coords.rank(m | o) < coords.rank(m2 | o))
