@@ -3,21 +3,33 @@ eliminates.
 
 Each field kind has one elimination by row insertion: a row is reduced
 against the pivot rows found so far, keyed by leading column, and what is
-left becomes a pivot row.  GF(2) rows are bit-packed ints reduced by XOR,
-leading column first: column j of an ncols-wide row is bit ncols - 1 - j,
-so a row's leading column is its top bit and bit_length() finds it.  Every
-other field reduces int lists through its operation tables
-(FieldSpec.tables()) and scales pivot rows to a leading 1.
-Each has a rank that stops once it would pass a limit (packed_rank,
-table_rank) and a reduced echelon form that back-substitutes the pivot rows
-from the highest pivot down.  That form is unique for a row space, so
-ranks, kernels and solutions do not depend on the order rows arrive in.
+left becomes a pivot row.  Rows are laid out leading column first, column
+j of an ncols-wide row at bit ncols - 1 - j, so a row's leading column is
+its top bit and bit_length() finds it.  _engine picks the elimination:
+- GF(2): each row one int, reduced by XOR (packed_rank).  It is the plane
+  layout with one plane, kept apart because its step is a single XOR with
+  no multiple to look up, and the CNF kernels and the GF(2) scan lean on
+  it.
+- GF(3) and GF(2^r) for 2 <= r <= 8: PlaneEngine, each row one int per bit
+  plane, each pivot kept with its q - 1 multiples, so a step is one plane
+  subtraction with no field operation (Boothby and Bradshaw, "Bitslicing
+  and the Method of Four Russians Over Larger Finite Fields",
+  arXiv:0901.1413).
+- every other field (prime q >= 5, odd extension fields, and GF(2^r) past
+  r = 8, whose entries no longer fit a byte of planes): int lists through
+  FieldSpec.tables(), pivot rows scaled to a leading 1 (table_rank).
+Each has a rank that stops once it would pass a limit, and a reduced
+echelon form that back-substitutes the pivot rows from the highest pivot
+down.  That form is unique for a row space, so ranks, kernels and
+solutions do not depend on the engine or the order rows arrive in.
 
-FFMatrix is an immutable dense matrix of validated int-encoded entries;
-sparse_kernel_basis takes trusted sparse rows to a kernel without one.
-Both return the kernel's reduced echelon basis, from one elimination that
-starts at the last column; packed_kernel_basis keeps the free-column basis
-of the rows as given.
+FFMatrix is an immutable dense matrix of validated int-encoded entries,
+eliminated packed over GF(2) and through the tables otherwise: the
+reference the other engines are tested against.  sparse_kernel_basis
+takes trusted sparse rows to a kernel without one.  Both return the
+kernel's reduced echelon basis, from one elimination that starts at the
+last column; packed_kernel_basis keeps the free-column basis of the rows
+as given.
 
 Also here: the symmetric rank-one decomposition over GF(2) with its 3k/2
 length guarantee, and the entrywise-functional rank descent that carries a
@@ -27,7 +39,8 @@ matrix over GF(2^r) down to GF(2) without leaving a GF(2)-defined subspace.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import partial
+from functools import lru_cache
+from operator import xor
 
 from .errors import InternalConsistencyError, ParseError, PreconditionError
 from .gfarith import (
@@ -41,12 +54,14 @@ from .records import record
 
 __all__ = [
     "FFMatrix",
+    "PlaneEngine",
     "RankOneDecomposition",
     "independent_rows",
     "symmetric_rank_one_decomposition",
     "rank_descent",
     "packed_rank",
     "packed_kernel_basis",
+    "plane_engine",
     "sparse_kernel_basis",
     "sparse_rank",
     "table_rank",
@@ -132,14 +147,322 @@ _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _bit_bytes(mask: int, ncols: int) -> bytes:
+    """Bit ncols - 1 - j of mask as byte j, 0 or 1."""
+    # a marker bit at ncols keeps the leading zeros, and makes ncols = 0 give b""
+    return format(mask | 1 << ncols, "b")[1:].encode().translate(_DIGIT_BITS)
+
+
 def _pack_row(entries: Sequence[int]) -> int:
     """GF(2) entries as an int, entry j at bit len(entries) - 1 - j."""
     return int(b"0" + bytes(entries).translate(_BIT_DIGITS), 2)
 
 
 def _unpack_row(mask: int, ncols: int) -> tuple[int, ...]:
-    # a marker bit at ncols keeps the leading zeros, and makes ncols = 0 give ()
-    return tuple(format(mask | 1 << ncols, "b")[1:].encode().translate(_DIGIT_BITS))
+    return tuple(_bit_bytes(mask, ncols))
+
+
+# -- bit-plane engine: GF(3) and GF(2^r) -------------------------------------
+
+
+def _value(row: tuple[int, ...], s: int) -> int:
+    """The entry at bit s of a row of planes: bit i of it is bit s of plane i."""
+    v = 0
+    for i, plane in enumerate(row):
+        v |= (plane >> s & 1) << i
+    return v
+
+
+def _xor(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(xor, a, b))
+
+
+def _xor2(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] ^ b[0], a[1] ^ b[1]
+
+
+def _gf3_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a + b over GF(3), each a pair of planes (ones, twos), in seven word
+    operations: 1 + 1 = 2, 2 + 2 = 1 and 1 + 2 = 0 at every column."""
+    a1, a2 = a
+    b1, b2 = b
+    t = (a1 | b2) ^ (a2 | b1)
+    return (a2 | b2) ^ t, (a1 | b1) ^ t
+
+
+def _gf3_sub(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a - b over GF(3): _gf3_add with the planes of -b, which are b's
+    swapped."""
+    a1, a2 = a
+    n2, n1 = b
+    t = (a1 | n2) ^ (a2 | n1)
+    return (a2 | n2) ^ t, (a1 | n1) ^ t
+
+
+def _gf3_dot(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """The dot product of two GF(3) rows: 1·1 = 2·2 = 1 and 1·2 = 2."""
+    a1, a2 = a
+    b1, b2 = b
+    ones = (a1 & b1).bit_count() + (a2 & b2).bit_count()
+    return (ones + 2 * ((a1 & b2).bit_count() + (a2 & b1).bit_count())) % 3
+
+
+def _gf4_dot(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """The dot product of two GF(4) rows: the parities of plane products
+    are coefficients of 1, alpha and alpha^2 = alpha + 1."""
+    a0, a1 = a
+    b0, b1 = b
+    high = (a1 & b1).bit_count()
+    one = (a0 & b0).bit_count() + high
+    alpha = (a0 & b1).bit_count() + (a1 & b0).bit_count() + high
+    return (one & 1) | (alpha & 1) << 1
+
+
+def _gf3_multiples(row: tuple[int, int], lead: int = 1) -> tuple:
+    other = (row[1], row[0])
+    return (None, row, other) if lead == 1 else (None, other, row)
+
+
+# a byte holds one entry of every plane
+_MAX_PLANES = 8
+
+
+class PlaneEngine:
+    """Elimination over GF(3), or GF(2^r) with 2 <= r <= 8, on bit planes.
+
+    A row is a tuple of ints, one per plane, each laid out as packed GF(2)
+    rows are (column j of an ncols-wide row at bit ncols - 1 - j), and
+    plane i holds bit i of every entry.  GF(2^r) entries are the field's
+    ints, so an entry's r bits are its polynomial's coefficients and adding
+    rows XORs their planes.  GF(3) takes two planes, the columns holding 1
+    and those holding 2, added by _gf3_add.  A row's leading column is the
+    top bit of the OR of its planes.
+
+    Each pivot keeps its q - 1 multiples, indexed by their entry at the
+    pivot's column, so a row with value v there is reduced by subtracting
+    the multiple indexed v: one plane subtraction per step, with no field
+    operation.  Over GF(3) the multiples are the pivot and its planes
+    swapped.  Over GF(2^r), multiplying by alpha maps plane i to plane
+    i + 1 and feeds the top plane back along the modulus, and c times a row
+    is the XOR of alpha^i times it over the bits i of c.
+    """
+
+    def __init__(self, field: FieldSpec):
+        self.q = q = field.q
+        self.count = count = 2 if field.p == 3 else field.e
+        self._digits = [
+            bytes.maketrans(bytes(range(256)), bytes(48 + (v >> i & 1) for v in range(256)))
+            for i in range(count)
+        ]
+        if field.p == 3:
+            self.add, self.sub, self.dot, self.multiples = _gf3_add, _gf3_sub, _gf3_dot, _gf3_multiples
+            self.neg = (0, 2, 1)
+            return
+        self.neg = range(q)
+        mul = field.tables()[2]
+        if count == 2:
+            # GF(4) written out on its two planes: x^2 + x + 1 is the one
+            # quadratic modulus, so alpha (lo, hi) is (hi, lo ^ hi) and
+            # alpha^2 (lo, hi) is (lo ^ hi, lo).  The general multiples
+            # below made minrank on perfbench's minrank_gfq 10% slower, the
+            # general add, dot and at (which minrank's solutions use) 5-6%.
+            alpha, alpha2 = mul[2], mul[3]
+
+            def multiples2(row, lead=1):
+                lo, hi = row
+                mults = [None] * 4
+                mults[lead], mults[alpha[lead]], mults[alpha2[lead]] = row, (hi, lo ^ hi), (lo ^ hi, lo)
+                return mults
+
+            self.add = self.sub = _xor2
+            self.multiples, self.dot = multiples2, _gf4_dot
+            return
+        self.add = self.sub = add = _xor
+        # alpha^k for k up to 2r - 2: the dot product sums the parity of
+        # planes i and j of the two rows as the coefficient of alpha^(i + j)
+        powers = [1]
+        while len(powers) < 2 * count - 1:
+            powers.append(mul[2][powers[-1]])
+
+        def dot(a, b):
+            v = 0
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    if (x & y).bit_count() & 1:
+                        v ^= powers[i + j]
+            return v
+
+        self.dot = dot
+        # the modulus's low coefficients, each 0 or -1 (every bit set)
+        feed = [-c for c in field.modulus[:count]]
+
+        def multiples(row, lead=1):
+            powers = [row]
+            for _ in range(1, count):
+                top = row[-1]
+                row = (top & feed[0], *[p ^ (top & f) for p, f in zip(row, feed[1:])])
+                powers.append(row)
+            mults = [None] * q
+            for c in range(1, q):
+                rest = c & (c - 1)
+                power = powers[(c ^ rest).bit_length() - 1]
+                mults[mul[c][lead]] = add(mults[mul[rest][lead]], power) if rest else power
+            return mults
+
+        self.multiples = multiples
+
+    def pack(self, entries: Sequence[int]) -> tuple[int, ...]:
+        data = bytes(entries)
+        return tuple([int(b"0" + data.translate(digits), 2) for digits in self._digits])
+
+    def unpack(self, row: tuple[int, ...], ncols: int) -> tuple[int, ...]:
+        # each plane's bits as bytes: with at most 8 planes their sum, each
+        # shifted by its plane, carries into no other entry's byte
+        total = 0
+        for i, plane in enumerate(row):
+            total |= int.from_bytes(_bit_bytes(plane, ncols), "big") << i
+        return tuple(total.to_bytes(ncols, "big"))
+
+    def sparse(self, rows, width: int, column=None) -> list[tuple[int, ...]]:
+        """Sparse (position, coefficient) rows as planes: position pos at
+        column column[pos] of a width-wide row, or at bit pos when column
+        is None (the last-column-first layout _echelon_kernel takes)."""
+        top, count = width - 1, self.count
+        out = []
+        for row in rows:
+            planes = [0] * count
+            for pos, coeff in row:
+                bit = 1 << (pos if column is None else top - column[pos])
+                i = 0
+                while coeff:
+                    if coeff & 1:
+                        planes[i] |= bit
+                    coeff >>= 1
+                    i += 1
+            out.append(tuple(planes))
+        return out
+
+    def at(self, v: int, bit: int) -> tuple[int, ...]:
+        """The row with v at bit and 0 elsewhere."""
+        if self.count == 2:
+            return (v & 1) << bit, (v >> 1) << bit
+        return tuple([(v >> i & 1) << bit for i in range(self.count)])
+
+    def rank(self, rows, limit: int | None = None, pivots: dict | None = None) -> int | None:
+        """As packed_rank, over rows of planes: pivots are keyed by the
+        bit_length() of their leading column and hold their multiples.
+        Rows of two planes go through rank_cut's elimination: through the
+        loop here the GF(2^2) CNF kernel took 1.5 to 2 times as long at
+        n = 7 and n = 9, d = 8."""
+        if pivots is None:
+            pivots = {}
+        if self.count == 2:
+            for row in rows:
+                if self.rank_cut(row, (0,), -1, limit, pivots) is None:
+                    return None
+            return len(pivots)
+        sub, value, multiples = self.sub, _value, self.multiples
+        for row in rows:
+            while True:
+                occupied = 0
+                for plane in row:
+                    occupied |= plane
+                if not occupied:
+                    break
+                top = occupied.bit_length()
+                v = value(row, top - 1)
+                mults = pivots.get(top)
+                if mults is None:
+                    if len(pivots) == limit:
+                        return None
+                    pivots[top] = multiples(row, v)
+                    break
+                row = sub(row, mults[v])
+        return len(pivots)
+
+    def rank_cut(
+        self, planes: tuple[int, ...], shifts, mask: int, limit: int | None = None, pivots: dict | None = None
+    ) -> int | None:
+        """As rank, of the rows held side by side in planes, each mask wide,
+        at the shifts given, cut as they are inserted.  Over two planes,
+        GF(3) and GF(4), the elimination is written out here: the scans'
+        rank tests are a few rows each, and through rank's loop minrank on
+        perfbench's minrank_gfq took 17% longer."""
+        if pivots is None:
+            pivots = {}
+        if self.count != 2:
+            return self.rank((tuple([plane >> s & mask for plane in planes]) for s in shifts), limit, pivots)
+        gf3, multiples = self.q == 3, self.multiples
+        low, high = planes
+        for s in shifts:
+            lo, hi = low >> s & mask, high >> s & mask
+            while lo | hi:
+                top = (lo | hi).bit_length()
+                t = top - 1
+                v = (lo >> t & 1) | (hi >> t & 1) << 1
+                mults = pivots.get(top)
+                if mults is None:
+                    if len(pivots) == limit:
+                        return None
+                    pivots[top] = multiples((lo, hi), v)
+                    break
+                a, b = mults[v]
+                if gf3:
+                    # _gf3_sub
+                    u = (lo | a) ^ (hi | b)
+                    lo, hi = (hi | a) ^ u, (lo | b) ^ u
+                else:
+                    lo ^= a
+                    hi ^= b
+        return len(pivots)
+
+    def rref(self, rows, ncols: int) -> tuple[list[tuple[int, ...]], list[int]]:
+        """As _packed_rref: the pivot rows, scaled to a leading 1, are
+        back-substituted from the highest pivot column down, and each
+        reduced one keeps its multiples for the rows above it."""
+        pivots: dict = {}
+        self.rank(rows, pivots=pivots)
+        sub, value, multiples = self.sub, _value, self.multiples
+        pivot_bits = sum(1 << (top - 1) for top in pivots)
+        reduced: dict = {}
+        for top in sorted(pivots):
+            row = pivots[top][1]
+            occupied = 0
+            for plane in row:
+                occupied |= plane
+            hits = (occupied & pivot_bits) ^ (1 << (top - 1))
+            while hits:
+                hit = hits.bit_length()
+                row = sub(row, reduced[hit][value(row, hit - 1)])
+                hits ^= 1 << (hit - 1)
+            reduced[top] = multiples(row)
+        order = sorted(reduced, reverse=True)
+        return [reduced[top][1] for top in order], [ncols - top for top in order]
+
+    def kernel(self, rows, ncols: int) -> list[tuple[int, ...]]:
+        """As _table_kernel: one vector per free column, ordered by free
+        column index, -rref[pcol][free] at each pivot column."""
+        rref, pivots = self.rref(rows, ncols)
+        value, neg = _value, self.neg
+        spots = []
+        for prow, pcol in zip(rref, pivots):
+            occupied = 0
+            for plane in prow:
+                occupied |= plane
+            spots.append((occupied, prow, pcol))
+        pivot_set = set(pivots)
+        basis = []
+        for free in range(ncols):
+            if free in pivot_set:
+                continue
+            s = ncols - 1 - free
+            vec = [0] * ncols
+            vec[free] = 1
+            for occupied, prow, pcol in spots:
+                if occupied >> s & 1:
+                    vec[pcol] = neg[value(prow, s)]
+            basis.append(tuple(vec))
+        return basis
 
 
 # -- table-driven elimination over any field ---------------------------------
@@ -225,16 +548,13 @@ def _table_kernel(
     return basis
 
 
-def _echelon_kernel(field: FieldSpec, rows: Sequence, ncols: int, packed: bool = False) -> list:
+def _echelon_kernel(engine, rows: Sequence, ncols: int) -> list[tuple[int, ...]]:
     """Reduced echelon basis of the right kernel, leading columns increasing,
-    of rows laid out last column first: GF(2) rows packed with column j at
-    bit j (as the vectors stay with packed=True), other fields' int lists
-    reversed.  Eliminated from the last column, each free column's vector
-    is 0 left of it, so the free-column basis, reversed, is that form."""
-    if field.q != 2:
-        return [v[::-1] for v in reversed(_table_kernel(field.tables(), rows, ncols))]
-    kernel = packed_kernel_basis(rows, ncols)[::-1]
-    return kernel if packed else [_unpack_row(v, ncols)[::-1] for v in kernel]
+    of rows in the engine's form laid out last column first: column j at
+    bit j (at entry ncols - 1 - j of a table row).  Eliminated from the last
+    column, each free column's vector is 0 left of it, so the free-column
+    basis, reversed, is that form."""
+    return [v[::-1] for v in reversed(engine.kernel(rows, ncols))]
 
 
 def _dense_rows(rows: Iterable[Sequence[tuple[int, int]]], ncols: int) -> list[list[int]]:
@@ -247,19 +567,91 @@ def _dense_rows(rows: Iterable[Sequence[tuple[int, int]]], ncols: int) -> list[l
     return dense
 
 
+# -- one engine per field ----------------------------------------------------
+
+
+class _PackedEngine:
+    """GF(2): each row one int, through the packed functions above."""
+
+    rank = staticmethod(packed_rank)
+    pack = staticmethod(_pack_row)
+
+    @staticmethod
+    def kernel(rows, ncols):
+        return [_unpack_row(v, ncols) for v in packed_kernel_basis(rows, ncols)]
+
+    @staticmethod
+    def sparse(rows, width, column=None):
+        packed = []
+        if column is None:
+            for row in rows:
+                bits = 0
+                for pos, _ in row:
+                    bits |= 1 << pos
+                packed.append(bits)
+            return packed
+        top = width - 1
+        for row in rows:
+            bits = 0
+            for pos, _ in row:
+                bits |= 1 << (top - column[pos])
+            packed.append(bits)
+        return packed
+
+
+class _TableEngine:
+    """Any field, as int lists through its operation tables."""
+
+    def __init__(self, field: FieldSpec):
+        self.tables = field.tables()
+
+    def rank(self, rows, limit=None, pivots=None):
+        return table_rank(self.tables, rows, limit, pivots)
+
+    def kernel(self, rows, ncols):
+        return _table_kernel(self.tables, rows, ncols)
+
+    @staticmethod
+    def pack(entries):
+        return entries
+
+    @staticmethod
+    def sparse(rows, width, column=None):
+        if column is None:
+            column = range(width - 1, -1, -1)
+        return _dense_rows(([(column[pos], coeff) for pos, coeff in row] for row in rows), width)
+
+
+_PACKED = _PackedEngine()
+
+
+@lru_cache(maxsize=None)
+def plane_engine(field: FieldSpec) -> PlaneEngine | None:
+    """The plane engine of GF(3) and of GF(2^r) for 2 <= r <= 8, built
+    once per field; None for every other field."""
+    if field.q == 3 or (field.p == 2 and 2 <= field.e <= _MAX_PLANES):
+        return PlaneEngine(field)
+    return None
+
+
+def _engine(field: FieldSpec):
+    """The elimination for a field: packed for GF(2), planes where
+    plane_engine has them, the operation tables otherwise."""
+    if field.q == 2:
+        return _PACKED
+    return plane_engine(field) or _TableEngine(field)
+
+
 def independent_rows(field: FieldSpec, rows: Iterable[Sequence[int]]) -> list[int]:
     """Indices of the lexicographically first maximal independent set of
-    rows: each row is inserted against the ones kept so far, bit-packed over
-    GF(2) and through FieldSpec.tables() otherwise, and kept when it raises
-    the rank.  For a symmetric matrix these are also the pivot columns of
-    its reduced echelon form."""
-    if field.q == 2:
-        rank, rows = packed_rank, map(_pack_row, rows)
-    else:
-        rank = partial(table_rank, field.tables())
+    rows: each row is inserted, in the field's engine, against the ones
+    kept so far, and kept when it raises the rank.  For a symmetric matrix
+    these are also the pivot columns of its reduced echelon form."""
+    engine = _engine(field)
+    rank = engine.rank
     pivots: dict = {}
     # len(pivots) is read before the row goes in, and rank returns it after
-    return [i for i, row in enumerate(rows) if len(pivots) < rank((row,), pivots=pivots)]
+    return [i for i, row in enumerate(map(engine.pack, rows)) if len(pivots) < rank((row,), pivots=pivots)]
 
 
 def sparse_kernel_basis(
@@ -267,18 +659,10 @@ def sparse_kernel_basis(
 ) -> list[tuple[int, ...]]:
     """Reduced echelon basis of the right kernel of sparse rows, each a
     sequence of (column, nonzero coefficient) pairs the caller has already
-    validated.  Over GF(2) every coefficient is 1 and a row packs straight
-    into an int; other fields eliminate plain int lists.  Same basis as
-    FFMatrix.kernel_basis."""
-    if field.q == 2:
-        packed = []
-        for row in rows:
-            bits = 0
-            for pos, _ in row:
-                bits |= 1 << pos
-            packed.append(bits)
-        return _echelon_kernel(field, packed, ncols)
-    return _echelon_kernel(field, [row[::-1] for row in _dense_rows(rows, ncols)], ncols)
+    validated, eliminated in the field's engine straight from the pairs.
+    Same basis as FFMatrix.kernel_basis."""
+    engine = _engine(field)
+    return _echelon_kernel(engine, engine.sparse(rows, ncols), ncols)
 
 
 def sparse_rank(field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]]) -> int:
@@ -287,17 +671,8 @@ def sparse_rank(field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]]) -> 
     the space."""
     rows = list(rows)
     column = {pos: j for j, pos in enumerate(sorted({pos for row in rows for pos, _ in row}))}
-    if field.q == 2:
-        top = len(column) - 1
-        packed = []
-        for row in rows:
-            bits = 0
-            for pos, _ in row:
-                bits |= 1 << (top - column[pos])
-            packed.append(bits)
-        return packed_rank(packed)
-    rows = [[(column[pos], coeff) for pos, coeff in row] for row in rows]
-    return table_rank(field.tables(), _dense_rows(rows, len(column)))
+    engine = _engine(field)
+    return engine.rank(engine.sparse(rows, len(column), column))
 
 
 class FFMatrix:
@@ -432,10 +807,13 @@ class FFMatrix:
         increasing: each vector has a leading 1, where the others have 0.
         packed=True gives GF(2) vectors as ints, bit j holding column j."""
         if self.field.q == 2:
-            return _echelon_kernel(self.field, [_pack_row(r[::-1]) for r in self.rows], self.ncols, packed)
+            rows = [_pack_row(r[::-1]) for r in self.rows]
+            if packed:
+                return packed_kernel_basis(rows, self.ncols)[::-1]
+            return _echelon_kernel(_PACKED, rows, self.ncols)
         if packed:
             raise PreconditionError("packed vectors only exist over GF(2)")
-        return _echelon_kernel(self.field, [r[::-1] for r in self.rows], self.ncols)
+        return _echelon_kernel(_TableEngine(self.field), [r[::-1] for r in self.rows], self.ncols)
 
     def solve(self, rhs: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of self @ x = rhs (free variables set to zero), or

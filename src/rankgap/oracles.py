@@ -25,7 +25,12 @@ candidates below it, and a node whose solutions are no more hands them
 to a scan that counts up through their coefficients, which visits the
 members in increasing order.  The root's scan holds every member and
 settles every level at once: it stops at the first member of rank r, or
-else returns the least member of least rank.  The winning witness is
+else returns the least member of least rank.  The pass and the scan run
+in one of three systems, as gflinalg eliminates over the field
+(_system): packed ints over GF(2), bit planes over GF(3) and GF(2^r) up
+to r = 8, int lists through the tables otherwise; each hands out
+coefficients that compare as their members do, and all visit the same
+members in the same order.  The winning witness is
 re-ranked from its coordinates (PseudoMomentVector.independent_sets)
 before it is reported, and one from the points is checked against every
 row as well.
@@ -47,7 +52,15 @@ from operator import xor
 from .boolalg import MonomialBasis, SquarefreePoly, basis_make, basis_size, mask_of
 from .errors import BudgetExceededError, InternalConsistencyError, PreconditionError
 from .gfarith import make_field
-from .gflinalg import FFMatrix, _pack_row, _unpack_row, packed_rank, sparse_rank, table_rank
+from .gflinalg import (
+    FFMatrix,
+    _pack_row,
+    _unpack_row,
+    packed_rank,
+    plane_engine,
+    sparse_rank,
+    table_rank,
+)
 from .records import record
 from .subspace import SubspaceSpec, expansion_positions, honest_moment_vector
 from .superposition import MonomialQuadSystem
@@ -384,19 +397,12 @@ class _TableSystem:
             yield tuple(reversed(x))
 
     def scan(self, basis, lo, hi=None):
-        """As _PackedSystem.scan, counting up the combinations' coefficients
-        as base-q digits, first basis vector fastest, through only those
-        whose last nonzero digit is 1: λy has y's rank, and the y with
-        leading coefficient 1 is the least of its multiples.  Each
+        """As _PackedSystem.scan, over the members _count_up visits.  Each
         expansion cell copies one coordinate, so a digit change rewrites
         only the cells of the coordinates its basis vector's member
         touches."""
         tables = self._tables
         add, sub, mul, _ = tables
-        top = self._q - 1
-        # the scale that moves a digit up from each value, and back to 0
-        up = [mul[sub[v + 1][v]] for v in range(top)]
-        down = [mul[sub[0][v]] for v in range(self._q)]
         y = [0] * len(self._kernel[0])
         rows = [[0] * len(prow) for prow in self._positions]
         cells = [[] for _ in y]
@@ -404,38 +410,19 @@ class _TableSystem:
             for j, c in enumerate(prow):
                 cells[c].append((row, j))
         support = [[(c, v) for c, v in enumerate(self.member(b)) if v] for b in basis]
-
-        def move(b, scale):
-            for c, v in support[b]:
-                value = y[c] = add[y[c]][scale[v]]
-                for row, j in cells[c]:
-                    row[j] = value
-
-        digits = [1] + [0] * (len(basis) - 1)
-        move(0, up[0])
-        lead = 0
         best_rank, best = (len(rows) if hi is None else hi) + 1, None
-        while True:
+        for digits, moves in _count_up(self._q, len(basis)):
+            for b, old, new in moves:
+                scale = mul[sub[new][old]]
+                for c, v in support[b]:
+                    value = y[c] = add[y[c]][scale[v]]
+                    for row, j in cells[c]:
+                        row[j] = value
             rank = table_rank(tables, rows, best_rank - 1)
             if rank is not None:
                 best_rank, best = rank, self._combine(digits, basis)
                 if rank == lo:
                     break
-            # digits at the top below the lead wrap to 0 and carry; a carry
-            # into the lead clears it and sets the next digit to 1
-            b = 0
-            while b < lead and digits[b] == top:
-                digits[b] = 0
-                move(b, down[top])
-                b += 1
-            if b == lead:
-                digits[b] = 0
-                move(b, down[1])
-                b = lead = lead + 1
-                if lead == len(basis):
-                    break
-            move(b, up[digits[b]])
-            digits[b] += 1
         return best_rank, best
 
     def _combine(self, coefficients, vectors):
@@ -449,6 +436,173 @@ class _TableSystem:
 
     def member(self, coefficients):
         return self._combine(reversed(coefficients), self._kernel)
+
+
+class _PlaneSystem:
+    """The members over GF(3) and GF(2^r), r <= 8, as gflinalg's rows of
+    bit planes.  An equation on the coefficients is such a row, its column
+    c the coefficient of kernel[c]; coefficients are handed out as
+    _TableSystem hands them out, tuples reversed, so that they compare as
+    their members do.
+
+    For the candidate pass, row i of H is one row of planes over its side
+    cells, cell j holding at columns j·m .. j·m + m - 1 the kernel vectors'
+    values at its coordinate, kept with its multiples: p · M(coefficients)
+    is one plane addition per nonzero p_i, cut into the side equations.
+    The scan holds its member as one row of planes over all side² cells,
+    row i of H at bits (side - 1 - i)·side up, so a digit change is one
+    plane addition of a multiple of its basis vector's expansion, and each
+    rank test runs on the side rows cut from the planes."""
+
+    def __init__(self, field, kernel, positions):
+        self.m = len(kernel)
+        self._engine = plane_engine(field)
+        self._sub = field.tables()[1]
+        self._kernel = kernel
+        self._positions = positions
+        self._products = {}
+
+    @cached_property
+    def _cells(self):
+        engine, m = self._engine, self.m
+        columns = [engine.pack(column) for column in zip(*self._kernel)]
+        shifts = range((len(self._positions) - 1) * m, -1, -m)
+        return [
+            engine.multiples(tuple(
+                sum(plane << s for plane, s in zip(planes, shifts))
+                for planes in zip(*(columns[c] for c in prow))
+            ))
+            for prow in self._positions
+        ]
+
+    @cached_property
+    def _kernel_multiples(self):
+        engine = self._engine
+        return [engine.multiples(engine.pack(vec)) for vec in self._kernel]
+
+    @cached_property
+    def _expansions(self):
+        """Each kernel vector's member, expanded over the side² cells, with
+        its multiples."""
+        engine = self._engine
+        cells = [c for prow in self._positions for c in prow]
+        return [engine.multiples(engine.pack([vec[c] for c in cells])) for vec in self._kernel]
+
+    def products(self, p):
+        """The equations p . M(coefficients) = 0, side by side in one row of
+        planes, built once per vector p."""
+        total = self._products.get(p)
+        if total is None:
+            add = self._engine.add
+            total = (0,) * self._engine.count
+            for cell, v in zip(self._cells, p):
+                if v:
+                    total = add(total, cell[v])
+            self._products[p] = total
+        return total
+
+    def extend(self, pivots, p):
+        """As _PackedSystem.extend, with gflinalg's plane pivots."""
+        pivots, m = dict(pivots), self.m
+        shifts = range((len(self._positions) - 1) * m, -1, -m)
+        if self._engine.rank_cut(self.products(p), shifts, (1 << m) - 1, m - 1, pivots) is None:
+            return None
+        return pivots
+
+    def solutions(self, pivots):
+        """As _TableSystem.solutions, the dot products on planes: for each
+        free column, x[c] = -(pivot row c · x) at each pivot column c left
+        of it, the highest first."""
+        engine, m = self._engine, self.m
+        dot, sub, at, neg = engine.dot, engine.sub, engine.at, engine.neg
+        order = sorted(pivots)
+        for free in range(m):
+            top = m - free
+            if top in pivots:
+                continue
+            x = at(1, top - 1)
+            values = [0] * m
+            values[free] = 1
+            for t in order:
+                if t > top:
+                    v = dot(pivots[t][1], x)
+                    if v:
+                        x = sub(x, at(v, t - 1))
+                        values[m - t] = neg[v]
+            yield tuple(reversed(values))
+
+    def scan(self, basis, lo, hi=None):
+        """As _TableSystem.scan."""
+        engine, sub = self._engine, self._sub
+        add, rank = engine.add, engine.rank_cut
+        side = len(self._positions)
+        steps = [engine.multiples(self._combine(reversed(b), self._expansions)) for b in basis]
+        basis_multiples = [engine.multiples(engine.pack(b)) for b in basis]
+        mask = (1 << side) - 1
+        shifts = range((side - 1) * side, -1, -side)
+        member = (0,) * engine.count
+        best_rank, best = (side if hi is None else hi) + 1, None
+        for digits, moves in _count_up(len(sub), len(basis)):
+            for b, old, new in moves:
+                member = add(member, steps[b][sub[new][old]])
+            ranked = rank(member, shifts, mask, best_rank - 1)
+            if ranked is not None:
+                best_rank, best = ranked, engine.unpack(self._combine(digits, basis_multiples), self.m)
+                if ranked == lo:
+                    break
+        return best_rank, best
+
+    def _combine(self, coefficients, multiples):
+        add = self._engine.add
+        total = (0,) * self._engine.count
+        for v, mults in zip(coefficients, multiples):
+            if v:
+                total = add(total, mults[v])
+        return total
+
+    def member(self, coefficients):
+        combined = self._combine(reversed(coefficients), self._kernel_multiples)
+        return self._engine.unpack(combined, len(self._kernel[0]))
+
+
+def _count_up(q: int, count: int):
+    """The walk of the scans over GF(q): counting up the coefficients of
+    count basis vectors as base-q digits, first basis vector fastest,
+    through only those whose last nonzero digit is 1.  λy has y's rank,
+    and the y with leading coefficient 1 is the least of its multiples.
+    Yields each combination's digits, with the moves (b, old, new) that
+    changed digit b from old to new since the last one."""
+    top = q - 1
+    digits = [1] + [0] * (count - 1)
+    lead = 0
+    moves = [(0, 0, 1)]
+    while True:
+        yield digits, moves
+        # digits at the top below the lead wrap to 0 and carry; a carry
+        # into the lead clears it and sets the next digit to 1
+        moves = []
+        b = 0
+        while b < lead and digits[b] == top:
+            digits[b] = 0
+            moves.append((b, top, 0))
+            b += 1
+        if b == lead:
+            digits[b] = 0
+            moves.append((b, 1, 0))
+            b = lead = lead + 1
+            if lead == count:
+                return
+        moves.append((b, digits[b], digits[b] + 1))
+        digits[b] += 1
+
+
+def _system(field):
+    """The system that searches a field's members, as gflinalg eliminates
+    over the field: packed over GF(2), on planes where it has them, through
+    the tables otherwise."""
+    if field.q == 2:
+        return _PackedSystem
+    return _PlaneSystem if plane_engine(field) else _TableSystem
 
 
 def _candidates(q: int, side: int, k: int, t: int, first: int) -> int:
@@ -646,7 +800,7 @@ def minrank_bruteforce(
         # the systems eliminate from column 0, so they take the rows reversed
         positions = expansion_positions(space.coords, basis_make(space.n, level, space.variant).masks)
         side = len(positions)
-        system = (_PackedSystem if q == 2 else _TableSystem)(field, kernel[::-1], positions)
+        system = _system(field)(field, kernel[::-1], positions)
         least = None
         while least is None:
             best_rank, least = _candidate_pass(system, q, side, best_rank)

@@ -262,36 +262,47 @@ def localizing_rows(coords: MonomialBasis, sources) -> tuple[tuple, tuple]:
     f * x^w = (f * x^inner) * x^outer for inner = w & S and outer = w & ~S,
     and the outer part only ORs onto each term: no two terms meet, none
     cancels, and the terms keep their order.  So f is multiplied once per
-    distinct inner, at most 2^|S| times.  Equal products, as term tuples,
-    share one cache of rows by outer shift across all sources, and a row
-    is ranked only when its (product, outer) pair is new.  A term outside
-    coords makes rank() name the first one in the product's order, the
-    error the plain loop raises."""
-    index, shared, products, out, distinct = coords._rank, {}, {}, [], []
+    distinct inner, at most 2^|S| times.  Each distinct product is split
+    once into its common monomial c, the AND of its terms, and its
+    cofactor g, its terms with c removed, in their order: its row under
+    outer is g's under c | outer, so x^c * g and x^c' * g share a row
+    whenever c | outer = c' | outer'.  A row is ranked only when its
+    (cofactor, c | outer) pair is new.  A source whose shifts all lie in
+    S has no outer part to share, so its products are keyed as they are,
+    c = 0, unfactored: at k = 1 a direct source has the one shift 0.  A
+    term outside coords makes rank() name the first one in the product's
+    order, the error the plain loop raises."""
+    index, shared, factored, by_cofactor, out, distinct = coords._rank, {}, {}, {}, [], []
     for f, shifts in sources:
         own = reduce(int.__or__, f.coeffs, 0)
-        by_inner: dict[int, tuple[tuple, dict]] = {}
+        factor = any(w & ~own for w in shifts)
+        by_inner: dict[int, tuple[int, tuple, dict]] = {}
         for w in shifts:
             inner = w & own
             found = by_inner.get(inner)
             if found is None:
                 terms = tuple(f.shift(inner).coeffs.items())
-                found = by_inner[inner] = terms, products.setdefault(terms, {})
-            terms, rows = found
-            outer = w ^ inner
-            row = rows.get(outer)
+                found = factored.get(terms) if factor else (0, terms, by_cofactor.setdefault(terms, {}))
+                if found is None:
+                    common = reduce(int.__and__, [m for m, _ in terms]) if terms else 0
+                    cofactor = tuple([(m ^ common, c) for m, c in terms])
+                    found = factored[terms] = common, cofactor, by_cofactor.setdefault(cofactor, {})
+                by_inner[inner] = found
+            common, cofactor, rows = found
+            key = common | (w ^ inner)
+            row = rows.get(key)
             if row is None:
                 try:
-                    row = tuple(sorted([(index[m | outer], c) for m, c in terms]))
+                    row = tuple(sorted([(index[m | key], c) for m, c in cofactor]))
                 except KeyError:  # rank() names the term the plain loop meets first
-                    row = tuple(sorted([(coords.rank(m | outer), c) for m, c in terms]))
+                    row = tuple(sorted([(coords.rank(m | key), c) for m, c in cofactor]))
                 seen = shared.get(row)
                 if seen is None:
                     shared[row] = row
                     distinct.append((len(out), row))
                 else:
                     row = seen
-                rows[outer] = row
+                rows[key] = row
             out.append(row)
     return tuple(out), tuple(distinct)
 

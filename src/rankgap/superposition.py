@@ -11,11 +11,12 @@ direct construction shares, writes one row per polynomial and shift
 straight from the sources: a subspace of symmetric matrices in quotient
 coordinates.  It builds each distinct row once: a source is multiplied
 only on its own variables S, at most 2^|S| times (16 for a clause, 4 for
-a booleanity polynomial), and equal products from every source share one
-cache of rows by outer shift, so a row is ranked once per (product, outer
-shift) pair.  8,299 rows at n = 7, m = 30, d = 8 take at most 508
-multiplications, which give 76-85 distinct products and 1,704-1,848
-ranked rows for 816-930 distinct ones on twelve benchmark instances.  It
+a booleanity polynomial).  Each distinct product x^c * g, c the monomial
+all its terms share, keys its rows by its cofactor g and c | outer shift,
+across every source, so a row is ranked once per such pair.  8,299 rows
+at n = 7, m = 30, d = 8 take at most 508 multiplications, which give
+76-85 distinct products and 1,042-1,175 ranked rows for 816-930 distinct
+ones on twelve benchmark instances.  It
 reports where each distinct row first appears, so the space does not walk
 its rows to find them.  The multiplicativity equations cancel identically
 in those coordinates: both sides of u_S*u_T = u_{S union T} land on the

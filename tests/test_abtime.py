@@ -72,3 +72,31 @@ def test_the_class_lines_combine_as_the_benchmark_does():
     assert lines[5] == "per-class medians, geometric mean over classes, as perfbench/run.py combines them"
     assert lines[6].split() == ["reduce", "4.000", "4.000", "+0.0%"]
     assert lines[7].split() == ["pipeline", "4.000", "4.000", "+0.0%"]
+
+
+def test_the_round_lines_apply_the_benchmark_rule():
+    """Rounds of two runs, one per class: class X's reduce times 1, 4, 9
+    and 16 ms and class Y's 1 ms combine to rounds of 1, 2, 3 and 4 ms on
+    side A (median 2.5, interquartile range 2.5); side B takes half the
+    time in three rounds and twice the time in the last.  One round gives
+    no lines."""
+    spec = importlib.util.spec_from_file_location("abtime", ROOT / "tools" / "abtime.py")
+    abtime = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(abtime)
+
+    def outcome(klass, ms):
+        return SimpleNamespace(instance=SimpleNamespace(klass=klass),
+                               seconds={"reduce": ms / 1e3}, pipeline_s=ms / 1e3)
+
+    runs = {"a": [], "b": []}
+    for i, x in enumerate((1, 4, 9, 16)):
+        scale = 2 if i == 3 else 0.5
+        runs["a"] += [outcome("X", x), outcome("Y", 1)]
+        runs["b"] += [outcome("X", x * scale), outcome("Y", scale)]
+    lines = abtime.rounds_table(runs, 2)
+    assert lines[0].split() == ["command", "A", "B", "change", "B", "faster", "A", "IQR"]
+    assert [line.split() for line in lines[1:]] == [
+        ["reduce", "2.500", "1.250", "-50.0%", "3/4", "2.500"],
+        ["pipeline", "2.500", "1.250", "-50.0%", "3/4", "2.500"],
+    ]
+    assert abtime.rounds_table({"a": runs["a"][:2], "b": runs["b"][:2]}, 2) == []

@@ -4,7 +4,8 @@ plain loop returns.
 The plain loop, kept here as the reference, multiplies each source by each
 of its shifts, ranks and sorts every product and then shares equal rows.
 localizing_rows multiplies a source only on its own variables and reuses
-a row whose (product, outer shift) pair it has seen, from any source.
+a row whose (cofactor, common monomial | outer shift) pair it has seen,
+from any product of any source.
 Both must give the
 same rows in the same order, the same sharing of row objects, and the
 same first error on a term outside the coordinates; localizing_rows also
@@ -159,6 +160,35 @@ def test_each_product_and_outer_shift_is_ranked_once(seed, n, m, d):
     bound = sum(len(terms) for terms, _ in pairs)
     every = sum(len(f.shift(w).coeffs) for f, shifts in sources for w in shifts)
     assert bound < every
+    assert localizing_rows(coords, sources) == localizing_rows(plain, sources)
+    assert coords._rank.lookups <= bound
+
+
+@pytest.mark.parametrize("seed, n, m, d", [(0, 4, 10, 4), (1, 5, 16, 5), (2, 6, 24, 6)])
+def test_products_with_one_cofactor_share_their_rows(seed, n, m, d):
+    """x^c * g under the outer shift o gives the row of g under c | o, so
+    the coordinate index is read at most once per term of each distinct
+    (g, c | o) pair, c the monomial all the product's terms share: fewer
+    reads than one per (product, outer shift) pair on these CNFs."""
+    rng = random.Random(seed)
+    clauses = tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(m)
+    )
+    sources = build_constant_free_system(CnfFormula(n=n, clauses=clauses), d).sources
+    plain = basis_make(n, 2 * d, "U")
+    coords = MonomialBasis("U", n, 2 * d, plain.masks)
+    coords._rank = CountingRanks(coords._rank)
+    pairs, cofactors = {}, {}
+    for f, shifts in sources:
+        own = own_variables(f)
+        for w in shifts:
+            terms = tuple(f.shift(w & own).coeffs.items())
+            pairs[terms, w & ~own] = None
+            common = reduce(int.__and__, [mask for mask, _ in terms]) if terms else 0
+            cofactors[tuple((mask ^ common, c) for mask, c in terms), common | (w & ~own)] = None
+    bound = sum(len(terms) for terms, _ in cofactors)
+    assert bound < sum(len(terms) for terms, _ in pairs)
     assert localizing_rows(coords, sources) == localizing_rows(plain, sources)
     assert coords._rank.lookups <= bound
 

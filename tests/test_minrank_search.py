@@ -213,7 +213,7 @@ def routes(monkeypatch):
 
     monkeypatch.setattr(oracles, "_honest_member", counted_points)
     monkeypatch.setattr(oracles, "_candidate_pass", counted_pass)
-    for system in (oracles._PackedSystem, oracles._TableSystem):
+    for system in (oracles._PackedSystem, oracles._PlaneSystem, oracles._TableSystem):
         real_scan = system.scan
 
         def counted_scan(self, basis, lo, hi=None, real_scan=real_scan, name=system.__name__):
@@ -273,16 +273,16 @@ def test_search_matches_scan(routes):
     # workload runs the packed scan, so this is its guard.  The pass's
     # node scans are rare here and reach one outcome per class;
     # test_node_scans_refute_and_the_pass_keeps_its_answer reaches both
-    # outcomes of both classes
+    # outcomes of every class
     assert set(routes) == {
         "points decided",
         "points ruled out",
         "pass decided",
         "pass ruled out",
-        *((name, outcome) for name in ("_PackedSystem", "_TableSystem")
+        *((name, outcome) for name in ("_PackedSystem", "_PlaneSystem", "_TableSystem")
           for outcome in ("stopped early", "walked every member")),
         ("_PackedSystem", "node found none"),
-        ("_TableSystem", "node found a member"),
+        ("_PlaneSystem", "node found a member"),
     }, routes
 
 
@@ -321,20 +321,28 @@ def unsat_direct_space(rng, field, n, m):
 UNSAT_CLASSES = [(2, 1, 5, 6, 12), (3, 1, 3, 2, 10), (3, 1, 4, 4, 4), (2, 2, 3, 2, 10)]
 
 
-def test_node_scans_refute_and_the_pass_keeps_its_answer(routes):
+def test_node_scans_refute_and_the_pass_keeps_its_answer(routes, monkeypatch):
     """On unsat-like direct spaces, nodes of the rank-2 candidate pass
     scan their solutions, and some of those scans find no member of rank
     at most 2; the search must still give the naive minrank and least
-    minimizer."""
-    for p, e, n, m, count in UNSAT_CLASSES:
-        field = make_field(p, e)
-        rng = random.Random(f"node scans/{field.q}/{n}/{m}")
-        for _ in range(count):
-            space = unsat_direct_space(rng, field, n, m)
-            report = oracles.minrank_bruteforce(space)
-            assert (report.minrank, report.witness) == naive_minrank(space, space.d, naive_members(space))
+    minimizer.  The spaces are searched by the system minrank picks, and
+    again with the table system forced on GF(3) and GF(4)."""
+
+    def search():
+        for p, e, n, m, count in UNSAT_CLASSES:
+            field = make_field(p, e)
+            rng = random.Random(f"node scans/{field.q}/{n}/{m}")
+            for _ in range(count):
+                space = unsat_direct_space(rng, field, n, m)
+                report = oracles.minrank_bruteforce(space)
+                assert (report.minrank, report.witness) == naive_minrank(space, space.d, naive_members(space))
+
+    search()
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "_system", lambda field: oracles._PackedSystem if field.q == 2 else oracles._TableSystem)
+        search()
     assert {
-        (name, outcome) for name in ("_PackedSystem", "_TableSystem")
+        (name, outcome) for name in ("_PackedSystem", "_PlaneSystem", "_TableSystem")
         for outcome in ("node found a member", "node found none")
     } <= set(routes), routes
 
@@ -345,7 +353,7 @@ def search_system(space, level):
     field = space.field
     kernel = space.kernel_basis()[::-1]
     positions = expansion_positions(space.coords, basis_make(space.n, level, space.variant).masks)
-    system = (oracles._PackedSystem if field.q == 2 else oracles._TableSystem)(field, kernel, positions)
+    system = oracles._system(field)(field, kernel, positions)
     return system, len(positions)
 
 

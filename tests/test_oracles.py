@@ -17,6 +17,7 @@ from rankgap.oracles import (
     MonomialAssignment,
     PointSet,
     _PackedSystem,
+    _PlaneSystem,
     _TableSystem,
     check_membership,
     minrank_bruteforce,
@@ -305,14 +306,17 @@ def test_minrank_rechecks_its_witness(monkeypatch):
     # every route ends in the re-check.  This GF(3) space has 2 members,
     # no more than its 4 points, so the points do not decide it, and its
     # 13 candidate lines at rank 1 outnumber the members: the scan decides
-    # it.  A scan that calls its member rank 0 is caught.
+    # it.  A scan that calls its member rank 0 is caught, in the plane
+    # system minrank picks over GF(3) and in the table system
     space = build_moment_subspace(parse_quadeq("GF(3)\nx1 + x2\nx1*x2 + 1\nx1 + 1\n"), 1)
     assert space.dimension() == 1
-    real_scan = _TableSystem.scan
-    with monkeypatch.context() as patch:
-        patch.setattr(_TableSystem, "scan", lambda self, *args: (0, real_scan(self, *args)[1]))
-        with pytest.raises(InternalConsistencyError, match="witness"):
-            minrank_bruteforce(space)
+    for system in (_PlaneSystem, _TableSystem):
+        real_scan = system.scan
+        with monkeypatch.context() as patch:
+            patch.setattr(system, "scan", lambda self, *args, real_scan=real_scan: (0, real_scan(self, *args)[1]))
+            patch.setattr(oracles, "_system", lambda field, system=system: system)
+            with pytest.raises(InternalConsistencyError, match="witness"):
+                minrank_bruteforce(space)
     # below level d, the candidate pass decides rank 0 of every space with
     # more than one nonzero member.  At d = 2 this space is y_1 = y_2 =
     # y_12, and a solver that never rules a candidate out calls its least

@@ -19,6 +19,11 @@ mod the number of classes): each side's median time over that class's
 pairs NEW was faster.  A median over every class at once would read the
 share of runs each class has, not a change.  Then one line per command
 combines the class medians as the benchmark does: their geometric mean.
+With two rounds or more, a last table applies the benchmark's rule for a
+claimed gain to rounds, each round's class medians combined as one
+benchmark run combines them: the median over rounds on each side, the
+rounds in which NEW was faster, and the interquartile range of OLD's
+rounds, which a gain must exceed.
 """
 
 from __future__ import annotations
@@ -94,6 +99,26 @@ def table(runs: dict) -> list[str]:
     return lines
 
 
+def rounds_table(runs: dict, per_round: int) -> list[str]:
+    """Per command and for the whole pipeline, each side's rounds of
+    per_round runs combined as class_p50 combines a benchmark run: the
+    median over rounds, the change, the rounds B won and A's interquartile
+    range over rounds.  Empty with fewer than two rounds."""
+    count = len(runs["a"]) // per_round
+    if count < 2:
+        return []
+    lines = [f"{'command':<10}{'A':>10}{'B':>10}{'change':>9}  B faster  A IQR"]
+    for op in [*dict.fromkeys(op for out in runs["a"] for op in out.seconds), "pipeline"]:
+        a, b = ([class_p50(runs[side][i * per_round:(i + 1) * per_round], timing(op))[0]
+                 for i in range(count)] for side in SIDES)
+        ma, mb = statistics.median(a), statistics.median(b)
+        low, _, high = statistics.quantiles(a, n=4)
+        wins = sum(y < x for x, y in zip(a, b))
+        lines.append(f"{op:<10}{ma * 1e3:>10.3f}{mb * 1e3:>10.3f}{(mb / ma - 1) * 100:>+8.1f}%"
+                     f"  {wins}/{count}  {(high - low) * 1e3:.3f}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="source checkout timed as side A")
@@ -134,6 +159,10 @@ def main(argv=None) -> int:
                     runs[side].append(out)
     print(f"{args.workload}: {len(runs['a'])} runs per side, identical outputs; median ms")
     print(*table(runs), sep="\n")
+    rounds = rounds_table(runs, len(instances))
+    if rounds:
+        print("per round, class medians combined as one benchmark run combines them; median over rounds")
+        print(*rounds, sep="\n")
     return 0
 
 
