@@ -217,10 +217,10 @@ def _honest_for_instance(space: SubspaceSpec, bits: tuple[int, ...]) -> PseudoMo
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    text = _read_instance(args.input)
-    space = SubspaceSpec.from_text(text)
     if (args.assignment is None) == (args.vector is None):
         raise PreconditionError("verify needs exactly one of --assignment or --vector")
+    text = _read_instance(args.input)
+    space = SubspaceSpec.from_text(text)
     provenance = {"command": "verify", "instance_sha256": _sha(text)}
     doc: dict = {"provenance": provenance}
     if args.assignment is not None:

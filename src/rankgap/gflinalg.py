@@ -20,13 +20,17 @@ its top bit and bit_length() finds it.  _engine picks the elimination:
   FieldSpec.tables(), pivot rows scaled to a leading 1 (table_rank).
 Each has a rank that stops once it would pass a limit, and a reduced
 echelon form that back-substitutes the pivot rows from the highest pivot
-down.  That form is unique for a row space, so ranks, kernels and
-solutions do not depend on the engine or the order rows arrive in.
+down, a step of its own after the elimination.  That form is unique for a
+row space, so ranks, kernels and solutions do not depend on the engine or
+the order rows arrive in.
 
 FFMatrix is an immutable dense matrix of validated int-encoded entries,
 eliminated packed over GF(2) and through the tables otherwise: the
 reference the other engines are tested against.  sparse_kernel_basis
-takes trusted sparse rows to a kernel without one.  Both return the
+takes trusted sparse rows to a kernel without one, in the two steps
+sparse_pivots (the elimination, whose pivots count the rank) and
+kernel_from_pivots (the back-substitution), so a caller that needs the
+rank first eliminates once either way.  Both return the
 kernel's reduced echelon basis, from one elimination that starts at the
 last column; packed_kernel_basis keeps the free-column basis of the rows
 as given.
@@ -57,12 +61,14 @@ __all__ = [
     "PlaneEngine",
     "RankOneDecomposition",
     "independent_rows",
+    "kernel_from_pivots",
     "symmetric_rank_one_decomposition",
     "rank_descent",
     "packed_rank",
     "packed_kernel_basis",
     "plane_engine",
     "sparse_kernel_basis",
+    "sparse_pivots",
     "sparse_rank",
     "table_rank",
 ]
@@ -101,14 +107,21 @@ def packed_rank(
 
 def _packed_rref(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
+    Rows must have no bits at or above ncols."""
+    return _packed_back_substitute(_packed_pivots(rows), ncols)
 
-    Rows must have no bits at or above ncols.  packed_rank inserts each
-    row against the pivot rows found so far, keyed by their top bit, then
-    the pivot rows are back-substituted from the highest pivot column (the
-    lowest bit) down.
-    """
+
+def _packed_pivots(rows: Iterable[int]) -> dict[int, int]:
+    """The pivot rows packed_rank inserts rows into, from none."""
     pivots: dict[int, int] = {}
     packed_rank(rows, pivots=pivots)
+    return pivots
+
+
+def _packed_back_substitute(pivots: dict[int, int], ncols: int) -> tuple[list[int], list[int]]:
+    """The reduced echelon form of the pivot rows packed_rank inserted,
+    back-substituted from the highest pivot column (the lowest bit) down;
+    (rows, pivot column indices).  pivots is spent."""
     # a pivot row holds no bit above its own top bit, and every pivot row
     # below it is already reduced: one XOR per pivot bit clears it
     pivot_bits = sum(1 << (top - 1) for top in pivots)
@@ -129,7 +142,10 @@ def packed_kernel_basis(rows: Sequence[int], ncols: int) -> list[int]:
     """Right-kernel basis of a packed GF(2) matrix, one packed vector per
     free column, ordered by free column index; vectors are packed as rows
     are, column j at bit ncols - 1 - j."""
-    rref, pivots = _packed_rref(rows, ncols)
+    return _packed_free_kernel(*_packed_rref(rows, ncols), ncols)
+
+
+def _packed_free_kernel(rref: list[int], pivots: list[int], ncols: int) -> list[int]:
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -416,12 +432,20 @@ class PlaneEngine:
                     hi ^= b
         return len(pivots)
 
-    def rref(self, rows, ncols: int) -> tuple[list[tuple[int, ...]], list[int]]:
-        """As _packed_rref: the pivot rows, scaled to a leading 1, are
-        back-substituted from the highest pivot column down, and each
-        reduced one keeps its multiples for the rows above it."""
+    def eliminate(self, rows) -> dict:
+        """The pivots rank inserts rows into, from none."""
         pivots: dict = {}
         self.rank(rows, pivots=pivots)
+        return pivots
+
+    def rref(self, rows, ncols: int) -> tuple[list[tuple[int, ...]], list[int]]:
+        """As _packed_rref."""
+        return self.back_substitute(self.eliminate(rows), ncols)
+
+    def back_substitute(self, pivots: dict, ncols: int) -> tuple[list[tuple[int, ...]], list[int]]:
+        """As _packed_back_substitute: the pivot rows, scaled to a leading
+        1, are back-substituted from the highest pivot column down, and
+        each reduced one keeps its multiples for the rows above it."""
         sub, value, multiples = self.sub, _value, self.multiples
         pivot_bits = sum(1 << (top - 1) for top in pivots)
         reduced: dict = {}
@@ -440,9 +464,13 @@ class PlaneEngine:
         return [reduced[top][1] for top in order], [ncols - top for top in order]
 
     def kernel(self, rows, ncols: int) -> list[tuple[int, ...]]:
-        """As _table_kernel: one vector per free column, ordered by free
-        column index, -rref[pcol][free] at each pivot column."""
-        rref, pivots = self.rref(rows, ncols)
+        """As _table_kernel."""
+        return self.pivot_kernel(self.eliminate(rows), ncols)
+
+    def pivot_kernel(self, pivots: dict, ncols: int) -> list[tuple[int, ...]]:
+        """As _table_pivot_kernel: one vector per free column, ordered by
+        free column index, -rref[pcol][free] at each pivot column."""
+        rref, pivots = self.back_substitute(pivots, ncols)
         value, neg = _value, self.neg
         spots = []
         for prow, pcol in zip(rref, pivots):
@@ -506,14 +534,25 @@ def table_rank(
 def _table_rref(
     tables: Sequence, rows: Iterable[Sequence[int]]
 ) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    return _table_back_substitute(tables, _table_pivots(tables, rows))
 
-    The inserted pivot rows are back-substituted from the highest pivot
-    down: every pivot row above the current one is already reduced, so
-    one subtraction per pivot column clears it.
-    """
+
+def _table_pivots(tables: Sequence, rows: Iterable[Sequence[int]]) -> dict[int, list[int]]:
+    """The pivot rows table_rank inserts rows into, from none."""
     pivots: dict[int, list[int]] = {}
     table_rank(tables, rows, pivots=pivots)
+    return pivots
+
+
+def _table_back_substitute(
+    tables: Sequence, pivots: dict[int, list[int]]
+) -> tuple[list[list[int]], list[int]]:
+    """The reduced echelon form of the pivot rows table_rank inserted,
+    back-substituted from the highest pivot down: every pivot row above
+    the current one is already reduced, so one subtraction per pivot
+    column clears it.  Returns (rows, pivot column indices); pivots is
+    spent."""
     _, sub, mul, _ = tables
     order = sorted(pivots)
     for k, col in reversed(list(enumerate(order))):
@@ -532,7 +571,15 @@ def _table_kernel(
 ) -> list[tuple[int, ...]]:
     """Right kernel, one basis vector per free column of the reduced
     echelon form, ordered by free column index."""
-    rref, pivots = _table_rref(tables, rows)
+    return _table_pivot_kernel(tables, _table_pivots(tables, rows), ncols)
+
+
+def _table_pivot_kernel(
+    tables: Sequence, pivots: dict[int, list[int]], ncols: int
+) -> list[tuple[int, ...]]:
+    """_table_kernel of the rows table_rank inserted into pivots, which
+    is spent."""
+    rref, pivots = _table_back_substitute(tables, pivots)
     _, sub, _, _ = tables
     pivot_set = set(pivots)
     basis = []
@@ -548,13 +595,14 @@ def _table_kernel(
     return basis
 
 
-def _echelon_kernel(engine, rows: Sequence, ncols: int) -> list[tuple[int, ...]]:
+def _echelon_kernel(engine, pivots: dict, ncols: int) -> list[tuple[int, ...]]:
     """Reduced echelon basis of the right kernel, leading columns increasing,
-    of rows in the engine's form laid out last column first: column j at
-    bit j (at entry ncols - 1 - j of a table row).  Eliminated from the last
-    column, each free column's vector is 0 left of it, so the free-column
-    basis, reversed, is that form."""
-    return [v[::-1] for v in reversed(engine.kernel(rows, ncols))]
+    of the rows engine.eliminate gave pivots for, which this spends, laid
+    out last column first: column j at bit j (at entry ncols - 1 - j of a
+    table row).  Eliminated from the last column, each free column's
+    vector is 0 left of it, so the free-column basis, reversed, is that
+    form."""
+    return [v[::-1] for v in reversed(engine.pivot_kernel(pivots, ncols))]
 
 
 def _dense_rows(rows: Iterable[Sequence[tuple[int, int]]], ncols: int) -> list[list[int]]:
@@ -575,10 +623,12 @@ class _PackedEngine:
 
     rank = staticmethod(packed_rank)
     pack = staticmethod(_pack_row)
+    eliminate = staticmethod(_packed_pivots)
 
     @staticmethod
-    def kernel(rows, ncols):
-        return [_unpack_row(v, ncols) for v in packed_kernel_basis(rows, ncols)]
+    def pivot_kernel(pivots, ncols):
+        rref, columns = _packed_back_substitute(pivots, ncols)
+        return [_unpack_row(v, ncols) for v in _packed_free_kernel(rref, columns, ncols)]
 
     @staticmethod
     def sparse(rows, width, column=None):
@@ -608,8 +658,11 @@ class _TableEngine:
     def rank(self, rows, limit=None, pivots=None):
         return table_rank(self.tables, rows, limit, pivots)
 
-    def kernel(self, rows, ncols):
-        return _table_kernel(self.tables, rows, ncols)
+    def eliminate(self, rows):
+        return _table_pivots(self.tables, rows)
+
+    def pivot_kernel(self, pivots, ncols):
+        return _table_pivot_kernel(self.tables, pivots, ncols)
 
     @staticmethod
     def pack(entries):
@@ -654,15 +707,29 @@ def independent_rows(field: FieldSpec, rows: Iterable[Sequence[int]]) -> list[in
     return [i for i, row in enumerate(map(engine.pack, rows)) if len(pivots) < rank((row,), pivots=pivots)]
 
 
+def sparse_pivots(field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]], ncols: int) -> dict:
+    """The pivot rows of sparse rows, each a sequence of (column, nonzero
+    coefficient) pairs the caller has already validated, eliminated once
+    in the field's engine straight from the pairs, laid out last column
+    first as the kernel's reduced echelon form needs.  Their number is the
+    rows' rank; kernel_from_pivots goes on to the kernel from them."""
+    engine = _engine(field)
+    return engine.eliminate(engine.sparse(rows, ncols))
+
+
+def kernel_from_pivots(field: FieldSpec, pivots: dict, ncols: int) -> list[tuple[int, ...]]:
+    """Reduced echelon basis of the right kernel of the rows sparse_pivots
+    eliminated into pivots, by back-substituting them; pivots is spent."""
+    return _echelon_kernel(_engine(field), pivots, ncols)
+
+
 def sparse_kernel_basis(
     field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]], ncols: int
 ) -> list[tuple[int, ...]]:
-    """Reduced echelon basis of the right kernel of sparse rows, each a
-    sequence of (column, nonzero coefficient) pairs the caller has already
-    validated, eliminated in the field's engine straight from the pairs.
-    Same basis as FFMatrix.kernel_basis."""
-    engine = _engine(field)
-    return _echelon_kernel(engine, engine.sparse(rows, ncols), ncols)
+    """Reduced echelon basis of the right kernel of validated sparse rows:
+    sparse_pivots, then kernel_from_pivots.  Same basis as
+    FFMatrix.kernel_basis."""
+    return kernel_from_pivots(field, sparse_pivots(field, rows, ncols), ncols)
 
 
 def sparse_rank(field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]]) -> int:
@@ -810,10 +877,11 @@ class FFMatrix:
             rows = [_pack_row(r[::-1]) for r in self.rows]
             if packed:
                 return packed_kernel_basis(rows, self.ncols)[::-1]
-            return _echelon_kernel(_PACKED, rows, self.ncols)
+            return _echelon_kernel(_PACKED, _PACKED.eliminate(rows), self.ncols)
         if packed:
             raise PreconditionError("packed vectors only exist over GF(2)")
-        return _echelon_kernel(_TableEngine(self.field), [r[::-1] for r in self.rows], self.ncols)
+        engine = _TableEngine(self.field)
+        return _echelon_kernel(engine, engine.eliminate([r[::-1] for r in self.rows]), self.ncols)
 
     def solve(self, rhs: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of self @ x = rhs (free variables set to zero), or

@@ -62,4 +62,4 @@ def build_moment_subspace(
     if d != k:
         base["degree_override"] = True
     base.update(provenance or {})
-    return SubspaceSpec._seeded(distinct, src.field, "V", src.n, d, rows, base)
+    return SubspaceSpec._seeded({"distinct_rows": distinct}, src.field, "V", src.n, d, rows, base)

@@ -38,8 +38,10 @@ row as well.
 Budgets are hard limits: when an enumeration would exceed one, the answer
 is a refusal (BudgetExceededError), not a subsample.  check_kernel_budget
 holds the rule for minrank, which applies it twice before it hashes the
-space: to the coordinates its rows leave free, before the kernel or any
-basis is built, and then to the kernel itself.
+space: to the coordinates its rows leave free, before the rows are
+eliminated or any basis is built, and then to the coordinates less the
+rank, after the one elimination of the distinct rows and before the
+kernel is formed from it.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .gflinalg import (
     _unpack_row,
     packed_rank,
     plane_engine,
+    sparse_pivots,
     sparse_rank,
     table_rank,
 )
@@ -745,8 +748,11 @@ def minrank_bruteforce(
     outnumber its distinct rows by more than the budget allows is refused
     before its kernel or any basis is built, since a row and its repeats
     take at most one dimension off the kernel; the refusal names the exact
-    dimension all the same.  Otherwise every one of the q^m - 1 nonzero
-    members is decided, and enumerated counts them.
+    dimension all the same.  Otherwise the distinct rows are eliminated
+    once (gflinalg.sparse_pivots): the rank alone decides the refusal, and
+    only a kernel within the budget is back-substituted from the same
+    pivots.  Then every one of the q^m - 1 nonzero members is decided, and
+    enumerated counts them.
     Ranks r are decided in turn, from 0 below level d and from 1 at it,
     where only the zero vector has rank 0.  At level d, in V and in U over
     GF(2), rank one goes to _honest_member when the points are fewer than
@@ -772,9 +778,10 @@ def minrank_bruteforce(
     ncoords = space.coord_count
     rows = [row for _, row in space.distinct_rows]
     check_kernel_budget(q, ncoords - len(rows), budget, lambda: ncoords - sparse_rank(field, rows))
-    kernel = space.kernel_basis()
-    m = len(kernel)
+    pivots = sparse_pivots(field, rows, ncoords)
+    m = ncoords - len(pivots)
     check_kernel_budget(q, m, budget)
+    kernel = space.kernel_basis(pivots)
     digest = subspace_digest(space)
     if m == 0:
         return MinrankReport("empty", digest, 0, 0)

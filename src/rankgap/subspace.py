@@ -32,7 +32,11 @@ rows that mostly repeat, by parsing each distinct row text once
 (_canonical_parts).
 It accepts the text only when writing back what it parsed gives the text
 byte for byte, so it holds what json.loads would have read; every other
-text goes through json.loads and from_json.
+text goes through json.loads and from_json.  A space read that way keeps
+the text and the parsed row of each distinct row text, and builds its
+rows tuple on first read (SubspaceSpec.rows): membership, the kernel and
+descend read only distinct_rows, so verify, minrank and descend never
+build it.
 expansion_positions lays out H(y) cell by cell, and every rank of an H(y)
 is the number of labels PseudoMomentVector.independent_sets returns, read
 from only the sets inside the union of y's support.  honest_moment_vector
@@ -44,13 +48,13 @@ from __future__ import annotations
 import json
 import marshal
 import re
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import accumulate, chain
 
 from .boolalg import MonomialBasis, basis_make, basis_size, format_monomial, indices_of
 from .errors import ParseError, PreconditionError
 from .gfarith import FieldSpec, format_field, parse_field_descriptor
-from .gflinalg import FFMatrix, _dense_rows, independent_rows, sparse_kernel_basis
+from .gflinalg import FFMatrix, _dense_rows, independent_rows, kernel_from_pivots, sparse_pivots
 from .records import record, uncompared
 
 __all__ = [
@@ -172,15 +176,38 @@ def _read_rows(texts, layout: _Layout) -> list:
     return list(map(pairs.__getitem__, map(slice, bounds, bounds[1:])))
 
 
+def _row_texts(text, layout: _Layout, body: int, tail: int) -> list | None:
+    """Each row text of a text in to_text's layout, but its "[": the pieces
+    of one split on the separator, the head, which ends at body, trimmed
+    off the first and the tail, its last tail characters, off the last.
+    None when a separator falls in the head or the tail."""
+    pieces = layout.split(text)
+    if len(pieces[0]) < body or len(pieces[-1]) < tail:
+        return None
+    pieces[0] = pieces[0][body + 1 :]
+    pieces[-1] = pieces[-1][:-tail]
+    return pieces
+
+
+def _rows_of(text, body: int, tail: int, parsed: dict) -> tuple:
+    """The rows of a text _canonical_parts accepted, from its row texts
+    split again and parsed, the dict from each distinct one to its row."""
+    return tuple(map(parsed.__getitem__, _row_texts(text, _LAYOUTS[type(text)], body, tail)))
+
+
 def _canonical_parts(text):
     """(head, rows, distinct_rows) of a document laid out exactly as to_text
-    writes one, else None.  Equal row texts share one tuple, and each
-    distinct one is parsed once; for such texts, equal text means equal
-    marshal bytes, as in _shared_rows.  A text is accepted only when
-    writing back what was parsed gives it byte for byte: the head through
-    json.dumps, the distinct rows through _row_layout.  The text is then
-    json.dumps of the parsed document, so json.loads would have returned
-    that same document.
+    writes one, else None.  rows is a function that gives the rows:
+    SubspaceSpec.rows calls it only when it is first read, and until then
+    it holds the text and the dict from each distinct row text to its row,
+    not the 8,299 row texts of an n = 7 CNF instance, which kept alive
+    through a command raised the benchmark's peak RSS by 0.6 MB.  Equal
+    row texts share one tuple, and each distinct one is parsed once; for
+    such texts, equal text means equal marshal bytes, as in _shared_rows.
+    A text is accepted only when writing back what was parsed gives it
+    byte for byte: the head through json.dumps, the distinct rows through
+    _row_layout.  The text is then json.dumps of the parsed document, so
+    json.loads would have returned that same document.
 
     The text is str or bytes, as the CLI reads an ASCII instance file, and
     the layout is looked for in its type (_LAYOUTS).  It is split once on
@@ -218,12 +245,10 @@ def _canonical_parts(text):
         if at < 0:
             return None
         at += len(sep)
-    pieces = layout.split(text)
     tail = len(text) - end
-    if len(pieces[0]) < body or len(pieces[-1]) < tail:
-        return None  # a separator in the head or the tail
-    pieces[0] = pieces[0][body + 1 :]  # each row text but its "["
-    pieces[-1] = pieces[-1][:-tail]
+    pieces = _row_texts(text, layout, body, tail)
+    if pieces is None:
+        return None
     first = dict.fromkeys(pieces)
     if 2 * len(first) > len(pieces):
         return None
@@ -246,8 +271,7 @@ def _canonical_parts(text):
     except (ValueError, TypeError, OverflowError, RecursionError):
         return None
     first.update(zip(texts, distinct))
-    rows = tuple(map(first.__getitem__, pieces))
-    return head, rows, tuple(zip(starts, distinct))
+    return head, partial(_rows_of, text, body, tail, first), tuple(zip(starts, distinct))
 
 
 def localizing_rows(coords: MonomialBasis, sources) -> tuple[tuple, tuple]:
@@ -442,6 +466,18 @@ class SubspaceSpec:
         _check_rows(self.field, self.distinct_rows, self.coord_count)
 
     @cached_property
+    def rows(self) -> tuple:
+        """The rows of a space from_text read by the canonical route, built
+        on first read by the function _canonical_parts gave, which is then
+        let go: the same rows, shared the same way, as a given tuple.
+        Loading leaves them out since verify, minrank and descend read only
+        distinct_rows.  Any other space is given its rows."""
+        build = self.__dict__.pop("_build_rows", None)
+        if build is None:
+            raise TypeError("SubspaceSpec() missing argument 'rows'")
+        return build()
+
+    @cached_property
     def distinct_rows(self) -> tuple:
         """(index of first appearance, row) for each distinct row object, in
         order.  Identity, not ==, tells rows apart, since 1.0 and True equal 1.
@@ -479,9 +515,9 @@ class SubspaceSpec:
     def membership_violation(self, values) -> int | None:
         """Index of the first constraint row a coordinate vector violates,
         or None for members."""
-        values = self._validated(values)
-        for k, _ in self.distinct_rows:
-            if self.row_value(k, values):
+        values, field = self._validated(values), self.field
+        for k, row in self.distinct_rows:
+            if _row_value(field, row, values):
                 return k
         return None
 
@@ -559,14 +595,25 @@ class SubspaceSpec:
         ncols = self.coord_count
         return FFMatrix(self.field, _dense_rows(self.rows, ncols), ncols)
 
-    def kernel_basis(self) -> list[tuple[int, ...]]:
+    def _pivots(self) -> dict:
+        """gflinalg.sparse_pivots of the validated rows, each distinct row
+        once, in first-seen order: one elimination, its size the rank."""
+        return sparse_pivots(self.field, (r for _, r in self.distinct_rows), self.coord_count)
+
+    def kernel_basis(self, pivots: dict | None = None) -> list[tuple[int, ...]]:
         """The subspace's reduced echelon basis, leading coordinates
-        increasing, from one elimination of the validated rows, each
-        distinct row once, in first-seen order."""
-        return sparse_kernel_basis(self.field, (r for _, r in self.distinct_rows), self.coord_count)
+        increasing, back-substituted from the elimination of its distinct
+        rows: pivots, when a caller that needed the rank first made it with
+        gflinalg.sparse_pivots over distinct_rows, which this spends, else
+        a new one."""
+        if pivots is None:
+            pivots = self._pivots()
+        return kernel_from_pivots(self.field, pivots, self.coord_count)
 
     def dimension(self) -> int:
-        return len(self.kernel_basis())
+        """coord_count less the rank of the rows, from the elimination alone:
+        no back-substitution and no kernel vector."""
+        return self.coord_count - len(self._pivots())
 
     # -- instance files --
 
@@ -621,9 +668,10 @@ class SubspaceSpec:
         return cls._from_doc(doc, lambda: tuple(_shared_rows(doc["rows"])))
 
     @classmethod
-    def _from_doc(cls, doc: dict, read_rows, distinct_rows=None) -> "SubspaceSpec":
+    def _from_doc(cls, doc: dict, read_rows, seed: dict | None = None) -> "SubspaceSpec":
         """from_json, with the rows from read_rows(), called where from_json
-        reads them, and distinct_rows, when given, as that property's value."""
+        reads them, and seed as _seeded takes it.  When read_rows() gives
+        None, the rows are left out, for seed to build."""
         try:
             if doc.get("format") != "subspace":
                 raise ParseError(f"not a subspace document: format={doc.get('format')!r}")
@@ -651,17 +699,21 @@ class SubspaceSpec:
                     f"{key} says {value}, the ({variant}, n={n}, d={d}) "
                     f"families give {size}"
                 )
-        return cls._seeded(distinct_rows, field, variant, n, d, rows, provenance)
+        if rows is None:
+            return cls._seeded(seed, field, variant, n, d, provenance=provenance)
+        return cls._seeded(seed, field, variant, n, d, rows, provenance)
 
     @classmethod
-    def _seeded(cls, distinct_rows, *fields) -> "SubspaceSpec":
-        """cls(*fields), with distinct_rows, when given, as that property's
-        value: the first appearances a loader or builder saw as it shared
-        the rows."""
+    def _seeded(cls, seed: dict | None, *fields, **named) -> "SubspaceSpec":
+        """cls(*fields, **named), with seed's entries in the space before
+        __init__ checks the rows: distinct_rows, the first appearances a
+        loader or builder saw as it shared the rows, and, for a space whose
+        rows are left out, _build_rows, what the rows property builds them
+        with."""
         space = cls.__new__(cls)
-        if distinct_rows is not None:  # seen before __init__ checks the rows
-            space.__dict__["distinct_rows"] = distinct_rows
-        space.__init__(*fields)
+        if seed:
+            space.__dict__.update(seed)
+        space.__init__(*fields, **named)
         return space
 
     @classmethod
@@ -676,7 +728,7 @@ class SubspaceSpec:
         parts = _canonical_parts(text)
         if parts is not None:
             head, rows, distinct = parts
-            return cls._from_doc(head, lambda: rows, distinct)
+            return cls._from_doc(head, lambda: None, {"distinct_rows": distinct, "_build_rows": rows})
         try:
             doc = json.loads(text.decode() if type(text) is bytes else text)
         except ValueError as exc:  # bad UTF-8 or syntax, or an integer too long to read

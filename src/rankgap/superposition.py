@@ -321,7 +321,7 @@ def build_matrix_subspace(
         "multiplicativity_cancelled": len(quad.multiplicativity),
     }
     base.update(provenance or {})
-    return SubspaceSpec._seeded(distinct, field, "U", n, d, rows, base)
+    return SubspaceSpec._seeded({"distinct_rows": distinct}, field, "U", n, d, rows, base)
 
 
 # -- soundness-facing utilities ----------------------------------------------

@@ -247,6 +247,20 @@ def test_verify_needs_exactly_one_mode(tmp_path, capsys):
     assert code == 2 and "exactly one" in err
 
 
+@pytest.mark.parametrize("modes", [(), ("--assignment", "1,1", "--vector", "member.vec")],
+                         ids=["neither", "both"])
+@pytest.mark.parametrize("present", [True, False], ids=["instance", "missing instance"])
+def test_verify_checks_its_flags_before_it_reads_the_instance(tmp_path, capsys, modes, present):
+    """Neither or both of --assignment and --vector is refused with the
+    same message and exit code whether or not --input names a file."""
+    inst = instance(tmp_path, capsys) if present else str(tmp_path / "missing.json")
+    write(tmp_path, "member.vec", "0,0,0,0")
+    argv = [arg if arg != "member.vec" else str(tmp_path / arg) for arg in modes]
+    assert run(capsys, "verify", "--input", inst, *argv) == (
+        2, "", "error: verify needs exactly one of --assignment or --vector\n"
+    )
+
+
 # -- minrank ------------------------------------------------------------------
 
 

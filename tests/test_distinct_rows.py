@@ -19,11 +19,11 @@ from hypothesis import given, settings, strategies as st
 import rankgap.gflinalg
 from rankgap.boolalg import SquarefreePoly, basis_make, basis_size
 from rankgap.cli import main
-from rankgap.errors import ParseError, PreconditionError
+from rankgap.errors import BudgetExceededError, ParseError, PreconditionError
 from rankgap.frontends import CnfFormula, QuadSystemSource
 from rankgap.gfarith import make_field
 from rankgap.moment import build_moment_subspace
-from rankgap.oracles import check_membership
+from rankgap.oracles import check_membership, minrank_bruteforce
 from rankgap.subspace import SubspaceSpec
 from rankgap.superposition import (
     build_constant_free_system,
@@ -41,10 +41,10 @@ json_values = st.recursive(
 
 
 @st.composite
-def spaces(draw):
-    """A space of up to 40 rows, each drawn from a pool of at most four
-    rows and the empty row, with JSON provenance."""
-    field = draw(st.sampled_from(FIELDS))
+def spaces(draw, fields=FIELDS):
+    """A space over one of fields of up to 40 rows, each drawn from a pool
+    of at most four rows and the empty row, with JSON provenance."""
+    field = draw(st.sampled_from(fields))
     variant = draw(st.sampled_from("UV"))
     n, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     ncoords = basis_size(n, 2 * d, variant)
@@ -262,3 +262,43 @@ def test_handed_over_first_appearances_include_the_empty_row(build):
         space = build_matrix_subspace(build_monomial_quad_system(system))
     assert () in space.rows
     assert_handed_over_as_walked(space)
+
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_minrank_inserts_each_distinct_row_once(field, data):
+    """minrank eliminates the distinct rows once, whether the lower bound
+    refuses, the rank refuses or the search runs: the rows the field's
+    engine is handed are the distinct rows, each once, in order."""
+    space = data.draw(spaces([field]))
+    distinct = [row for _, row in space.distinct_rows]
+    members = field.q ** space.dimension()
+    engine = rankgap.gflinalg._engine
+    for budget in (1, members) if members <= 1 << 10 else (1,):
+        handed = []
+
+        class Counting:
+            def __init__(self, field):
+                self.real = engine(field)
+
+            def __getattr__(self, name):
+                return getattr(self.real, name)
+
+            def sparse(self, rows, *args):
+                rows = list(rows)
+                handed.extend(rows)
+                return self.real.sparse(rows, *args)
+
+        rankgap.gflinalg._engine = Counting
+        try:
+            report = minrank_bruteforce(space, budget=budget)
+        except BudgetExceededError:
+            report = None
+        finally:
+            rankgap.gflinalg._engine = engine
+        assert handed == distinct
+        assert (report is None) == (budget < members)
+        if report is not None:
+            assert report.kernel_dimension == space.coord_count - space.dense_rows().rank()

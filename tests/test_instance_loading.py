@@ -10,9 +10,13 @@ shared the same way and the same distinct_rows, or the same exception
 type and message.
 """
 
+import contextlib
+import io
 import json
+import os
 import random
 import re
+import tempfile
 import tracemalloc
 
 import pytest
@@ -24,7 +28,7 @@ from rankgap.cli import main
 from rankgap.errors import ParseError
 from rankgap.frontends import CnfFormula
 from rankgap.gfarith import make_field
-from rankgap.subspace import SubspaceSpec
+from rankgap.subspace import SubspaceSpec, honest_moment_vector
 from rankgap.superposition import (
     build_constant_free_system,
     build_matrix_subspace,
@@ -420,3 +424,81 @@ def test_writing_and_reading_a_cnf_instance_keep_their_memory_bounds():
     assert len(space.rows) == 8299 and loaded == space
     assert written < 2.0 * len(text)
     assert read - held < 2.4 * len(text)
+
+
+def reduce_cnf(n, clauses, field="GF(2)"):
+    """The instance text reduce writes for a CNF over n variables."""
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
+        src, out = os.path.join(work, "f.cnf"), os.path.join(work, "f.json")
+        with open(src, "w") as handle:
+            handle.write(f"p cnf {n} {len(clauses)}\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses))
+        assert main(["reduce", "--mode", "superposition", "--field", field, "--input", src, "--output", out]) == 0
+        with open(out, "rb") as handle:
+            return handle.read()
+
+
+@st.composite
+def cnf_instances(draw):
+    """reduce's text for 1 to 4 clauses of 1 to 3 literals over n = 3 or 4
+    variables, over GF(2) or GF(2^2)."""
+    n = draw(st.integers(3, 4))
+    clause = st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True).flatmap(
+        lambda vs: st.tuples(*[st.sampled_from((v, -v)) for v in vs])
+    )
+    return reduce_cnf(n, draw(st.lists(clause, min_size=1, max_size=4)), draw(st.sampled_from(["GF(2)", "GF(2^2)"])))
+
+
+def first_reads(load, text):
+    """What each reader of a space shows when it is the first to read a
+    space freshly loaded from text, or the load's error."""
+    try:
+        load(text)
+    except Exception as exc:  # the type and message are what is compared
+        return ("error", type(exc), str(exc))
+    first = [(k, row, row is space.rows[k]) for space in [load(text)] for k, row in space.distinct_rows]
+    return (hash(load(text)), repr(load(text)), load(text).rows, sharing(load(text)), first,
+            load(text).distinct_rows, load(text).to_text(), load(text).to_json())
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(cnf_instances(), st.data())
+def test_a_cnf_instance_builds_its_rows_on_first_read_as_the_reference_loads_them(written, data):
+    """A reduce-written CNF text takes the canonical route and leaves its
+    rows to be built; whichever reader comes first, ==, hash, repr, the
+    rows, their sharing, the first appearances, to_text and to_json are
+    what the json.loads route gives, on the text and on its mutations."""
+    assert rankgap.subspace._canonical_parts(written) is not None
+    assert "rows" not in SubspaceSpec.from_text(written).__dict__
+    text = written.decode()
+    for _ in range(data.draw(st.integers(0, 2))):
+        text = data.draw(st.sampled_from(MUTATORS))(text, data.draw)
+    for loaded in (text, text.encode()):
+        got = first_reads(SubspaceSpec.from_text, loaded)
+        assert got == first_reads(reference_from_text, text)
+        if got[0] != "error":
+            assert SubspaceSpec.from_text(loaded) == reference_from_text(text)
+            assert reference_from_text(text) == SubspaceSpec.from_text(loaded)
+
+
+def test_verify_minrank_and_descend_never_build_the_row_list(tmp_path, monkeypatch, capsys):
+    """On a reduce-written CNF instance, verify --assignment, minrank
+    --budget 1 and descend --instance read only the distinct rows: the
+    property that builds the full row list is never called."""
+    written = reduce_cnf(4, [(1, 2, -3), (-1, 3, 4), (2, -4), (-2, 3, -4)])
+    inst, member = tmp_path / "f.json", tmp_path / "member.mat"
+    inst.write_bytes(written)
+    space = SubspaceSpec.from_text(written)
+    honest = honest_moment_vector(space.field, (1, 1, 1, 1, 1), 4, 2 * space.d, "U")
+    member.write_text(space.expand(honest.values).to_text())
+    prop = SubspaceSpec.__dict__["rows"]
+    built = []
+    build = prop.func
+    monkeypatch.setattr(prop, "func", lambda space: built.append(space) or build(space))
+    assert main(["verify", "--input", str(inst), "--assignment", "1,1,1,1"]) == 0
+    assert main(["minrank", "--input", str(inst), "--budget", "1"]) == 3
+    assert main(["descend", "--input", str(member), "--instance", str(inst)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("member, rank 1\n") and err.startswith("error: kernel dimension ")
+    assert built == []
+    loaded = SubspaceSpec.from_text(written)
+    assert loaded.rows == reference_from_text(written).rows and built == [loaded]

@@ -1,6 +1,8 @@
 """The record decorator: construction, equality, hashing, repr and
 immutability of the package's value classes."""
 
+from functools import cached_property
+
 import pytest
 
 from rankgap import subspace
@@ -132,3 +134,53 @@ def test_defaults_factories_and_post_init_of_a_new_record():
     assert repr(Pair(1, tags=["x"])) == "Pair(left=1, right=0, tags=['x'])"
     with pytest.raises(ValueError, match="left must be non-negative"):
         Pair(-1)
+
+
+@record
+class Resolved:
+    left: int
+    right: tuple
+    tags: list = uncompared(list)
+
+    @cached_property
+    def right(self):
+        return (self.left,) * 2
+
+
+def test_a_field_resolved_on_first_read_compares_hashes_and_prints_as_one_given():
+    """A field left to its cached_property is computed by the first read,
+    whichever of ==, hash, repr or an attribute read that is, and stored
+    as a given field is; given, it is taken as it is."""
+    given = Resolved(3, (3, 3))
+    firsts = [
+        lambda r: r == given,
+        lambda r: given == r,
+        lambda r: hash(r) == hash(given),
+        lambda r: repr(r) == repr(given) == "Resolved(left=3, right=(3, 3), tags=[])",
+        lambda r: r.right == (3, 3),
+    ]
+    for first in firsts:
+        left_out = Resolved(3)
+        assert "right" not in left_out.__dict__
+        assert first(left_out)
+        assert left_out.__dict__["right"] == (3, 3)
+    assert Resolved(left=3, tags=["x"]) == given and len({Resolved(3), given}) == 1
+    assert Resolved(3, (1,)) != given and Resolved(3, (1,)).right == (1,)
+    with pytest.raises(AttributeError, match="cannot assign"):
+        Resolved(3).right = (3, 3)
+    with pytest.raises(TypeError, match="missing argument 'left'"):
+        Resolved(right=(1,))
+
+
+def test_a_loaded_space_builds_its_rows_on_first_read():
+    """A space from_text reads by the canonical route keeps a function that
+    builds its rows, not the rows; its first read of rows calls it and
+    lets it go, and a space given neither is refused as any record missing
+    a field is."""
+    rows = (ROW, ((0, 1),)) * 50
+    loaded = SubspaceSpec.from_text(SubspaceSpec(GF2, "V", 2, 1, rows).to_text())
+    assert "rows" not in loaded.__dict__ and "_build_rows" in loaded.__dict__
+    assert loaded.rows == rows and loaded.rows[0] is loaded.rows[2]
+    assert "_build_rows" not in loaded.__dict__
+    with pytest.raises(TypeError, match="missing argument 'rows'"):
+        SubspaceSpec(GF2, "V", 2, 1)

@@ -51,3 +51,15 @@ def test_reduce_output_matches_the_recorded_digest(tmp_path, name, size, index, 
     out = pipeline.run_instance(pipeline.Runner(cli, tmp_path, repeats=1), work, inst, "t")
     assert out.errors == {}
     assert out.digests == digests
+
+
+def test_the_first_cnf_refusal_is_written_as_recorded(tmp_path, capsys):
+    """minrank --budget 1 on the first default-seed cnf_pipeline instance
+    refuses with the text whose digest is recorded."""
+    inst = corpus.WORKLOADS["cnf_pipeline"].instance(corpus.DEFAULT_SEED, 0)
+    src, out = tmp_path / "first.cnf", tmp_path / "first.json"
+    src.write_text(inst.text)
+    assert cli.main(["reduce", "--mode", "superposition", "--input", str(src), "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["minrank", "--input", str(out), "--budget", "1"]) == 3
+    assert capsys.readouterr() == ("", "error: kernel dimension 4 means 16 members, budget allows 1\n")
