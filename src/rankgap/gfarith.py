@@ -325,8 +325,13 @@ class FieldSpec:
         return out
 
 
+# one FieldSpec per (p, e, modulus), however the field was asked for, so
+# that each builds its operation tables once per process
+_FIELDS: dict[tuple, FieldSpec] = {}
+
+
 def make_field(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> FieldSpec:
-    """Construct GF(p^e).
+    """Construct GF(p^e), or give the one already made.
 
     modulus, when given, lists the coefficients of a monic irreducible
     degree-e polynomial low degree first (length e+1).  When omitted the
@@ -361,14 +366,15 @@ def make_field(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> Fiel
                 raise PreconditionError(
                     f"modulus is reducible: divisible by {_poly_str(factor)}"
                 )
-        return FieldSpec(p, e, coeffs)
-    if e == 1:
-        return FieldSpec(p, 1, (0, 1))
-    for word in range(p**e):
-        cand = _digits(word, p, e) + (1,)
-        if _irreducible_witness(cand, p) is None:
-            return FieldSpec(p, e, cand)
-    raise AssertionError("unreachable: GF(p^e) always has an irreducible modulus")
+    elif e == 1:
+        coeffs = (0, 1)
+    else:  # GF(p^e) always has an irreducible modulus
+        candidates = (_digits(word, p, e) + (1,) for word in range(p**e))
+        coeffs = next(cand for cand in candidates if _irreducible_witness(cand, p) is None)
+    field = _FIELDS.get((p, e, coeffs))
+    if field is None:
+        field = _FIELDS[p, e, coeffs] = FieldSpec(p, e, coeffs)
+    return field
 
 
 def _poly_str(coeffs: Sequence[int]) -> str:

@@ -1,39 +1,47 @@
 """Exact linear algebra over the fields from gfarith: the one module that
 eliminates.
 
-Each field kind has one elimination by row insertion: a row is reduced
-against the pivot rows found so far, keyed by leading column, and what is
-left becomes a pivot row.  Rows are laid out leading column first, column
-j of an ncols-wide row at bit ncols - 1 - j, so a row's leading column is
-its top bit and bit_length() finds it.  _engine picks the elimination:
-- GF(2): each row one int, reduced by XOR (packed_rank).  It is the plane
-  layout with one plane, kept apart because its step is a single XOR with
-  no multiple to look up, and the CNF kernels and the GF(2) scan lean on
-  it.
+Every elimination is by row insertion: a row is reduced against the pivot
+rows found so far, keyed by leading column, and what is left becomes a
+pivot row.  Three engines share one interface: pack(entries), unpack(row,
+ncols) and sparse(rows, width, column) build rows in the engine's form;
+rank(rows, limit, pivots) inserts rows into pivots, and stops with None
+once the rank would pass limit; back_substitute(pivots, ncols) gives the
+reduced echelon form (rows, pivot columns), from the highest pivot column
+down; trailing(row, ncols) walks the nonzero (column, value) entries
+right of a row's leading one; neg[v] is -v.  _eliminate, _rref and
+_pivot_kernel (the free-column kernel of a set of pivots, as sparse
+rows, so that a wide kernel is packed or made dense only as its caller
+needs) are written once over it.  The reduced echelon form is unique for
+a row space, so ranks, kernels and solutions do not depend on the engine
+or the order rows arrive in.  field_engine picks:
+- GF(2): PackedEngine, each row one int, reduced by XOR (packed_rank).  It
+  is the plane layout with one plane, kept apart because its step is a
+  single XOR with no multiple to look up, and the CNF kernels and the
+  GF(2) scan lean on it.
 - GF(3) and GF(2^r) for 2 <= r <= 8: PlaneEngine, each row one int per bit
   plane, each pivot kept with its q - 1 multiples, so a step is one plane
   subtraction with no field operation (Boothby and Bradshaw, "Bitslicing
   and the Method of Four Russians Over Larger Finite Fields",
   arXiv:0901.1413).
 - every other field (prime q >= 5, odd extension fields, and GF(2^r) past
-  r = 8, whose entries no longer fit a byte of planes): int lists through
-  FieldSpec.tables(), pivot rows scaled to a leading 1 (table_rank).
-Each has a rank that stops once it would pass a limit, and a reduced
-echelon form that back-substitutes the pivot rows from the highest pivot
-down, a step of its own after the elimination.  That form is unique for a
-row space, so ranks, kernels and solutions do not depend on the engine or
-the order rows arrive in.
+  r = 8, whose entries no longer fit a byte of planes): TableEngine, int
+  lists through FieldSpec.tables(), pivot rows scaled to a leading 1
+  (table_rank).
+Packed and plane rows lay column j of an ncols-wide row at bit
+ncols - 1 - j, so bit_length() finds a row's leading column and keys its
+pivot; table pivots are keyed by column.
 
 FFMatrix is an immutable dense matrix of validated int-encoded entries,
-eliminated packed over GF(2) and through the tables otherwise: the
-reference the other engines are tested against.  sparse_kernel_basis
-takes trusted sparse rows to a kernel without one, in the two steps
-sparse_pivots (the elimination, whose pivots count the rank) and
-kernel_from_pivots (the back-substitution), so a caller that needs the
-rank first eliminates once either way.  Both return the
-kernel's reduced echelon basis, from one elimination that starts at the
-last column; packed_kernel_basis keeps the free-column basis of the rows
-as given.
+eliminated on reference engines, packed over GF(2) and the tables
+otherwise, never planes: the reference the plane engine is tested
+against.  sparse_kernel_basis takes trusted sparse rows to a kernel
+without one, in the two steps sparse_pivots (the elimination, whose
+pivots count the rank) and kernel_from_pivots (the back-substitution), so
+a caller that needs the rank first eliminates once either way.  Both
+return the kernel's reduced echelon basis, from one elimination that
+starts at the last column; packed_kernel_basis keeps the free-column
+basis of the rows as given.
 
 Also here: the symmetric rank-one decomposition over GF(2) with its 3k/2
 length guarantee, and the entrywise-functional rank descent that carries a
@@ -58,15 +66,17 @@ from .records import record
 
 __all__ = [
     "FFMatrix",
+    "PackedEngine",
     "PlaneEngine",
     "RankOneDecomposition",
+    "TableEngine",
+    "field_engine",
     "independent_rows",
     "kernel_from_pivots",
     "symmetric_rank_one_decomposition",
     "rank_descent",
     "packed_rank",
     "packed_kernel_basis",
-    "plane_engine",
     "sparse_kernel_basis",
     "sparse_pivots",
     "sparse_rank",
@@ -105,60 +115,6 @@ def packed_rank(
     return len(pivots)
 
 
-def _packed_rref(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
-    Rows must have no bits at or above ncols."""
-    return _packed_back_substitute(_packed_pivots(rows), ncols)
-
-
-def _packed_pivots(rows: Iterable[int]) -> dict[int, int]:
-    """The pivot rows packed_rank inserts rows into, from none."""
-    pivots: dict[int, int] = {}
-    packed_rank(rows, pivots=pivots)
-    return pivots
-
-
-def _packed_back_substitute(pivots: dict[int, int], ncols: int) -> tuple[list[int], list[int]]:
-    """The reduced echelon form of the pivot rows packed_rank inserted,
-    back-substituted from the highest pivot column (the lowest bit) down;
-    (rows, pivot column indices).  pivots is spent."""
-    # a pivot row holds no bit above its own top bit, and every pivot row
-    # below it is already reduced: one XOR per pivot bit clears it
-    pivot_bits = sum(1 << (top - 1) for top in pivots)
-    order = sorted(pivots)
-    for top in order:
-        row = pivots[top]
-        hits = (row & pivot_bits) ^ (1 << (top - 1))
-        while hits:
-            hit = hits.bit_length()
-            row ^= pivots[hit]
-            hits ^= 1 << (hit - 1)
-        pivots[top] = row
-    order.reverse()
-    return [pivots[top] for top in order], [ncols - top for top in order]
-
-
-def packed_kernel_basis(rows: Sequence[int], ncols: int) -> list[int]:
-    """Right-kernel basis of a packed GF(2) matrix, one packed vector per
-    free column, ordered by free column index; vectors are packed as rows
-    are, column j at bit ncols - 1 - j."""
-    return _packed_free_kernel(*_packed_rref(rows, ncols), ncols)
-
-
-def _packed_free_kernel(rref: list[int], pivots: list[int], ncols: int) -> list[int]:
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = fbit = 1 << (ncols - 1 - free)
-        for prow, pcol in zip(rref, pivots):
-            if prow & fbit:
-                vec |= 1 << (ncols - 1 - pcol)
-        basis.append(vec)
-    return basis
-
-
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -176,6 +132,70 @@ def _pack_row(entries: Sequence[int]) -> int:
 
 def _unpack_row(mask: int, ncols: int) -> tuple[int, ...]:
     return tuple(_bit_bytes(mask, ncols))
+
+
+class PackedEngine:
+    """GF(2): each row one int, reduced by XOR through packed_rank."""
+
+    neg = (0, 1)
+    pack = staticmethod(_pack_row)
+    unpack = staticmethod(_unpack_row)
+
+    @property
+    def rank(self):
+        """packed_rank, looked up on each use, so that a rebinding of it
+        sees every GF(2) elimination."""
+        return packed_rank
+
+    @staticmethod
+    def back_substitute(pivots: dict[int, int], ncols: int) -> tuple[list[int], list[int]]:
+        """The reduced echelon form of the pivot rows rank inserted,
+        back-substituted from the highest pivot column (the lowest bit)
+        down: (rows, pivot column indices).  pivots is spent."""
+        # a pivot row holds no bit above its own top bit, and every pivot row
+        # below it is already reduced: one XOR per pivot bit clears it
+        pivot_bits = sum(1 << (top - 1) for top in pivots)
+        order = sorted(pivots)
+        for top in order:
+            row = pivots[top]
+            hits = (row & pivot_bits) ^ (1 << (top - 1))
+            while hits:
+                hit = hits.bit_length()
+                row ^= pivots[hit]
+                hits ^= 1 << (hit - 1)
+            pivots[top] = row
+        order.reverse()
+        return [pivots[top] for top in order], [ncols - top for top in order]
+
+    @staticmethod
+    def trailing(row: int, ncols: int):
+        row ^= 1 << row.bit_length() >> 1
+        while row:
+            top = row.bit_length()
+            yield ncols - top, 1
+            row ^= 1 << (top - 1)
+
+    @staticmethod
+    def sparse(rows, width, column=None):
+        """Sparse (position, coefficient) rows as packed ints: position pos
+        at column column[pos] of a width-wide row, or at bit pos when
+        column is None (the last-column-first layout _echelon_kernel
+        takes)."""
+        packed = []
+        if column is None:
+            for row in rows:
+                bits = 0
+                for pos, _ in row:
+                    bits |= 1 << pos
+                packed.append(bits)
+            return packed
+        top = width - 1
+        for row in rows:
+            bits = 0
+            for pos, _ in row:
+                bits |= 1 << (top - column[pos])
+            packed.append(bits)
+        return packed
 
 
 # -- bit-plane engine: GF(3) and GF(2^r) -------------------------------------
@@ -339,10 +359,18 @@ class PlaneEngine:
             total |= int.from_bytes(_bit_bytes(plane, ncols), "big") << i
         return tuple(total.to_bytes(ncols, "big"))
 
+    def trailing(self, row: tuple[int, ...], ncols: int):
+        occupied = 0
+        for plane in row:
+            occupied |= plane
+        occupied ^= 1 << occupied.bit_length() >> 1
+        while occupied:
+            top = occupied.bit_length()
+            yield ncols - top, _value(row, top - 1)
+            occupied ^= 1 << (top - 1)
+
     def sparse(self, rows, width: int, column=None) -> list[tuple[int, ...]]:
-        """Sparse (position, coefficient) rows as planes: position pos at
-        column column[pos] of a width-wide row, or at bit pos when column
-        is None (the last-column-first layout _echelon_kernel takes)."""
+        """As PackedEngine.sparse, each coefficient's bits on the planes."""
         top, count = width - 1, self.count
         out = []
         for row in rows:
@@ -432,20 +460,11 @@ class PlaneEngine:
                     hi ^= b
         return len(pivots)
 
-    def eliminate(self, rows) -> dict:
-        """The pivots rank inserts rows into, from none."""
-        pivots: dict = {}
-        self.rank(rows, pivots=pivots)
-        return pivots
-
-    def rref(self, rows, ncols: int) -> tuple[list[tuple[int, ...]], list[int]]:
-        """As _packed_rref."""
-        return self.back_substitute(self.eliminate(rows), ncols)
-
     def back_substitute(self, pivots: dict, ncols: int) -> tuple[list[tuple[int, ...]], list[int]]:
-        """As _packed_back_substitute: the pivot rows, scaled to a leading
-        1, are back-substituted from the highest pivot column down, and
-        each reduced one keeps its multiples for the rows above it."""
+        """As PackedEngine.back_substitute: the pivot rows, scaled to a
+        leading 1, are back-substituted from the highest pivot column
+        down, and each reduced one keeps its multiples for the rows above
+        it."""
         sub, value, multiples = self.sub, _value, self.multiples
         pivot_bits = sum(1 << (top - 1) for top in pivots)
         reduced: dict = {}
@@ -462,35 +481,6 @@ class PlaneEngine:
             reduced[top] = multiples(row)
         order = sorted(reduced, reverse=True)
         return [reduced[top][1] for top in order], [ncols - top for top in order]
-
-    def kernel(self, rows, ncols: int) -> list[tuple[int, ...]]:
-        """As _table_kernel."""
-        return self.pivot_kernel(self.eliminate(rows), ncols)
-
-    def pivot_kernel(self, pivots: dict, ncols: int) -> list[tuple[int, ...]]:
-        """As _table_pivot_kernel: one vector per free column, ordered by
-        free column index, -rref[pcol][free] at each pivot column."""
-        rref, pivots = self.back_substitute(pivots, ncols)
-        value, neg = _value, self.neg
-        spots = []
-        for prow, pcol in zip(rref, pivots):
-            occupied = 0
-            for plane in prow:
-                occupied |= plane
-            spots.append((occupied, prow, pcol))
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(ncols):
-            if free in pivot_set:
-                continue
-            s = ncols - 1 - free
-            vec = [0] * ncols
-            vec[free] = 1
-            for occupied, prow, pcol in spots:
-                if occupied >> s & 1:
-                    vec[pcol] = neg[value(prow, s)]
-            basis.append(tuple(vec))
-        return basis
 
 
 # -- table-driven elimination over any field ---------------------------------
@@ -531,80 +521,6 @@ def table_rank(
     return len(pivots)
 
 
-def _table_rref(
-    tables: Sequence, rows: Iterable[Sequence[int]]
-) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    return _table_back_substitute(tables, _table_pivots(tables, rows))
-
-
-def _table_pivots(tables: Sequence, rows: Iterable[Sequence[int]]) -> dict[int, list[int]]:
-    """The pivot rows table_rank inserts rows into, from none."""
-    pivots: dict[int, list[int]] = {}
-    table_rank(tables, rows, pivots=pivots)
-    return pivots
-
-
-def _table_back_substitute(
-    tables: Sequence, pivots: dict[int, list[int]]
-) -> tuple[list[list[int]], list[int]]:
-    """The reduced echelon form of the pivot rows table_rank inserted,
-    back-substituted from the highest pivot down: every pivot row above
-    the current one is already reduced, so one subtraction per pivot
-    column clears it.  Returns (rows, pivot column indices); pivots is
-    spent."""
-    _, sub, mul, _ = tables
-    order = sorted(pivots)
-    for k, col in reversed(list(enumerate(order))):
-        row = pivots[col]
-        for other in order[k + 1:]:
-            v = row[other]
-            if v:
-                scale = mul[v]
-                row = [sub[x][scale[p]] for x, p in zip(row, pivots[other])]
-        pivots[col] = row
-    return [pivots[col] for col in order], order
-
-
-def _table_kernel(
-    tables: Sequence, rows: Iterable[Sequence[int]], ncols: int
-) -> list[tuple[int, ...]]:
-    """Right kernel, one basis vector per free column of the reduced
-    echelon form, ordered by free column index."""
-    return _table_pivot_kernel(tables, _table_pivots(tables, rows), ncols)
-
-
-def _table_pivot_kernel(
-    tables: Sequence, pivots: dict[int, list[int]], ncols: int
-) -> list[tuple[int, ...]]:
-    """_table_kernel of the rows table_rank inserted into pivots, which
-    is spent."""
-    rref, pivots = _table_back_substitute(tables, pivots)
-    _, sub, _, _ = tables
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for prow, pcol in zip(rref, pivots):
-            if prow[free]:
-                vec[pcol] = sub[0][prow[free]]
-        basis.append(tuple(vec))
-    return basis
-
-
-def _echelon_kernel(engine, pivots: dict, ncols: int) -> list[tuple[int, ...]]:
-    """Reduced echelon basis of the right kernel, leading columns increasing,
-    of the rows engine.eliminate gave pivots for, which this spends, laid
-    out last column first: column j at bit j (at entry ncols - 1 - j of a
-    table row).  Eliminated from the last column, each free column's
-    vector is 0 left of it, so the free-column basis, reversed, is that
-    form."""
-    return [v[::-1] for v in reversed(engine.pivot_kernel(pivots, ncols))]
-
-
 def _dense_rows(rows: Iterable[Sequence[tuple[int, int]]], ncols: int) -> list[list[int]]:
     dense = []
     for row in rows:
@@ -615,58 +531,44 @@ def _dense_rows(rows: Iterable[Sequence[tuple[int, int]]], ncols: int) -> list[l
     return dense
 
 
-# -- one engine per field ----------------------------------------------------
-
-
-class _PackedEngine:
-    """GF(2): each row one int, through the packed functions above."""
-
-    rank = staticmethod(packed_rank)
-    pack = staticmethod(_pack_row)
-    eliminate = staticmethod(_packed_pivots)
-
-    @staticmethod
-    def pivot_kernel(pivots, ncols):
-        rref, columns = _packed_back_substitute(pivots, ncols)
-        return [_unpack_row(v, ncols) for v in _packed_free_kernel(rref, columns, ncols)]
-
-    @staticmethod
-    def sparse(rows, width, column=None):
-        packed = []
-        if column is None:
-            for row in rows:
-                bits = 0
-                for pos, _ in row:
-                    bits |= 1 << pos
-                packed.append(bits)
-            return packed
-        top = width - 1
-        for row in rows:
-            bits = 0
-            for pos, _ in row:
-                bits |= 1 << (top - column[pos])
-            packed.append(bits)
-        return packed
-
-
-class _TableEngine:
-    """Any field, as int lists through its operation tables."""
+class TableEngine:
+    """Any field: each row an int list, reduced through the field's
+    operation tables by table_rank."""
 
     def __init__(self, field: FieldSpec):
-        self.tables = field.tables()
+        self.tables = tables = field.tables()
+        self.neg = tables[1][0]
 
     def rank(self, rows, limit=None, pivots=None):
         return table_rank(self.tables, rows, limit, pivots)
 
-    def eliminate(self, rows):
-        return _table_pivots(self.tables, rows)
-
-    def pivot_kernel(self, pivots, ncols):
-        return _table_pivot_kernel(self.tables, pivots, ncols)
+    def back_substitute(self, pivots: dict[int, list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+        """As PackedEngine.back_substitute: every pivot row of a higher
+        pivot column is already reduced, so one subtraction per pivot
+        column clears it."""
+        _, sub, mul, _ = self.tables
+        order = sorted(pivots)
+        for k, col in reversed(list(enumerate(order))):
+            row = pivots[col]
+            for other in order[k + 1:]:
+                v = row[other]
+                if v:
+                    scale = mul[v]
+                    row = [sub[x][scale[p]] for x, p in zip(row, pivots[other])]
+            pivots[col] = row
+        return [pivots[col] for col in order], order
 
     @staticmethod
     def pack(entries):
         return entries
+
+    @staticmethod
+    def unpack(row, ncols):
+        return tuple(row)
+
+    @staticmethod
+    def trailing(row, ncols):
+        return [(j, v) for j, v in enumerate(row) if v][1:]
 
     @staticmethod
     def sparse(rows, width, column=None):
@@ -675,24 +577,78 @@ class _TableEngine:
         return _dense_rows(([(column[pos], coeff) for pos, coeff in row] for row in rows), width)
 
 
-_PACKED = _PackedEngine()
+_PACKED = PackedEngine()
 
 
 @lru_cache(maxsize=None)
-def plane_engine(field: FieldSpec) -> PlaneEngine | None:
-    """The plane engine of GF(3) and of GF(2^r) for 2 <= r <= 8, built
-    once per field; None for every other field."""
-    if field.q == 3 or (field.p == 2 and 2 <= field.e <= _MAX_PLANES):
-        return PlaneEngine(field)
-    return None
-
-
-def _engine(field: FieldSpec):
-    """The elimination for a field: packed for GF(2), planes where
-    plane_engine has them, the operation tables otherwise."""
+def field_engine(field: FieldSpec) -> PackedEngine | PlaneEngine | TableEngine:
+    """The engine that eliminates over a field, built once per field:
+    packed for GF(2), planes for GF(3) and GF(2^r) with 2 <= r <= 8, the
+    operation tables otherwise."""
     if field.q == 2:
         return _PACKED
-    return plane_engine(field) or _TableEngine(field)
+    if field.q == 3 or (field.p == 2 and field.e <= _MAX_PLANES):
+        return PlaneEngine(field)
+    return TableEngine(field)
+
+
+def _reference(field: FieldSpec) -> PackedEngine | TableEngine:
+    """FFMatrix's engine: packed over GF(2), the tables otherwise."""
+    return _PACKED if field.q == 2 else TableEngine(field)
+
+
+# -- eliminate, rref and kernel, once over every engine ----------------------
+
+
+def _eliminate(engine, rows) -> dict:
+    """The pivots engine.rank inserts rows into, from none."""
+    pivots: dict = {}
+    engine.rank(rows, pivots=pivots)
+    return pivots
+
+
+def _rref(engine, rows, ncols: int) -> tuple[list, list[int]]:
+    """Reduced row echelon form of the engine's rows, ncols wide: (rows,
+    pivot column indices)."""
+    return engine.back_substitute(_eliminate(engine, rows), ncols)
+
+
+def _pivot_kernel(engine, pivots: dict, ncols: int) -> list[list[tuple[int, int]]]:
+    """Right kernel of the rows engine.rank inserted into pivots, which is
+    spent, as sparse (column, value) rows: one vector per free column of
+    the reduced echelon form, ordered by free column index, 1 there, 0 at
+    every other free column and -rref[pcol][free] at each pivot column
+    pcol, in increasing pcol.  Right of its pivot, a reduced row is
+    nonzero only at free columns, so one walk over each row's trailing
+    entries fills the basis: walking the pivots too made the n = 9 GF(2^2)
+    CNF kernel 7% slower than testing every row at every free column, and
+    this walk is faster than both.  Sparse, a vector costs its nonzero
+    entries, however wide the rows are."""
+    rows, columns = engine.back_substitute(pivots, ncols)
+    pivot_set = set(columns)
+    basis = {free: [(free, 1)] for free in range(ncols) if free not in pivot_set}
+    neg, trailing = engine.neg, engine.trailing
+    for row, pcol in zip(rows, columns):
+        for col, v in trailing(row, ncols):
+            basis[col].append((pcol, neg[v]))
+    return list(basis.values())
+
+
+def _echelon_kernel(engine, pivots: dict, ncols: int) -> list[tuple[int, ...]]:
+    """Reduced echelon basis of the right kernel, leading columns increasing,
+    of the rows engine.rank inserted into pivots, which this spends, laid
+    out last column first: column j at bit j (at entry ncols - 1 - j of a
+    table row).  Eliminated from the last column, each free column's
+    vector is 0 left of it, so the free-column basis, reversed, is that
+    form."""
+    return [tuple(v[::-1]) for v in reversed(_dense_rows(_pivot_kernel(engine, pivots, ncols), ncols))]
+
+
+def packed_kernel_basis(rows: Sequence[int], ncols: int) -> list[int]:
+    """Right-kernel basis of a packed GF(2) matrix, one packed vector per
+    free column, ordered by free column index; vectors are packed as rows
+    are, column j at bit ncols - 1 - j."""
+    return _PACKED.sparse(_pivot_kernel(_PACKED, _eliminate(_PACKED, rows), ncols), ncols, range(ncols))
 
 
 def independent_rows(field: FieldSpec, rows: Iterable[Sequence[int]]) -> list[int]:
@@ -700,7 +656,7 @@ def independent_rows(field: FieldSpec, rows: Iterable[Sequence[int]]) -> list[in
     rows: each row is inserted, in the field's engine, against the ones
     kept so far, and kept when it raises the rank.  For a symmetric matrix
     these are also the pivot columns of its reduced echelon form."""
-    engine = _engine(field)
+    engine = field_engine(field)
     rank = engine.rank
     pivots: dict = {}
     # len(pivots) is read before the row goes in, and rank returns it after
@@ -713,14 +669,14 @@ def sparse_pivots(field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]], n
     in the field's engine straight from the pairs, laid out last column
     first as the kernel's reduced echelon form needs.  Their number is the
     rows' rank; kernel_from_pivots goes on to the kernel from them."""
-    engine = _engine(field)
-    return engine.eliminate(engine.sparse(rows, ncols))
+    engine = field_engine(field)
+    return _eliminate(engine, engine.sparse(rows, ncols))
 
 
 def kernel_from_pivots(field: FieldSpec, pivots: dict, ncols: int) -> list[tuple[int, ...]]:
     """Reduced echelon basis of the right kernel of the rows sparse_pivots
     eliminated into pivots, by back-substituting them; pivots is spent."""
-    return _echelon_kernel(_engine(field), pivots, ncols)
+    return _echelon_kernel(field_engine(field), pivots, ncols)
 
 
 def sparse_kernel_basis(
@@ -738,7 +694,7 @@ def sparse_rank(field: FieldSpec, rows: Iterable[Sequence[tuple[int, int]]]) -> 
     the space."""
     rows = list(rows)
     column = {pos: j for j, pos in enumerate(sorted({pos for row in rows for pos, _ in row}))}
-    engine = _engine(field)
+    engine = field_engine(field)
     return engine.rank(engine.sparse(rows, len(column), column))
 
 
@@ -857,31 +813,26 @@ class FFMatrix:
     # -- elimination-backed queries --
 
     def rank(self) -> int:
-        if self.field.q == 2:
-            return packed_rank(self.packed_rows())
-        return table_rank(self.field.tables(), self.rows)
+        engine = _reference(self.field)
+        return engine.rank(map(engine.pack, self.rows))
 
     def rref(self) -> tuple["FFMatrix", tuple[int, ...]]:
-        if self.field.q == 2:
-            rows, pivots = _packed_rref(self.packed_rows(), self.ncols)
-            rows = [_unpack_row(r, self.ncols) for r in rows]
-        else:
-            rows, pivots = _table_rref(self.field.tables(), self.rows)
-        return FFMatrix(self.field, rows, self.ncols), tuple(pivots)
+        engine = _reference(self.field)
+        rows, pivots = _rref(engine, map(engine.pack, self.rows), self.ncols)
+        return FFMatrix(self.field, [engine.unpack(r, self.ncols) for r in rows], self.ncols), tuple(pivots)
 
     def kernel_basis(self, packed: bool = False) -> list:
         """Reduced echelon basis of the right kernel, leading columns
         increasing: each vector has a leading 1, where the others have 0.
         packed=True gives GF(2) vectors as ints, bit j holding column j."""
-        if self.field.q == 2:
-            rows = [_pack_row(r[::-1]) for r in self.rows]
-            if packed:
-                return packed_kernel_basis(rows, self.ncols)[::-1]
-            return _echelon_kernel(_PACKED, _PACKED.eliminate(rows), self.ncols)
-        if packed:
+        engine = _reference(self.field)
+        reversed_rows = [engine.pack(r[::-1]) for r in self.rows]
+        if not packed:
+            return _echelon_kernel(engine, _eliminate(engine, reversed_rows), self.ncols)
+        if engine is not _PACKED:
             raise PreconditionError("packed vectors only exist over GF(2)")
-        engine = _TableEngine(self.field)
-        return _echelon_kernel(engine, engine.eliminate([r[::-1] for r in self.rows]), self.ncols)
+        # the free-column basis of the reversed rows, packed as they are
+        return packed_kernel_basis(reversed_rows, self.ncols)[::-1]
 
     def solve(self, rhs: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of self @ x = rhs (free variables set to zero), or
@@ -896,19 +847,15 @@ class FFMatrix:
         Returns None as soon as any target is inconsistent."""
         if any(len(t) != self.nrows for t in targets):
             raise PreconditionError("target length mismatch")
-        k = len(targets)
-        aug_rows = [
-            list(self.rows[i]) + [t[i] for t in targets] for i in range(self.nrows)
-        ]
-        if self.field.q == 2:
-            rref, pivots = _packed_rref([_pack_row(r) for r in aug_rows], self.ncols + k)
-            rref = [_unpack_row(r, self.ncols + k) for r in rref]
-        else:
-            rref, pivots = _table_rref(self.field.tables(), aug_rows)
+        width = self.ncols + len(targets)
+        engine = _reference(self.field)
+        aug_rows = [engine.pack([*row, *(t[i] for t in targets)]) for i, row in enumerate(self.rows)]
+        rref, pivots = _rref(engine, aug_rows, width)
         if any(p >= self.ncols for p in pivots):
             return None
+        rref = [engine.unpack(r, width) for r in rref]
         out = []
-        for tcol in range(self.ncols, self.ncols + k):
+        for tcol in range(self.ncols, width):
             x = [0] * self.ncols
             for prow, pcol in zip(rref, pivots):
                 x[pcol] = prow[tcol]

@@ -26,8 +26,8 @@ to a scan that counts up through their coefficients, which visits the
 members in increasing order.  The root's scan holds every member and
 settles every level at once: it stops at the first member of rank r, or
 else returns the least member of least rank.  The pass and the scan run
-in one of three systems, as gflinalg eliminates over the field
-(_system): packed ints over GF(2), bit planes over GF(3) and GF(2^r) up
+in one of three systems, one per engine gflinalg.field_engine gives the
+field (_system): packed ints over GF(2), bit planes over GF(3) and GF(2^r) up
 to r = 8, int lists through the tables otherwise; each hands out
 coefficients that compare as their members do, and all visit the same
 members in the same order.  The winning witness is
@@ -56,10 +56,13 @@ from .errors import BudgetExceededError, InternalConsistencyError, PreconditionE
 from .gfarith import make_field
 from .gflinalg import (
     FFMatrix,
+    PackedEngine,
+    PlaneEngine,
+    TableEngine,
     _pack_row,
     _unpack_row,
+    field_engine,
     packed_rank,
-    plane_engine,
     sparse_pivots,
     sparse_rank,
     table_rank,
@@ -459,7 +462,7 @@ class _PlaneSystem:
 
     def __init__(self, field, kernel, positions):
         self.m = len(kernel)
-        self._engine = plane_engine(field)
+        self._engine = field_engine(field)
         self._sub = field.tables()[1]
         self._kernel = kernel
         self._positions = positions
@@ -568,6 +571,9 @@ class _PlaneSystem:
         return self._engine.unpack(combined, len(self._kernel[0]))
 
 
+_SYSTEMS = {PackedEngine: _PackedSystem, PlaneEngine: _PlaneSystem, TableEngine: _TableSystem}
+
+
 def _count_up(q: int, count: int):
     """The walk of the scans over GF(q): counting up the coefficients of
     count basis vectors as base-q digits, first basis vector fastest,
@@ -600,12 +606,9 @@ def _count_up(q: int, count: int):
 
 
 def _system(field):
-    """The system that searches a field's members, as gflinalg eliminates
-    over the field: packed over GF(2), on planes where it has them, through
-    the tables otherwise."""
-    if field.q == 2:
-        return _PackedSystem
-    return _PlaneSystem if plane_engine(field) else _TableSystem
+    """The system that searches a field's members, on the engine gflinalg
+    eliminates over the field with."""
+    return _SYSTEMS[type(field_engine(field))]
 
 
 def _candidates(q: int, side: int, k: int, t: int, first: int) -> int:

@@ -275,7 +275,7 @@ def test_minrank_inserts_each_distinct_row_once(field, data):
     space = data.draw(spaces([field]))
     distinct = [row for _, row in space.distinct_rows]
     members = field.q ** space.dimension()
-    engine = rankgap.gflinalg._engine
+    engine = rankgap.gflinalg.field_engine
     for budget in (1, members) if members <= 1 << 10 else (1,):
         handed = []
 
@@ -291,13 +291,13 @@ def test_minrank_inserts_each_distinct_row_once(field, data):
                 handed.extend(rows)
                 return self.real.sparse(rows, *args)
 
-        rankgap.gflinalg._engine = Counting
+        rankgap.gflinalg.field_engine = Counting
         try:
             report = minrank_bruteforce(space, budget=budget)
         except BudgetExceededError:
             report = None
         finally:
-            rankgap.gflinalg._engine = engine
+            rankgap.gflinalg.field_engine = engine
         assert handed == distinct
         assert (report is None) == (budget < members)
         if report is not None:

@@ -219,3 +219,37 @@ def test_element_validation():
         GF4.validate(4)
     with pytest.raises(PreconditionError):
         GF4.validate(-1)
+
+
+def test_each_field_is_one_object_with_tables_built_once(monkeypatch):
+    """Every spelling of a field gives one FieldSpec, so loading a GF(3)
+    instance twice builds the field's tables once."""
+    from rankgap import gfarith
+    from rankgap.subspace import SubspaceSpec
+
+    monkeypatch.setattr(gfarith, "_FIELDS", {})
+    builds = []
+    build = gfarith.FieldSpec._build_tables
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(gfarith.FieldSpec, "_build_tables", counting)
+    made = []
+    init = gfarith.FieldSpec.__init__
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(gfarith.FieldSpec, "__init__", counting_init)
+    assert parse_field_descriptor("GF(2^2)") is parse_field_descriptor("GF(2^2; 1,1,1)") is make_field(2, 2)
+    assert make_field(2, 2, [1, 1, 1]) is make_field(2, 2)
+    gf3 = make_field(3)
+    text = SubspaceSpec(gf3, "V", 2, 1, (((0, 1), (2, 2)),) * 3).to_text()
+    first, second = SubspaceSpec.from_text(text), SubspaceSpec.from_text(text.encode())
+    assert first.field is second.field is gf3
+    assert first.field.tables() is second.field.tables()
+    assert builds == [gf3]
+    assert made == [(2, 2, (1, 1, 1)), (3, 1, (0, 1))]

@@ -1,6 +1,7 @@
 """The packed GF(2) engine against the table engine.  Each matrix goes to
 gflinalg twice: as bit-packed ints, leading column in the top bit, and as
-int lists eliminated through GF(2)'s FieldSpec.tables().  Both must give
+int lists eliminated through GF(2)'s FieldSpec.tables(), each through the
+shared rref and kernel.  Both must give
 the same rank at every limit, the same reduced echelon form and pivots,
 free-column kernel, solutions and independent rows, from dense and from
 sparse rows, and the kernel's reduced echelon basis must match one derived
@@ -15,11 +16,14 @@ import pytest
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import (
     FFMatrix,
+    TableEngine,
+    _dense_rows,
+    _eliminate,
     _pack_row,
-    _packed_rref,
-    _table_kernel,
-    _table_rref,
+    _pivot_kernel,
+    _rref,
     _unpack_row,
+    field_engine,
     independent_rows,
     packed_kernel_basis,
     packed_rank,
@@ -30,6 +34,7 @@ from rankgap.gflinalg import (
 
 GF2 = make_field(2)
 TABLES = GF2.tables()
+PACKED, TABLE = field_engine(GF2), TableEngine(GF2)
 WIDTHS = [0, 1, 29, 30, 31, *range(59, 66), 255, 256, 257, 1030]
 
 
@@ -79,7 +84,7 @@ def table_solve(rows, width, targets):
     """solve_columns through the table engine: one elimination of the rows
     with the targets appended as columns."""
     aug = [list(row) + [t[i] for t in targets] for i, row in enumerate(rows)]
-    rref, pivots = _table_rref(TABLES, aug)
+    rref, pivots = _rref(TABLE, aug, width + len(targets))
     if any(p >= width for p in pivots):
         return None
     out = []
@@ -105,14 +110,14 @@ def test_packed_engine_matches_table_engine(width):
             assert packed_rank(packed, limit) == table_rank(TABLES, rows, limit)
         assert packed_rank(packed) == rank
 
-        want_rows, want_pivots = _table_rref(TABLES, rows)
-        got_rows, got_pivots = _packed_rref(packed, width)
+        want_rows, want_pivots = _rref(TABLE, rows, width)
+        got_rows, got_pivots = _rref(PACKED, packed, width)
         assert ([list(_unpack_row(r, width)) for r in got_rows], got_pivots) == (want_rows, want_pivots)
         matrix = FFMatrix(GF2, rows, width)
         assert matrix.rref() == (FFMatrix(GF2, want_rows, width), tuple(want_pivots))
 
-        kernel = _table_kernel(TABLES, rows, width)
-        assert [_unpack_row(v, width) for v in packed_kernel_basis(packed, width)] == kernel
+        kernel = _dense_rows(_pivot_kernel(TABLE, _eliminate(TABLE, rows), width), width)
+        assert [list(_unpack_row(v, width)) for v in packed_kernel_basis(packed, width)] == kernel
         echelon = echelon_kernel(rows, width)
         assert matrix.kernel_basis() == echelon
         assert matrix.kernel_basis(packed=True) == [_pack_row(v[::-1]) for v in echelon]

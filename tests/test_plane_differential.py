@@ -25,10 +25,13 @@ from rankgap.frontends import QuadSystemSource
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import (
     FFMatrix,
-    _table_kernel,
-    _table_rref,
+    PlaneEngine,
+    TableEngine,
+    _eliminate,
+    _pivot_kernel,
+    _rref,
+    field_engine,
     independent_rows,
-    plane_engine,
     sparse_kernel_basis,
     sparse_rank,
     table_rank,
@@ -93,7 +96,7 @@ def as_table(engine, pivots, width):
 @given(matrices(), st.data())
 def test_plane_engine_matches_table_engine(matrix, data):
     field, width, rows = matrix
-    engine, tables = plane_engine(field), field.tables()
+    engine, tables, table = field_engine(field), field.tables(), TableEngine(field)
     packed = [engine.pack(row) for row in rows]
     assert [engine.unpack(row, width) for row in packed] == [tuple(row) for row in rows]
     rank = table_rank(tables, rows)
@@ -117,10 +120,11 @@ def test_plane_engine_matches_table_engine(matrix, data):
             cut_pivots = plane_pivots(engine, rows[:split], width)[1]
             cut = engine.rank_cut(*side_by_side(packed[split:], width), mask, limit, cut_pivots)
             assert (cut, as_table(engine, cut_pivots, width)) == (want[0], want[1])
-    want_rows, want_cols = _table_rref(tables, rows)
-    got_rows, got_cols = engine.rref(packed, width)
+    want_rows, want_cols = _rref(table, rows, width)
+    got_rows, got_cols = _rref(engine, packed, width)
     assert ([list(engine.unpack(row, width)) for row in got_rows], got_cols) == (want_rows, want_cols)
-    assert engine.kernel(packed, width) == _table_kernel(tables, rows, width)
+    kernel = _pivot_kernel(table, _eliminate(table, rows), width)
+    assert _pivot_kernel(engine, _eliminate(engine, packed), width) == kernel
     pivots = {}
     kept = [i for i, row in enumerate(rows) if len(pivots) < table_rank(tables, (row,), pivots=pivots)]
     assert independent_rows(field, rows) == kept
@@ -133,7 +137,7 @@ def test_gf3_plane_arithmetic():
     """Addition, subtraction, the dot product and the multiples over
     GF(3), entry by entry for every pair of entries."""
     field = make_field(3)
-    engine = plane_engine(field)
+    engine = field_engine(field)
     values = [a for a in range(3) for _ in range(3)]
     others = [b for _ in range(3) for b in range(3)]
     a, b = engine.pack(values), engine.pack(others)
@@ -154,7 +158,7 @@ def test_char2_plane_arithmetic():
     GF(256), against the field's own arithmetic: the dot product of every
     pair of one-entry rows is the product of the entries."""
     for field in (*FIELDS[1:], make_field(2, 8)):
-        engine = plane_engine(field)
+        engine = field_engine(field)
         row = list(range(field.q))
         packed = engine.pack(row)
         for lead in (1, 2, field.q - 1):
@@ -172,7 +176,7 @@ def test_char2_plane_arithmetic():
 
 
 def test_only_gf3_and_small_gf2r_take_planes():
-    assert [plane_engine(make_field(p, e)) is not None for p, e in
+    assert [isinstance(field_engine(make_field(p, e)), PlaneEngine) for p, e in
             [(2, 1), (3, 1), (2, 2), (2, 8), (2, 9), (5, 1), (3, 2), (7, 1)]] == [
         False, True, True, True, False, False, False, False]
 

@@ -13,8 +13,9 @@ from rankgap.frontends import parse_dimacs
 from rankgap.gfarith import make_field
 from rankgap.gflinalg import (
     FFMatrix,
-    _packed_rref,
-    _table_rref,
+    TableEngine,
+    _rref,
+    field_engine,
     sparse_kernel_basis,
     sparse_rank,
     table_rank,
@@ -33,6 +34,7 @@ GF5 = make_field(5)
 GF9 = make_field(3, 2)
 GF257 = make_field(257)
 GF512 = make_field(2, 9)
+PACKED = field_engine(GF2)
 
 SHAPES = [(v, n, d) for v in "UV" for n in (2, 3, 4) for d in (1, 2)]
 
@@ -324,7 +326,7 @@ def test_table_elimination_matches_column_sweep(field):
         rows, ncols = random_field_matrix(rng, field)
         before = [list(r) for r in rows]
         want = field_column_sweep_rref(field, rows, ncols)
-        assert _table_rref(tables, rows) == want
+        assert _rref(TableEngine(field), rows, ncols) == want
         rank = len(want[0])
         assert table_rank(tables, rows) == rank
         for limit in range(ncols + 2):
@@ -340,19 +342,19 @@ def test_table_elimination_matches_column_sweep(field):
 
 
 def test_table_elimination_edge_shapes():
-    tables = GF3.tables()
-    assert _table_rref(tables, []) == ([], [])
-    assert _table_rref(tables, [[], []]) == ([], [])
-    assert _table_rref(tables, [[0, 0, 0]] * 3) == ([], [])
+    tables, table = GF3.tables(), TableEngine(GF3)
+    assert _rref(table, [], 0) == ([], [])
+    assert _rref(table, [[], []], 0) == ([], [])
+    assert _rref(table, [[0, 0, 0]] * 3, 3) == ([], [])
     assert table_rank(tables, [[0, 0, 0]] * 3, 0) == 0
     tall = [[2, 1], [1, 2], [0, 1], [2, 2], [1, 1]]
-    assert _table_rref(tables, tall) == field_column_sweep_rref(GF3, tall, 2) == ([[1, 0], [0, 1]], [0, 1])
+    assert _rref(table, tall, 2) == field_column_sweep_rref(GF3, tall, 2) == ([[1, 0], [0, 1]], [0, 1])
     assert table_rank(tables, tall, 1) is None
     assert table_rank(tables, tall, 2) == 2
     assert sparse_kernel_basis(GF3, [], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
-# -- _packed_rref --------------------------------------------------------------
+# -- the shared rref on the packed engine -------------------------------------
 
 
 def test_packed_rref_matches_column_sweep():
@@ -367,14 +369,14 @@ def test_packed_rref_matches_column_sweep():
         ]
         if rows and rng.random() < 0.3:
             rows += rng.choices(rows, k=rng.randint(1, 4))
-        assert _packed_rref(rows, ncols) == column_sweep_rref(rows, ncols)
+        assert _rref(PACKED, rows, ncols) == column_sweep_rref(rows, ncols)
 
 
 def test_packed_rref_edge_shapes():
-    assert _packed_rref([], 0) == ([], [])
-    assert _packed_rref([0, 0, 0], 0) == ([], [])
-    assert _packed_rref([0, 0], 5) == ([], [])
+    assert _rref(PACKED, [], 0) == ([], [])
+    assert _rref(PACKED, [0, 0, 0], 0) == ([], [])
+    assert _rref(PACKED, [0, 0], 5) == ([], [])
     tall = [0b111, 0b011, 0b110, 0b101, 0b001, 0b111]
-    assert _packed_rref(tall, 3) == column_sweep_rref(tall, 3) == ([4, 2, 1], [0, 1, 2])
+    assert _rref(PACKED, tall, 3) == column_sweep_rref(tall, 3) == ([4, 2, 1], [0, 1, 2])
     wide = [0b1010_0000, 0b1000_0110]
-    assert _packed_rref(wide, 8) == column_sweep_rref(wide, 8)
+    assert _rref(PACKED, wide, 8) == column_sweep_rref(wide, 8)
